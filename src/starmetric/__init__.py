@@ -72,7 +72,7 @@ from .infinite import (
     star_to_ray,
     tail_from_json,
 )
-from .rational import rat
+from .rational import RationalTooLarge, rat
 from .similarity import (
     CanonicalForm,
     canonical_form,

@@ -2,9 +2,10 @@
 
 Exit status is a pure function of the result: 0 when the checked property
 holds (or the command simply succeeded), 1 when it fails (a witness is
-printed), 2 on input or usage errors.  ``--json`` switches every verb to
-machine-readable output; identical inputs always produce byte-identical
-JSON.
+printed), 2 on input or usage errors, 3 when the program itself fails
+(an unexpected exception, reported in one ``error:`` line).  ``--json``
+switches every verb to machine-readable output; identical inputs always
+produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable
 from . import infinite, spaces, trees
 from .decision import (
     NotACenter,
+    NotUltrametric,
     build_star,
     find_centers,
     find_forbidden_quadruple,
@@ -46,6 +48,7 @@ from .trees import TreeError, generate_ultrametric, parse_tree_text, to_dot
 OK = 0
 FAIL = 1
 USAGE = 2
+CRASH = 3
 
 
 class _InputError(Exception):
@@ -403,9 +406,14 @@ def run(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (spaces.SpaceError, TreeError, InfiniteModelError, BoundExceeded) as exc:
+    except (spaces.SpaceError, TreeError, InfiniteModelError, BoundExceeded, NotUltrametric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        # exit 1 means "the property fails", so a crash must not end with it
+        detail = " ".join(str(exc).split())
+        print(f"error: internal failure: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return CRASH
 
 
 def console_main() -> None:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 
 from .spaces import (
     FiniteSemimetricSpace,
     ZERO,
     is_ultrametric,
-    reorder,
     ultrametric_violation,
     validate_semimetric,
 )
@@ -146,11 +146,19 @@ def _require_ultrametric(s: FiniteSemimetricSpace) -> None:
         )
 
 
-def _row_minima(s: FiniteSemimetricSpace) -> list[Fraction]:
-    """Nearest-neighbor distance of every point (needs >= 2 points)."""
-    d = s.dist
-    n = len(s.points)
-    return [min(d[i][j] for j in range(n) if j != i) for i in range(n)]
+def _row_minima(r: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Nearest-neighbor rank of every point of a rank matrix (0 for one point)."""
+    return [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(r)]
+
+
+def _is_center(row: tuple[int, ...], mins: list[int]) -> bool:
+    # row[j] >= mins[j] always holds off the diagonal, and row[i] = 0 on it
+    return all(map(le, row, mins))
+
+
+def _center_indices(r: tuple[tuple[int, ...], ...]) -> list[int]:
+    mins = _row_minima(r)
+    return [i for i, row in enumerate(r) if _is_center(row, mins)]
 
 
 def find_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
@@ -160,16 +168,7 @@ def find_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
     distance.  Returned in input order; may be empty.
     """
     _require_ultrametric(s)
-    n = len(s.points)
-    if n == 1:
-        return s.points
-    d = s.dist
-    mins = _row_minima(s)
-    centers = []
-    for i in range(n):
-        if all(d[i][j] == mins[j] for j in range(n) if j != i):
-            centers.append(s.points[i])
-    return tuple(centers)
+    return tuple(s.points[i] for i in _center_indices(s.ranks))
 
 
 def is_us(s: FiniteSemimetricSpace) -> bool:
@@ -179,9 +178,9 @@ def is_us(s: FiniteSemimetricSpace) -> bool:
 
 def build_star(s: FiniteSemimetricSpace, x0: str) -> LabeledStarGraph:
     """Star with center x0 and leaf labels d(x, x0); regenerates ``s`` exactly."""
-    centers = find_centers(s)
-    if x0 not in centers:
-        raise NotACenter(f"{x0!r} does not satisfy the center criterion (centers: {list(centers)})")
+    _require_ultrametric(s)
+    if x0 not in s.points or not _is_center(s.ranks[s.index(x0)], _row_minima(s.ranks)):
+        raise NotACenter(f"{x0!r} does not satisfy the center criterion (centers: {list(find_centers(s))})")
     i0 = s.index(x0)
     return LabeledStarGraph.of(
         x0,
@@ -193,22 +192,21 @@ def build_star(s: FiniteSemimetricSpace, x0: str) -> LabeledStarGraph:
 def _normalized_report(s: FiniteSemimetricSpace, xi: int, yi: int, zi: int, wi: int) -> QuadrupleReport:
     # pairs {x,z} and {y,w}; order inside each pair by index, then put the
     # smaller pair distance first, indices breaking ties
-    d = s.dist
+    r = s.ranks
     xi, zi = (xi, zi) if xi < zi else (zi, xi)
     yi, wi = (yi, wi) if yi < wi else (wi, yi)
-    s1, s2 = d[xi][zi], d[yi][wi]
-    if (s1, xi, zi) > (s2, yi, wi):
+    if (r[xi][zi], xi, zi) > (r[yi][wi], yi, wi):
         xi, zi, yi, wi = yi, wi, xi, zi
-        s1, s2 = s2, s1
+    d = s.dist
     return QuadrupleReport(
         x=s.points[xi],
         y=s.points[yi],
         z=s.points[zi],
         w=s.points[wi],
         big=d[xi][yi],
-        small1=s1,
-        small2=s2,
-        kind=KIND_Y4 if s1 == s2 else KIND_X4,
+        small1=d[xi][zi],
+        small2=d[yi][wi],
+        kind=KIND_Y4 if r[xi][zi] == r[yi][wi] else KIND_X4,
     )
 
 
@@ -219,18 +217,18 @@ def exhaustive_quadruple_scan(s: FiniteSemimetricSpace) -> QuadrupleReport | Non
     normalized report.  Assumes an ultrametric input; on arbitrary
     semimetrics it is just a pattern scan.
     """
-    d = s.dist
-    n = len(s.points)
+    r = s.ranks
+    n = len(r)
     for quad in combinations(range(n), 4):
         found = []
-        for (p, q), (r, t) in (
+        for (p, q), (u, t) in (
             ((quad[0], quad[1]), (quad[2], quad[3])),
             ((quad[0], quad[2]), (quad[1], quad[3])),
             ((quad[0], quad[3]), (quad[1], quad[2])),
         ):
-            big = d[p][r]
-            if d[p][t] == big and d[q][r] == big and d[q][t] == big and d[p][q] < big and d[r][t] < big:
-                found.append(_normalized_report(s, p, q, r, t))
+            big = r[p][u]
+            if r[p][t] == big and r[q][u] == big and r[q][t] == big and r[p][q] < big and r[u][t] < big:
+                found.append(_normalized_report(s, p, q, u, t))
         if found:
             return min(found, key=lambda rep: (rep.small1, rep.small2, rep.x, rep.z, rep.y, rep.w))
     return None
@@ -246,17 +244,20 @@ def find_forbidden_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None
     InternalInconsistency.
     """
     _require_ultrametric(s)
-    n = len(s.points)
+    r = s.ranks
+    n = len(r)
     if n < 4:
         return None
-    d = s.dist
-    mins = _row_minima(s)
+    mins = _row_minima(r)
     for i in range(n):
+        ri, mi = r[i], mins[i]
         for j in range(i + 1, n):
-            if d[i][j] <= (mins[i] if mins[i] >= mins[j] else mins[j]):
+            if ri[j] <= (mi if mi >= mins[j] else mins[j]):
                 continue
-            zi = next(k for k in range(n) if k != i and d[i][k] == mins[i])
-            wi = next(k for k in range(n) if k != j and d[j][k] == mins[j])
+            # the diagonal rank 0 is below every minimum, so index() finds
+            # the first nearest neighbor other than the point itself
+            zi = ri.index(mi)
+            wi = r[j].index(mins[j])
             if zi == wi or zi == j or wi == i:
                 # cannot happen for ultrametric input; fall back to the oracle
                 rep = exhaustive_quadruple_scan(s)
@@ -270,14 +271,17 @@ def find_forbidden_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None
     return None
 
 
+def _has_diameter_point(r: tuple[tuple[int, ...], ...]) -> bool:
+    diam = max(map(max, r))
+    return any(sorted(row)[1] == diam for row in r)
+
+
 def four_point_tree_generable(s: FiniteSemimetricSpace) -> bool:
     """True iff some point sits at diameter distance from the three others."""
     if len(s.points) != 4:
         raise NotFourPoints(f"need exactly 4 points, got {len(s.points)}")
     _require_ultrametric(s)
-    d = s.dist
-    diam = max(d[i][j] for i in range(4) for j in range(i + 1, 4))
-    return any(all(d[i][j] == diam for j in range(4) if j != i) for i in range(4))
+    return _has_diameter_point(s.ranks)
 
 
 @dataclass(frozen=True)
@@ -318,19 +322,18 @@ def semimetric_us_check(s: FiniteSemimetricSpace, allow_cardinality_three: bool 
     ``allow_cardinality_three`` is set.
     """
     n = len(s.points)
-    in_us = is_ultrametric(s) and bool(find_centers(s))
-    every4_us = True
-    every4_tree = True
-    if n >= 4:
-        for quad in combinations(s.points, 4):
-            sub = reorder(s, quad)
-            if not is_ultrametric(sub):
+    ultra = is_ultrametric(s)
+    in_us = ultra and bool(find_centers(s))
+    # for n >= 4 every 4-subset is ultrametric exactly when the space is:
+    # each violating triple extends to a 4-subset
+    every4_us = every4_tree = ultra or n < 4
+    if n >= 4 and ultra:
+        r = s.ranks
+        for quad in combinations(range(n), 4):
+            sub = tuple(tuple(r[a][b] for b in quad) for a in quad)
+            if every4_us and not _center_indices(sub):
                 every4_us = False
-                every4_tree = False
-                break
-            if every4_us and not find_centers(sub):
-                every4_us = False
-            if every4_tree and not four_point_tree_generable(sub):
+            if every4_tree and not _has_diameter_point(sub):
                 every4_tree = False
             if not every4_us and not every4_tree:
                 break

@@ -24,6 +24,7 @@ from typing import Iterator, Optional
 from .decision import (
     KIND_X4,
     KIND_Y4,
+    _row_minima,
     exhaustive_quadruple_scan,
     find_centers,
     find_forbidden_quadruple,
@@ -105,12 +106,6 @@ class RankedHierarchy:
     @property
     def leaf_count(self) -> int:
         return _node_leaves(self.root)
-
-    @property
-    def level_count(self) -> int:
-        levels: set[int] = set()
-        _node_levels(self.root, levels)
-        return len(levels)
 
     def rank_matrix(self) -> tuple[tuple[int, ...], ...]:
         """rank(x, y) = level of the least common ancestor; 0 on the diagonal."""
@@ -456,12 +451,12 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     while name in s.points:
         serial += 1
         name = f"c{serial}"
-    n = len(s.points)
     d = s.dist
-    if n == 1:
+    if len(d) == 1:
         gaps = [Fraction(1)]
     else:
-        gaps = [min(d[i][j] for j in range(n) if j != i) for i in range(n)]
+        # the first entry of each row at its nearest-neighbor rank
+        gaps = [d[i][row.index(m)] for i, (row, m) in enumerate(zip(s.ranks, _row_minima(s.ranks)))]
     names = s.points + (name,)
     rows = [list(row) + [gaps[i]] for i, row in enumerate(d)]
     rows.append(gaps + [Fraction(0)])

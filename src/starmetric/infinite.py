@@ -186,6 +186,13 @@ def tail_from_json(obj) -> TailLaw:
     raise MalformedPresentation(f"unknown tail kind {kind!r}")
 
 
+def _json_skip(obj: dict) -> int:
+    skip = obj.get("skip", 0)
+    if isinstance(skip, bool) or not isinstance(skip, int):
+        raise MalformedPresentation(f"'skip' must be a JSON integer, got {skip!r}")
+    return skip
+
+
 def _tail_labels(tail: TailLaw, skip: int) -> Iterator[Fraction]:
     n = skip + 1
     while True:
@@ -262,7 +269,7 @@ class StarSpec:
             center_label=rat(obj["center_label"]),
             exceptional=tuple(rat(x) for x in obj.get("exceptional", [])),
             tail=tail_from_json(obj["tail"]),
-            tail_skip=int(obj.get("skip", 0)),
+            tail_skip=_json_skip(obj),
         )
 
 
@@ -374,11 +381,14 @@ class RaySpec:
     def from_json(cls, obj) -> "RaySpec":
         if not isinstance(obj, dict) or "tail" not in obj:
             raise MalformedPresentation("ray JSON needs a 'tail' key")
+        decreasing = obj.get("decreasing", False)
+        if not isinstance(decreasing, bool):
+            raise MalformedPresentation(f"'decreasing' must be a JSON boolean, got {decreasing!r}")
         return cls(
             prefix=tuple(rat(x) for x in obj.get("prefix", [])),
             tail=tail_from_json(obj["tail"]),
-            tail_skip=int(obj.get("skip", 0)),
-            decreasing=bool(obj.get("decreasing", False)),
+            tail_skip=_json_skip(obj),
+            decreasing=decreasing,
         )
 
 

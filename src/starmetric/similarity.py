@@ -13,17 +13,17 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .spaces import FiniteSemimetricSpace, distance_spectrum
+from .spaces import FiniteSemimetricSpace
 
 
 def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
     """Distance matrix with each value replaced by its spectrum rank.
 
     The diagonal maps to rank 0; off-diagonal ranks cover 1..k with no
-    gaps because every spectrum value occurs in the matrix.
+    gaps because every spectrum value occurs in the matrix.  Computed once
+    per space and cached on it as ``s.ranks``.
     """
-    pos = {v: r for r, v in enumerate(distance_spectrum(s))}
-    return tuple(tuple(pos[v] for v in row) for row in s.dist)
+    return s.ranks
 
 
 def _row_profile(mat: Sequence[Sequence], i: int, n: int) -> tuple:
@@ -73,9 +73,9 @@ def weak_similarity_bijection(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace
     """Point bijection realizing a weak similarity from ``a`` to ``b``, or None."""
     if len(a.points) != len(b.points):
         return None
-    if len(distance_spectrum(a)) != len(distance_spectrum(b)):
+    if max(map(max, a.ranks)) != max(map(max, b.ranks)):
         return None
-    mapping = _matrix_bijection(rank_matrix(a), rank_matrix(b))
+    mapping = _matrix_bijection(a.ranks, b.ranks)
     if mapping is None:
         return None
     return {a.points[i]: b.points[j] for i, j in enumerate(mapping)}

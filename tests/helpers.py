@@ -1,10 +1,13 @@
 """Seeded random generators and brute-force oracles shared by the tests.
 
 The oracles here are kept independent of the library code paths they
-check: tree generability is re-decided by exhaustive shape/label search,
-class enumeration is re-counted from raw rank matrices, and path maxima
-are recomputed over explicit paths.
+check: ultrametricity is re-decided by a direct Fraction scan, tree
+generability by exhaustive shape/label search, class enumeration is
+re-counted from raw rank matrices, and path maxima are recomputed over
+explicit paths.
 """
+
+from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -14,6 +17,7 @@ from starmetric import (
     FiniteSemimetricSpace,
     LabeledStarGraph,
     LabeledTree,
+    TripleWitness,
     distance_spectrum,
     generate_ultrametric,
     validate_semimetric,
@@ -166,3 +170,36 @@ def path_max_oracle(labels: list[Fraction], m: int, n: int) -> Fraction:
         return Fraction(0)
     lo, hi = min(m, n), max(m, n)
     return max(labels[lo - 1 : hi])
+
+
+def fraction_ultrametric_violation(s: FiniteSemimetricSpace) -> TripleWitness | None:
+    """First triple with d(x,y) > max(d(x,z), d(z,y)), by a direct Fraction scan.
+
+    The O(n^3) reference for the library's rank-matrix check: pairs by
+    ascending index (i < j), probe point z by index, no ranks involved.
+    """
+    d = s.dist
+    n = len(s.points)
+    for i in range(n):
+        di = d[i]
+        for j in range(i + 1, n):
+            dij = di[j]
+            dj = d[j]
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                rhs = di[k] if di[k] >= dj[k] else dj[k]
+                if dij > rhs:
+                    return TripleWitness(s.points[i], s.points[j], s.points[k], dij, rhs)
+    return None
+
+
+def brute_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
+    """Points x0 with d(x0, x) <= d(y, x) for all x != x0 and y != x, straight from the definition."""
+    d = s.dist
+    n = len(s.points)
+    return tuple(
+        s.points[c]
+        for c in range(n)
+        if all(d[c][x] <= d[y][x] for x in range(n) if x != c for y in range(n) if y != x)
+    )

@@ -204,3 +204,45 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["check", str(bad)]) == 2
+
+
+def test_loose_presentation_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps({"tail": {"kind": "geometric", "a": "1", "r": "1/2"}, "decreasing": "false"}))
+    assert run(["complete", str(path)]) == 2
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"center_label": "0", "tail": {"kind": "harmonic", "c": "1"}, "skip": 1.9}))
+    assert run(["compact", str(path)]) == 2
+    assert "skip" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e20000", "1E-20000", "1" * 5000], ids=["exponent", "negative-exponent", "long"])
+def test_oversized_rational_is_an_input_error(tmp_path, capsys, value):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "dist": [["0", value], [value, "0"]]}))
+    assert run(["us", str(path)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3(x4_file, monkeypatch, capsys):
+    import starmetric.cli as cli
+
+    def deep(a, b):
+        raise RecursionError("maximum recursion depth exceeded\nwhile matching")
+
+    monkeypatch.setattr(cli, "weak_similarity_bijection", deep)
+    assert run(["weaksim", x4_file, x4_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "RecursionError" in lines[0]
+
+
+def test_ultrametric_only_verbs_reject_other_spaces(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    path.write_text(
+        json.dumps({"points": ["a", "b", "c"], "dist": [["0", "3", "4"], ["3", "0", "5"], ["4", "5", "0"]]})
+    )
+    for verb in ("witness", "star"):
+        assert run([verb, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: d(b,c) = 5 > 4")

@@ -280,3 +280,27 @@ def test_dplus_compact_subset():
         dplus_compact_subset((F(1), F(2)))
     with pytest.raises(MalformedPresentation):
         dplus_compact_subset((F(0),))
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+def test_ray_json_decreasing_must_be_a_boolean(flag):
+    obj = {"prefix": ["1"], "tail": {"kind": "finite"}, "decreasing": flag}
+    with pytest.raises(MalformedPresentation):
+        RaySpec.from_json(obj)
+
+
+@pytest.mark.parametrize("skip", [1.9, 1.0, True, False, "1", None])
+def test_presentation_json_skip_must_be_an_integer(skip):
+    star = {"center_label": "0", "tail": {"kind": "harmonic", "c": "1"}, "skip": skip}
+    ray = {"tail": {"kind": "harmonic", "c": "1"}, "skip": skip, "decreasing": True}
+    with pytest.raises(MalformedPresentation):
+        StarSpec.from_json(star)
+    with pytest.raises(MalformedPresentation):
+        RaySpec.from_json(ray)
+
+
+def test_presentation_json_accepts_exact_types():
+    star = StarSpec.from_json({"center_label": "0", "tail": {"kind": "harmonic", "c": "1"}, "skip": 2})
+    assert star.tail_skip == 2
+    ray = RaySpec.from_json({"tail": {"kind": "harmonic", "c": "1"}, "skip": 2, "decreasing": False})
+    assert ray.tail_skip == 2 and ray.decreasing is False

@@ -12,11 +12,13 @@ from starmetric import (
     MalformedMatrix,
     NegativeDistance,
     NonzeroDiagonal,
+    RationalTooLarge,
     UnknownPoint,
     ZeroOffDiagonal,
     distance_spectrum,
     generate_ultrametric,
     is_ultrametric,
+    rat,
     reorder,
     restrict,
     space_from_json,
@@ -26,6 +28,7 @@ from starmetric import (
     x4_space,
     y4_space,
 )
+from starmetric.rational import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_CHARS
 from helpers import random_tree
 
 
@@ -157,3 +160,15 @@ def test_json_requires_keys():
 def test_float_entries_rejected():
     with pytest.raises(MalformedMatrix):
         validate_semimetric(["a", "b"], [[0, 0.5], [0.5, 0]])
+
+
+def test_rat_bounds_length_and_exponent():
+    with pytest.raises(RationalTooLarge):
+        rat("1e20000")
+    with pytest.raises(RationalTooLarge):
+        rat("-3.5E-20000")
+    with pytest.raises(RationalTooLarge):
+        rat("7" * (MAX_RATIONAL_CHARS + 1))
+    assert issubclass(RationalTooLarge, ValueError)
+    assert rat(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+    assert rat("2.5e-3") == Fraction(1, 400)

@@ -1,0 +1,107 @@
+"""Compare the CLI's output between two source trees, byte for byte.
+
+Usage, from the repository root:
+
+    python3 tools/cli_diff.py OLD_SRC NEW_SRC [--seed 7] [--count 200]
+
+Writes a corpus of space JSON files (the four-point fixtures, the two
+five-point path spaces, and seeded random semimetrics, merge-process
+ultrametrics and star spaces from ``tests/helpers.py``), then runs the
+``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
+on every file, plus ``enumerate`` and both ``verify`` sweeps, once under
+each tree, each with and without ``--json``.  Exit code, stdout and
+stderr must match exactly; the first differences are printed and the
+exit status is 1 if there are any.  Commands that raised out of
+``cli.run`` under OLD_SRC (a crash with a traceback) are counted apart,
+since giving them a proper exit code is a change of behaviour.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from random import Random
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs inside each tree's interpreter: every argv line through cli.run.
+_RUNNER = """\
+import contextlib, io, json, sys
+from starmetric.cli import run
+for line in sys.stdin:
+    argv = json.loads(line)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except Exception as exc:
+            code = "raised " + type(exc).__name__
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def _write_corpus(folder: Path, seed: int, count: int) -> list[str]:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from helpers import permuted_copy, random_semimetric, random_star, random_ultrametric
+    from starmetric import generate_ultrametric, path_tree_x4, path_tree_y4, space_to_json, x4_space, y4_space
+
+    rng = Random(seed)
+    spaces = [x4_space(), y4_space(), generate_ultrametric(path_tree_x4()), generate_ultrametric(path_tree_y4())]
+    makers = (
+        lambda: random_semimetric(rng, rng.randint(1, 12)),
+        lambda: random_ultrametric(rng, rng.randint(1, 24)),
+        lambda: generate_ultrametric(random_star(rng, max_leaves=23)),
+    )
+    while len(spaces) < count:
+        spaces.append(makers[len(spaces) % 3]())
+    paths = []
+    for i, s in enumerate(spaces):
+        for tag, space in (("", s), ("p", permuted_copy(rng, s))):
+            path = folder / f"{i:04d}{tag}.json"
+            path.write_text(json.dumps(space_to_json(space)))
+            paths.append(str(path))
+    return paths
+
+
+def _commands(paths: list[str]) -> list[list[str]]:
+    cmds = [["enumerate", "--n", "6"], ["verify", "--theorem", "4.3", "--n", "6"], ["verify", "--theorem", "4.6"]]
+    for i in range(0, len(paths), 2):
+        path, twin = paths[i], paths[i + 1]
+        cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
+        cmds += [["weaksim", path, twin], ["weaksim", path, paths[(i + 2) % len(paths)]]]
+    return [c + extra for c in cmds for extra in ([], ["--json"])]
+
+
+def _run(src: str, cmds: list[list[str]]) -> list:
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    feed = "".join(json.dumps(c) + "\n" for c in cmds)
+    proc = subprocess.run([sys.executable, "-c", _RUNNER], input=feed, capture_output=True, text=True, env=env, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--count", type=int, default=200)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        cmds = _commands(_write_corpus(Path(tmp), args.seed, args.count))
+        old, new = _run(args.old_src, cmds), _run(args.new_src, cmds)
+    crashed = [(a, b) for a, b in zip(old, new) if str(a[1]).startswith("raised")]
+    diffs = [(a, b) for a, b in zip(old, new) if a != b and not str(a[1]).startswith("raised")]
+    for a, b in diffs[:5]:
+        print(f"differs: {a[0]}\n  old: {a[1:]}\n  new: {b[1:]}")
+    outcomes = sorted({f"{a[1]} -> {b[1]}" for a, b in crashed})
+    print(f"{len(cmds)} commands, {len(diffs)} differ; {len(crashed)} raised under OLD_SRC ({', '.join(outcomes)})")
+    return 1 if diffs or len(old) != len(new) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
