@@ -28,7 +28,7 @@ from .harness import (
     BoundExceeded,
     PreconditionFailed,
     center_extension_probe,
-    enumerate_classes,
+    map_classes,
     verify_obstruction_equivalence,
     verify_tree_equivalence,
 )
@@ -253,14 +253,7 @@ def _cmd_weaksim(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spaces_list = list(enumerate_classes(args.n))
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            flags = list(pool.map(is_us, spaces_list, chunksize=16))
-    else:
-        flags = [is_us(space) for space in spaces_list]
+    spaces_list, flags = map_classes(is_us, args.n, args.jobs)
     total = len(spaces_list)
     us_count = sum(flags)
     if args.json:

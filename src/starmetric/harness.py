@@ -3,9 +3,11 @@
 A weak-similarity class of an n-point ultrametric space is the same thing
 as a ranked hierarchy: a rooted merge tree on n unlabeled leaves whose
 internal nodes carry levels 1..k, strictly increasing toward the root,
-with every level used.  Enumeration walks canonical hierarchy encodings
-directly (sorted child tuples), so no post-hoc isomorphism filtering is
-needed; a brute-force rank-matrix oracle guards the bijection at small n
+with every level used.  Enumeration follows that definition: starting
+from n single leaves, level 1, 2, ... each merges the groups of some set
+partition of the blocks left by the levels below.  Children and blocks
+are kept sorted, so relabelings of one state coincide and a set removes
+them; a brute-force rank-matrix oracle guards the bijection at small n
 in the test suite.
 
 On top of the catalogue sit the two equivalence sweeps (star-generability
@@ -15,11 +17,9 @@ four points) and the one-point center-extension probe.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .decision import (
     KIND_X4,
@@ -37,6 +37,7 @@ from .spaces import (
     FiniteSemimetricSpace,
     distance_spectrum,
     is_ultrametric,
+    space_to_json,
     ultrametric_violation,
 )
 from .trees import generate_ultrametric
@@ -60,14 +61,6 @@ def _node_leaves(node) -> int:
     return sum(_node_leaves(c) for c in node[1])
 
 
-def _node_levels(node, acc: set) -> None:
-    if node == LEAF:
-        return
-    acc.add(node[0])
-    for c in node[1]:
-        _node_levels(c, acc)
-
-
 @dataclass(frozen=True)
 class RankedHierarchy:
     """Canonical encoding of a leveled merge tree.
@@ -81,15 +74,12 @@ class RankedHierarchy:
 
     def __post_init__(self):
         levels: set[int] = set()
-        _node_levels(self.root, levels)
-        k = len(levels)
-        if levels and levels != set(range(1, k + 1)):
-            raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
 
         def walk(node, bound: Optional[int]) -> None:
             if node == LEAF:
                 return
             level, children = node
+            levels.add(level)
             if bound is not None and level >= bound:
                 raise ValueError(f"child level {level} not below parent level {bound}")
             if len(children) < 2:
@@ -100,8 +90,8 @@ class RankedHierarchy:
                 walk(c, level)
 
         walk(self.root, None)
-        if self.root == LEAF and k != 0:
-            raise ValueError("a bare leaf uses no levels")
+        if levels != set(range(1, len(levels) + 1)):
+            raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
 
     @property
     def leaf_count(self) -> int:
@@ -139,60 +129,46 @@ class RankedHierarchy:
         return FiniteSemimetricSpace(names, rows)
 
 
-@lru_cache(maxsize=None)
-def _subsets(levels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = [()]
-    for x in levels:
-        out += [s + (x,) for s in out]
-    return tuple(out)
+def _set_partitions(items: tuple) -> Iterator[list[list]]:
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for rest in _set_partitions(items[1:]):
+        yield [[first]] + rest
+        for i in range(len(rest)):
+            yield rest[:i] + [[first] + rest[i]] + rest[i + 1 :]
 
 
-@lru_cache(maxsize=None)
-def _canonical_trees(m: int, levels: tuple[int, ...]) -> tuple[tuple, ...]:
-    """All canonical hierarchies with m leaves using exactly these levels."""
-    if m == 1:
-        return (LEAF,) if not levels else ()
-    if not levels:
-        return ()
-    top = levels[-1]
-    below = levels[:-1]
-    pool: list[tuple[tuple, int, frozenset]] = []
-    for size in range(1, m):
-        for sub in _subsets(below):
-            for enc in _canonical_trees(size, sub):
-                pool.append((enc, size, frozenset(sub)))
-    pool.sort(key=lambda item: item[0])
-    need_all = frozenset(below)
-    results: list[tuple] = []
-    chosen: list[tuple] = []
+def _merge_levels(n: int) -> Iterator[tuple]:
+    """Canonical encodings on n leaves: top level ascending, sorted within it.
 
-    def pick(start: int, size_left: int, still_needed: frozenset) -> None:
-        if size_left == 0:
-            if not still_needed and len(chosen) >= 2:
-                results.append((top, tuple(chosen)))
-            return
-        for idx in range(start, len(pool)):
-            enc, size, used = pool[idx]
-            if size > size_left:
-                continue
-            chosen.append(enc)
-            pick(idx, size_left - size, still_needed - used)
-            chosen.pop()
-
-    pick(0, m, need_all)
-    return tuple(sorted(results))
+    A state is the sorted tuple of blocks still unmerged.  Each level
+    takes every set partition of a state that merges at least one group
+    and turns each group of two or more blocks into one node at that
+    level.  Sorting children and blocks makes relabelings of one state
+    equal, so the set keeps one copy of each.
+    """
+    states = {(LEAF,) * n}
+    level = 0
+    while states:
+        yield from sorted(state[0] for state in states if len(state) == 1)
+        level += 1
+        states = {
+            tuple(sorted(g[0] if len(g) == 1 else (level, tuple(sorted(g))) for g in groups))
+            for blocks in states
+            if len(blocks) > 1
+            for groups in _set_partitions(blocks)
+            if len(groups) < len(blocks)
+        }
 
 
 def enumerate_hierarchies(n: int) -> Iterator[RankedHierarchy]:
     """All ranked hierarchies on n leaves, canonical order, one per class."""
     if not 1 <= n <= MAX_POINTS:
         raise BoundExceeded(f"supported point counts are 1..{MAX_POINTS}, got {n}")
-    if n == 1:
-        yield RankedHierarchy(LEAF)
-        return
-    for k in range(1, n):
-        for enc in _canonical_trees(n, tuple(range(1, k + 1))):
-            yield RankedHierarchy(enc)
+    for enc in _merge_levels(n):
+        yield RankedHierarchy(enc)
 
 
 def enumerate_classes(n: int) -> Iterator[FiniteSemimetricSpace]:
@@ -201,14 +177,27 @@ def enumerate_classes(n: int) -> Iterator[FiniteSemimetricSpace]:
         yield h.to_space()
 
 
+def map_classes(fn: Callable, n: int, jobs: int = 1) -> tuple[list[FiniteSemimetricSpace], list]:
+    """The class spaces of size n and ``fn`` of each, in catalogue order.
+
+    With ``jobs > 1`` the calls run in that many worker processes, so ``fn``
+    must be a module-level function; results come back in input order.
+    """
+    spaces = list(enumerate_classes(n))
+    if jobs <= 1:
+        return spaces, [fn(space) for space in spaces]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return spaces, list(pool.map(fn, spaces, chunksize=16))
+
+
 @dataclass(frozen=True)
 class ClassDiscrepancy:
     space: FiniteSemimetricSpace
     details: str
 
     def to_json(self) -> dict:
-        from .spaces import space_to_json
-
         return {"space": space_to_json(self.space), "details": self.details}
 
 
@@ -253,12 +242,7 @@ def verify_obstruction_equivalence(n: int, jobs: int = 1) -> ObstructionSweepRep
     Also cross-checks the constructive quadruple search against the
     exhaustive scan; any disagreement lands in the discrepancy list.
     """
-    spaces = list(enumerate_classes(n))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_obstruction_row, spaces, chunksize=16))
-    else:
-        rows = [_obstruction_row(space) for space in spaces]
+    spaces, rows = map_classes(_obstruction_row, n, jobs)
     us_classes = 0
     obstructed = 0
     kinds: dict[str, int] = {KIND_X4: 0, KIND_Y4: 0}
@@ -337,8 +321,6 @@ class FivePointWitness:
     obstruction_kind: Optional[str]
 
     def to_json(self) -> dict:
-        from .spaces import space_to_json
-
         return {
             "space": space_to_json(self.space),
             "tree_generated": self.tree_generated,
@@ -422,8 +404,6 @@ class ProbeReport:
     note: str
 
     def to_json(self) -> dict:
-        from .spaces import space_to_json
-
         return {
             "success": self.success,
             "added_point": self.added_point,

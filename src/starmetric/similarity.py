@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .spaces import FiniteSemimetricSpace
+from .spaces import FiniteSemimetricSpace, distance_spectrum
 
 
 def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
@@ -30,8 +30,8 @@ def _row_profile(mat: Sequence[Sequence], i: int, n: int) -> tuple:
     return tuple(sorted(mat[i][j] for j in range(n) if j != i))
 
 
-def _matrix_bijection(ma: Sequence[Sequence], mb: Sequence[Sequence]) -> Optional[list[int]]:
-    """Index bijection carrying matrix ``ma`` onto ``mb`` entrywise, or None.
+def _matrix_bijection(ma: Sequence[Sequence[int]], mb: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Index bijection carrying rank matrix ``ma`` onto ``mb`` entrywise, or None.
 
     Backtracking over rows, pruned by per-point sorted row profiles.
     Deterministic: rows assigned in input order, candidates tried in input
@@ -86,13 +86,14 @@ def weakly_similar(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> bool:
 
 
 def isometry_bijection(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> Optional[dict[str, str]]:
-    """Point bijection preserving exact distances, or None."""
-    if len(a.points) != len(b.points):
+    """Point bijection preserving exact distances, or None.
+
+    With equal distance spectra, equal ranks mean equal distances, so an
+    isometry is exactly a weak similarity between the rank matrices.
+    """
+    if distance_spectrum(a) != distance_spectrum(b):
         return None
-    mapping = _matrix_bijection(a.dist, b.dist)
-    if mapping is None:
-        return None
-    return {a.points[i]: b.points[j] for i, j in enumerate(mapping)}
+    return weak_similarity_bijection(a, b)
 
 
 def isometric(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> bool:

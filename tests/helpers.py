@@ -3,13 +3,15 @@
 The oracles here are kept independent of the library code paths they
 check: ultrametricity is re-decided by a direct Fraction scan, tree
 generability by exhaustive shape/label search, class enumeration is
-re-counted from raw rank matrices, and path maxima are recomputed over
+re-counted from raw rank matrices and re-generated by the earlier
+pool-and-pick search, and path maxima are recomputed over
 explicit paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from random import Random
 
@@ -22,6 +24,7 @@ from starmetric import (
     generate_ultrametric,
     validate_semimetric,
 )
+from starmetric.harness import LEAF
 
 
 def rand_pos_frac(rng: Random, top: int = 12) -> Fraction:
@@ -203,3 +206,58 @@ def brute_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
         for c in range(n)
         if all(d[c][x] <= d[y][x] for x in range(n) if x != c for y in range(n) if y != x)
     )
+
+
+@lru_cache(maxsize=None)
+def _subsets(levels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    out: list[tuple[int, ...]] = [()]
+    for x in levels:
+        out += [s + (x,) for s in out]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _canonical_trees(m: int, levels: tuple[int, ...]) -> tuple[tuple, ...]:
+    """All canonical hierarchies with m leaves using exactly these levels."""
+    if m == 1:
+        return (LEAF,) if not levels else ()
+    if not levels:
+        return ()
+    top = levels[-1]
+    below = levels[:-1]
+    pool: list[tuple[tuple, int, frozenset]] = []
+    for size in range(1, m):
+        for sub in _subsets(below):
+            for enc in _canonical_trees(size, sub):
+                pool.append((enc, size, frozenset(sub)))
+    pool.sort(key=lambda item: item[0])
+    need_all = frozenset(below)
+    results: list[tuple] = []
+    chosen: list[tuple] = []
+
+    def pick(start: int, size_left: int, still_needed: frozenset) -> None:
+        if size_left == 0:
+            if not still_needed and len(chosen) >= 2:
+                results.append((top, tuple(chosen)))
+            return
+        for idx in range(start, len(pool)):
+            enc, size, used = pool[idx]
+            if size > size_left:
+                continue
+            chosen.append(enc)
+            pick(idx, size_left - size, still_needed - used)
+            chosen.pop()
+
+    pick(0, m, need_all)
+    return tuple(sorted(results))
+
+
+def pool_hierarchy_roots(n: int) -> list[tuple]:
+    """Canonical hierarchy encodings on n leaves, levels 1..k with k ascending.
+
+    The earlier pool-and-pick enumeration, kept as the reference order for
+    the library's level-by-level merge generator.
+    """
+    if n == 1:
+        return [()]
+    return [enc for k in range(1, n) for enc in _canonical_trees(n, tuple(range(1, k + 1)))]

@@ -168,6 +168,13 @@ def test_enumerate_verb(capsys):
     assert summary == {"classes": 6, "n": 4, "obstructed_classes": 2, "us_classes": 4}
 
 
+def test_enumerate_jobs_same_output(capsys):
+    assert run(["enumerate", "--n", "5", "--json"]) == 0
+    serial = capsys.readouterr().out
+    assert run(["enumerate", "--n", "5", "--jobs", "2", "--json"]) == 0
+    assert capsys.readouterr().out == serial
+
+
 def test_verify_verbs(capsys):
     assert run(["verify", "--theorem", "4.3", "--n", "4"]) == 0
     assert "0 discrepancies" in capsys.readouterr().out

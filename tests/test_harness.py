@@ -24,7 +24,13 @@ from starmetric import (
     weakly_similar,
     x4_space,
 )
-from helpers import brute_rank_class_reps, brute_tree_generable_4, random_star, random_ultrametric
+from helpers import (
+    brute_rank_class_reps,
+    brute_tree_generable_4,
+    pool_hierarchy_roots,
+    random_star,
+    random_ultrametric,
+)
 
 
 def test_hierarchy_encoding_validation():
@@ -53,9 +59,15 @@ def test_hierarchy_rank_matrix():
 def test_class_counts():
     # n <= 4 verified against the brute rank-matrix oracle below; n = 5
     # cross-checked by hand via chains of partitions (18 type chains plus
-    # two orbit splittings); n = 6 golden from the first verified run
-    counts = [sum(1 for _ in enumerate_classes(n)) for n in range(1, 7)]
-    assert counts == [1, 1, 2, 6, 20, 90]
+    # two orbit splittings); n = 6..8 golden from the first verified runs
+    counts = [sum(1 for _ in enumerate_classes(n)) for n in range(1, 9)]
+    assert counts == [1, 1, 2, 6, 20, 90, 468, 2910]
+
+
+def test_merge_generator_matches_pool_reference():
+    # same encodings in the same order: k ascending, sorted within each k
+    for n in range(1, 8):
+        assert [h.root for h in enumerate_hierarchies(n)] == pool_hierarchy_roots(n)
 
 
 def test_enumeration_matches_brute_oracle():
@@ -104,6 +116,13 @@ def test_obstruction_sweep_small():
     kinds = dict(rep4.kind_counts)
     # the two non-star-generated 4-point classes are exactly X4 and Y4
     assert rep4.us_classes == 4 and kinds == {"X4": 1, "Y4": 1}
+
+
+def test_obstruction_sweep_n8():
+    report = verify_obstruction_equivalence(8)
+    assert report.ok
+    assert report.classes == 2910 and report.us_classes == 64
+    assert dict(report.kind_counts) == {"X4": 2309, "Y4": 537}
 
 
 def test_obstruction_sweep_includes_path_tree_classes():

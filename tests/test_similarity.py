@@ -1,5 +1,6 @@
 """Rank matrices, weak similarity, canonical forms, exact isometry."""
 
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -182,6 +183,35 @@ def test_isometry():
         assert not isometric(s, stretched)
     assert len(distance_spectrum(s)) == len(distance_spectrum(stretched))
     assert weakly_similar(s, stretched)
+
+
+def test_isometry_matches_permutation_oracle():
+    # distances from {1, 2, 3} make equal spectra common, with and without an isometry
+    rng = Random(79)
+    found = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        a = _small_values_space(rng, n)
+        b = permuted_copy(rng, a) if rng.random() < 0.4 else _small_values_space(rng, n)
+        exists = any(
+            all(a.dist[i][j] == b.dist[p[i]][p[j]] for i in range(n) for j in range(n))
+            for p in permutations(range(n))
+        )
+        phi = isometry_bijection(a, b)
+        assert (phi is not None) == exists
+        if phi is not None:
+            found += 1
+            assert sorted(phi.values()) == sorted(b.points)
+            assert all(a.d(u, v) == b.d(phi[u], phi[v]) for u in a.points for v in a.points)
+    assert 0 < found < 150
+
+
+def _small_values_space(rng: Random, n: int):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(1, 3)
+    return validate_semimetric([f"p{i + 1}" for i in range(n)], [[str(v) for v in row] for row in rows])
 
 
 def test_weakly_similar_counterexample_same_spectrum_size():

@@ -8,8 +8,9 @@ Writes a corpus of space JSON files (the four-point fixtures, the two
 five-point path spaces, and seeded random semimetrics, merge-process
 ultrametrics and star spaces from ``tests/helpers.py``), then runs the
 ``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
-on every file, plus ``enumerate`` and both ``verify`` sweeps, once under
-each tree, each with and without ``--json``.  Exit code, stdout and
+on every file, plus ``enumerate`` at n = 6, 8 and 7 with ``--jobs 2`` and
+both ``verify`` sweeps (theorem 4.3 at n = 6 and 8), once under each
+tree, each with and without ``--json``.  Exit code, stdout and
 stderr must match exactly; the first differences are printed and the
 exit status is 1 if there are any.  Commands that raised out of
 ``cli.run`` under OLD_SRC (a crash with a traceback) are counted apart,
@@ -69,7 +70,14 @@ def _write_corpus(folder: Path, seed: int, count: int) -> list[str]:
 
 
 def _commands(paths: list[str]) -> list[list[str]]:
-    cmds = [["enumerate", "--n", "6"], ["verify", "--theorem", "4.3", "--n", "6"], ["verify", "--theorem", "4.6"]]
+    cmds = [
+        ["enumerate", "--n", "6"],
+        ["enumerate", "--n", "8"],
+        ["enumerate", "--n", "7", "--jobs", "2"],
+        ["verify", "--theorem", "4.3", "--n", "6"],
+        ["verify", "--theorem", "4.3", "--n", "8"],
+        ["verify", "--theorem", "4.6"],
+    ]
     for i in range(0, len(paths), 2):
         path, twin = paths[i], paths[i + 1]
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
