@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from .rational import rat
 from .spaces import FiniteSemimetricSpace, ZERO
-from .trees import LabeledStarGraph, LabeledTree, NotGenerating
+from .trees import LabeledTree, NotGenerating
 
 
 class InfiniteModelError(ValueError):
@@ -347,10 +347,6 @@ class RaySpec:
         return self.tail.finite
 
     @property
-    def length(self) -> Optional[int]:
-        return len(self.prefix) if self.finite else None
-
-    @property
     def decreasing_to_zero(self) -> bool:
         return self.decreasing and not self.finite and self.tail.decreasing_to_zero
 
@@ -443,14 +439,18 @@ def ray_truncation_tree(r: RaySpec, k: int) -> LabeledTree:
 
 
 def ray_truncation_space(r: RaySpec, k: int) -> FiniteSemimetricSpace:
-    """Metric on the first k ray vertices via the closed-form distance."""
+    """Metric on the first k ray vertices: running path maxima of one label list."""
     if k < 1:
         raise IndexOutOfRange("truncation needs at least one point")
+    labels = list(r.labels(k))
+    rows = [[ZERO] * k for _ in range(k)]
+    for i in range(k):
+        top = labels[i]
+        for j in range(i + 1, k):
+            top = max(top, labels[j])
+            rows[i][j] = rows[j][i] = top
     names = tuple(f"x{i}" for i in range(1, k + 1))
-    rows = tuple(
-        tuple(ray_distance(r, i, j) for j in range(1, k + 1)) for i in range(1, k + 1)
-    )
-    return FiniteSemimetricSpace(names, rows)
+    return FiniteSemimetricSpace(names, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain, groupby
+from typing import Iterator, Optional, Sequence
 
 from .spaces import FiniteSemimetricSpace, distance_spectrum
 
@@ -33,9 +34,10 @@ def _row_profile(mat: Sequence[Sequence], i: int, n: int) -> tuple:
 def _matrix_bijection(ma: Sequence[Sequence[int]], mb: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """Index bijection carrying rank matrix ``ma`` onto ``mb`` entrywise, or None.
 
-    Backtracking over rows, pruned by per-point sorted row profiles.
-    Deterministic: rows assigned in input order, candidates tried in input
-    order, first complete assignment returned.
+    Backtracking over rows, pruned by per-point sorted row profiles, in a
+    loop that counts the candidates tried per row.  Deterministic: rows
+    assigned in input order, candidates tried in input order, first
+    complete assignment returned.
     """
     n = len(ma)
     if len(mb) != n:
@@ -47,26 +49,24 @@ def _matrix_bijection(ma: Sequence[Sequence[int]], mb: Sequence[Sequence[int]]) 
     candidates = [[j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)]
     assigned: list[int] = []
     used = [False] * n
-
-    def extend() -> bool:
+    tried = [0] * n
+    while len(assigned) < n:
         i = len(assigned)
-        if i == n:
-            return True
-        row = ma[i]
-        for j in candidates[i]:
-            if used[j]:
-                continue
+        row, cands = ma[i], candidates[i]
+        while tried[i] < len(cands):
+            j = cands[tried[i]]
+            tried[i] += 1
             rowb = mb[j]
-            if all(row[t] == rowb[assigned[t]] for t in range(i)):
+            if not used[j] and all(row[t] == rowb[assigned[t]] for t in range(i)):
                 used[j] = True
                 assigned.append(j)
-                if extend():
-                    return True
-                assigned.pop()
-                used[j] = False
-        return False
-
-    return assigned if extend() else None
+                break
+        else:
+            if i == 0:
+                return None
+            tried[i] = 0
+            used[assigned.pop()] = False
+    return assigned
 
 
 def weak_similarity_bijection(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> Optional[dict[str, str]]:
@@ -127,59 +127,48 @@ def _twin_classes(rm: Sequence[Sequence[int]], n: int) -> list[int]:
 def canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
     """Lexicographically minimal row-major rank matrix over all point orders.
 
-    Search is a DFS over orderings with two sound prunes: only one
-    representative per twin class is tried at each node, and a branch is
-    cut as soon as its determined first-row prefix exceeds the best found.
-    Exponential in the worst case; meant for desk-scale n.
+    Places one point per position, from an explicit stack.  The unplaced
+    points form an ordered partition, split by rank to each placed point in
+    turn: a minimal order keeps them in that order, or a swap would lower an
+    earlier row.  So the next point comes from the first cell, one per twin
+    class (a twin swap is an automorphism), and its row is then fixed; a
+    branch is cut once its rows exceed the best.  Still exponential in the
+    number of interchangeable blocks that are not twins (m pairs: m! leaves).
     """
     rm = rank_matrix(s)
     n = len(rm)
-    if n == 1:
-        return _form(((0,),))
     twins = _twin_classes(rm, n)
-    best: list[tuple[int, ...] | None] = [None]
-    perm: list[int] = []
-    in_perm = [False] * n
 
-    def flat() -> tuple[int, ...]:
-        return tuple(rm[perm[i]][perm[j]] for i in range(n) for j in range(i + 1, n))
+    def placements(cells: list[list[int]]) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+        first, rest = cells[0], cells[1:]
+        for p in {twins[q]: q for q in first}.values():
+            rank = rm[p].__getitem__
+            split: list[list[int]] = []
+            for cell in [[q for q in first if q != p], *rest]:
+                # most cells of a deep path are singletons; they skip the sort
+                split += [cell] if len(cell) == 1 else (list(g) for _, g in groupby(sorted(cell, key=rank), rank))
+            yield tuple(map(rank, chain.from_iterable(split))), split
 
-    def dfs(depth: int, tight: bool) -> None:
-        if depth == n:
-            f = flat()
-            if best[0] is None or f < best[0]:
-                best[0] = f
-            return
-        tried: set[int] = set()
-        for cand in range(n):
-            if in_perm[cand] or twins[cand] in tried:
-                continue
-            tried.add(twins[cand])
-            now_tight = tight
-            if depth >= 1 and best[0] is not None and tight:
-                # determined row-major prefix so far is rm[perm[0]][perm[1..depth]]
-                val = rm[perm[0]][cand]
-                ref = best[0][depth - 1]
-                if val > ref:
-                    continue
-                if val < ref:
-                    now_tight = False
-            perm.append(cand)
-            in_perm[cand] = True
-            dfs(depth + 1, now_tight)
-            perm.pop()
-            in_perm[cand] = False
-
-    dfs(0, True)
-    assert best[0] is not None
-    upper = best[0]
-    ranks = [[0] * n for _ in range(n)]
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            ranks[i][j] = ranks[j][i] = upper[pos]
-            pos += 1
-    return _form(tuple(tuple(row) for row in ranks))
+    # rows[k]: ranks from the point at position k to the later positions, one
+    # list for the whole path, so memory stays O(n^2)
+    rows: list[tuple[int, ...]] = []
+    best: list[tuple[int, ...]] = []
+    stack = [placements([list(range(n))])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        row, cells = step
+        rows[len(stack) - 1 :] = [row]
+        if best and rows > best[: len(rows)]:
+            continue
+        if cells:
+            stack.append(placements(cells))
+        else:
+            best = rows[:]
+    # entry (i, j) with j < i sits in row j, at offset i - j - 1
+    return _form(tuple(tuple(best[j][i - j - 1] for j in range(i)) + (0,) + best[i] for i in range(n)))
 
 
 def _form(ranks: tuple[tuple[int, ...], ...]) -> CanonicalForm:

@@ -4,8 +4,9 @@ The oracles here are kept independent of the library code paths they
 check: ultrametricity is re-decided by a direct Fraction scan, tree
 generability by exhaustive shape/label search, class enumeration is
 re-counted from raw rank matrices and re-generated by the earlier
-pool-and-pick search, and path maxima are recomputed over
-explicit paths.
+pool-and-pick search, path maxima are recomputed over explicit paths,
+and canonical forms and rank-matrix bijections are recomputed by the
+earlier recursive searches.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from starmetric import (
     validate_semimetric,
 )
 from starmetric.harness import LEAF
+from starmetric.similarity import CanonicalForm, _form, _twin_classes, rank_matrix
 
 
 def rand_pos_frac(rng: Random, top: int = 12) -> Fraction:
@@ -261,3 +263,104 @@ def pool_hierarchy_roots(n: int) -> list[tuple]:
     if n == 1:
         return [()]
     return [enc for k in range(1, n) for enc in _canonical_trees(n, tuple(range(1, k + 1)))]
+
+
+def dfs_canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
+    """Lexicographically minimal row-major rank matrix over all point orders.
+
+    The earlier recursive DFS, kept as the reference for the library's
+    row-per-point search: one representative per twin class at each node,
+    and a branch is cut as soon as its first-row prefix exceeds the best.
+    """
+    rm = rank_matrix(s)
+    n = len(rm)
+    if n == 1:
+        return _form(((0,),))
+    twins = _twin_classes(rm, n)
+    best: list[tuple[int, ...] | None] = [None]
+    perm: list[int] = []
+    in_perm = [False] * n
+
+    def flat() -> tuple[int, ...]:
+        return tuple(rm[perm[i]][perm[j]] for i in range(n) for j in range(i + 1, n))
+
+    def dfs(depth: int, tight: bool) -> None:
+        if depth == n:
+            f = flat()
+            if best[0] is None or f < best[0]:
+                best[0] = f
+            return
+        tried: set[int] = set()
+        for cand in range(n):
+            if in_perm[cand] or twins[cand] in tried:
+                continue
+            tried.add(twins[cand])
+            now_tight = tight
+            if depth >= 1 and best[0] is not None and tight:
+                # determined row-major prefix so far is rm[perm[0]][perm[1..depth]]
+                val = rm[perm[0]][cand]
+                ref = best[0][depth - 1]
+                if val > ref:
+                    continue
+                if val < ref:
+                    now_tight = False
+            perm.append(cand)
+            in_perm[cand] = True
+            dfs(depth + 1, now_tight)
+            perm.pop()
+            in_perm[cand] = False
+
+    dfs(0, True)
+    assert best[0] is not None
+    upper = best[0]
+    ranks = [[0] * n for _ in range(n)]
+    pos = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            ranks[i][j] = ranks[j][i] = upper[pos]
+            pos += 1
+    return _form(tuple(tuple(row) for row in ranks))
+
+
+def _row_profile(mat, i: int, n: int) -> tuple:
+    return tuple(sorted(mat[i][j] for j in range(n) if j != i))
+
+
+def recursive_matrix_bijection(ma, mb) -> list[int] | None:
+    """Index bijection carrying rank matrix ``ma`` onto ``mb`` entrywise, or None.
+
+    The earlier recursive backtracking, kept as the reference for the
+    library's loop: rows assigned in input order, candidates (points with
+    the same sorted row profile) tried in input order, first complete
+    assignment returned.
+    """
+    n = len(ma)
+    if len(mb) != n:
+        return None
+    prof_a = [_row_profile(ma, i, n) for i in range(n)]
+    prof_b = [_row_profile(mb, i, n) for i in range(n)]
+    if sorted(prof_a) != sorted(prof_b):
+        return None
+    candidates = [[j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)]
+    assigned: list[int] = []
+    used = [False] * n
+
+    def extend() -> bool:
+        i = len(assigned)
+        if i == n:
+            return True
+        row = ma[i]
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            rowb = mb[j]
+            if all(row[t] == rowb[assigned[t]] for t in range(i)):
+                used[j] = True
+                assigned.append(j)
+                if extend():
+                    return True
+                assigned.pop()
+                used[j] = False
+        return False
+
+    return assigned if extend() else None

@@ -190,6 +190,28 @@ def test_ray_truncation_tree_is_path_max_oracle():
             assert space.d(f"x{m}", f"x{n}") == ray_distance(ray, m, n)
 
 
+def test_ray_truncation_space_matches_ray_distance():
+    rays = [
+        RaySpec(tail=HarmonicTail(F(1)), decreasing=True),
+        RaySpec(prefix=(F(3), F(2), F(2)), tail=GeometricTail(F(1), F(1, 2)), tail_skip=2, decreasing=True),
+        RaySpec(prefix=(F(1), F(5), F(0), F(2)), tail=HarmonicTail(F(3))),  # non-monotone
+        RaySpec(prefix=(F(1), F(5), F(0), F(2))),  # finite, non-monotone
+        RaySpec(prefix=(F(4), F(3)), decreasing=True),  # finite, decreasing
+    ]
+    for ray in rays:
+        k = len(ray.prefix) if ray.finite else 20
+        for size in (1, 2, k):
+            space = ray_truncation_space(ray, size)
+            assert space.points == tuple(f"x{i}" for i in range(1, size + 1))
+            for m in range(1, size + 1):
+                for n in range(1, size + 1):
+                    assert space.dist[m - 1][n - 1] == ray_distance(ray, m, n)
+        with pytest.raises(IndexOutOfRange):
+            ray_truncation_space(ray, 0)
+    with pytest.raises(IndexOutOfRange, match="beyond the 4 explicit labels"):
+        ray_truncation_space(rays[3], 5)
+
+
 def test_ray_to_completion_formula():
     ray = RaySpec(tail=GeometricTail(F(1), F(1, 2)), decreasing=True)
     model = ray_to_completion(ray)

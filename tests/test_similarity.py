@@ -1,16 +1,21 @@
 """Rank matrices, weak similarity, canonical forms, exact isometry."""
 
+from fractions import Fraction
 from itertools import permutations
 from random import Random
 
 import pytest
 
 from starmetric import (
+    FiniteSemimetricSpace,
+    LabeledStarGraph,
     canonical_form,
     distance_spectrum,
+    enumerate_classes,
     find_centers,
     find_forbidden_quadruple,
     four_point_tree_generable,
+    generate_ultrametric,
     is_ultrametric,
     is_us,
     isometric,
@@ -22,11 +27,15 @@ from starmetric import (
     x4_space,
     y4_space,
 )
+from starmetric.similarity import _matrix_bijection
 from helpers import (
+    dfs_canonical_form,
     monotone_transform,
     permuted_copy,
     random_semimetric,
+    random_star,
     random_ultrametric,
+    recursive_matrix_bijection,
 )
 
 
@@ -146,11 +155,14 @@ def test_canonical_form_three_point_classes():
 
 def test_canonical_form_is_minimal_row_major():
     # brute cross-check on small random spaces
-    from itertools import permutations
-
     rng = Random(67)
-    for _ in range(25):
-        s = random_ultrametric(rng, rng.randint(2, 5))
+    makers = (
+        lambda: random_ultrametric(rng, rng.randint(2, 6)),
+        lambda: random_semimetric(rng, rng.randint(2, 6)),
+        lambda: generate_ultrametric(random_star(rng, max_leaves=5)),
+    )
+    for i in range(60):
+        s = makers[i % 3]()
         rm = rank_matrix(s)
         n = len(rm)
         best = min(
@@ -167,6 +179,104 @@ def test_canonical_digest_stable():
     again = canonical_form(permuted_copy(Random(71), x4_space()))
     assert form.digest == again.digest
     assert form.to_json()["digest"] == form.digest
+
+
+def _random_space(rng: Random, n: int) -> FiniteSemimetricSpace:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_semimetric(rng, n)
+    if kind == 1:
+        return random_ultrametric(rng, n)
+    return generate_ultrametric(random_star(rng, max_leaves=n - 1)) if n > 1 else random_ultrametric(rng, 1)
+
+
+def test_canonical_form_matches_dfs_reference_on_random_spaces():
+    rng = Random(83)
+    for _ in range(400):
+        s = _random_space(rng, rng.randint(1, 8))
+        assert canonical_form(s) == dfs_canonical_form(s)
+
+
+def test_canonical_form_matches_dfs_reference_on_every_class():
+    for n in range(1, 8):
+        for s in enumerate_classes(n):
+            assert canonical_form(s) == dfs_canonical_form(s)
+
+
+def _two_value_space(rng: Random, n: int) -> FiniteSemimetricSpace:
+    # rows often share a sorted profile, so the bijection search backtracks
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = str(rng.randint(1, 2))
+    return validate_semimetric([f"p{i + 1}" for i in range(n)], rows)
+
+
+def test_matrix_bijection_matches_recursive_reference():
+    rng = Random(89)
+    similar = 0
+    for t in range(1500):
+        n = rng.randint(1, 9)
+        make = _two_value_space if t % 2 else _random_space
+        a = make(rng, n)
+        b = permuted_copy(rng, a) if rng.random() < 0.5 else make(rng, n)
+        got = _matrix_bijection(a.ranks, b.ranks)
+        assert got == recursive_matrix_bijection(a.ranks, b.ranks)
+        similar += got is not None
+    assert 0 < similar < 1500
+
+
+def _assert_form_invariant(rng: Random, s: FiniteSemimetricSpace) -> None:
+    form = canonical_form(s)
+    assert _matrix_bijection(rank_matrix(s), form.ranks) is not None
+    assert canonical_form(permuted_copy(rng, monotone_transform(rng, s))) == form
+
+
+def test_canonical_form_anchors_beyond_the_recursive_search():
+    # each of these took the earlier recursive DFS more than 30 s
+    rng = Random(97)
+    harmonic = LabeledStarGraph.of("c", 0, [(f"u{i}", Fraction(1, i)) for i in range(1, 17)])
+    _assert_form_invariant(rng, generate_ultrametric(harmonic))
+    _assert_form_invariant(rng, random_semimetric(rng, 12))
+
+
+def test_canonical_form_hypercube():
+    # path metric of the 4-cube: vertex-transitive, every row profile 1^4 2^6 3^4 4^1
+    names = [f"v{i}" for i in range(16)]
+    rows = [[str(bin(i ^ j).count("1")) for j in range(16)] for i in range(16)]
+    cube = validate_semimetric(names, rows)
+    form = canonical_form(cube)
+    assert form.ranks[0] == (0,) + (1,) * 4 + (2,) * 6 + (3,) * 4 + (4,)
+    _assert_form_invariant(Random(101), cube)
+
+
+def _large_star(n: int) -> FiniteSemimetricSpace:
+    # generated by the star with center p1 (label 0) and leaf labels 2..n;
+    # built directly, since parsing 10^6 entries would dominate the test
+    values = [Fraction(v) for v in range(n + 1)]
+    rows = tuple(tuple(values[max(i, j) + 1 if i != j else 0] for j in range(n)) for i in range(n))
+    return FiniteSemimetricSpace(tuple(f"p{i + 1}" for i in range(n)), rows)
+
+
+def test_canonical_form_on_a_large_space_does_not_recurse():
+    star = _large_star(1050)
+    # ranks already ascend along every row, so the input order is minimal
+    assert canonical_form(star).ranks == rank_matrix(star)
+
+
+def test_weak_similarity_on_a_large_space_does_not_recurse():
+    star = _large_star(1050)
+    n = len(star.points)
+    order = list(range(n))
+    Random(103).shuffle(order)
+    shuffled = FiniteSemimetricSpace(
+        tuple(f"q{i + 1}" for i in range(n)), tuple(tuple(star.dist[a][b] for b in order) for a in order)
+    )
+    phi = weak_similarity_bijection(star, shuffled)
+    assert phi is not None
+    idx = [shuffled.index(phi[p]) for p in star.points]
+    rm_s, rm_q = rank_matrix(star), rank_matrix(shuffled)
+    assert all(rm_s[i] == tuple(rm_q[idx[i]][k] for k in idx) for i in range(n))
 
 
 def test_isometry():

@@ -8,9 +8,11 @@ Writes a corpus of space JSON files (the four-point fixtures, the two
 five-point path spaces, and seeded random semimetrics, merge-process
 ultrametrics and star spaces from ``tests/helpers.py``), then runs the
 ``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
-on every file, plus ``enumerate`` at n = 6, 8 and 7 with ``--jobs 2`` and
-both ``verify`` sweeps (theorem 4.3 at n = 6 and 8), once under each
-tree, each with and without ``--json``.  Exit code, stdout and
+on every file, ``ray`` with and without ``--truncate 16`` on seeded star
+presentations (harmonic and geometric tails with exceptional labels, and
+one non-compact constant tail), plus ``enumerate`` at n = 6, 8 and 7 with
+``--jobs 2`` and both ``verify`` sweeps (theorem 4.3 at n = 6 and 8), once
+under each tree, each with and without ``--json``.  Exit code, stdout and
 stderr must match exactly; the first differences are printed and the
 exit status is 1 if there are any.  Commands that raised out of
 ``cli.run`` under OLD_SRC (a crash with a traceback) are counted apart,
@@ -69,7 +71,29 @@ def _write_corpus(folder: Path, seed: int, count: int) -> list[str]:
     return paths
 
 
-def _commands(paths: list[str]) -> list[list[str]]:
+def _write_stars(folder: Path, seed: int) -> list[str]:
+    from helpers import rand_pos_frac
+
+    rng = Random(seed)
+    stars = []
+    for _ in range(3):
+        exceptional = [str(rand_pos_frac(rng)) for _ in range(rng.randint(1, 4))]
+        ratio = f"{rng.randint(1, 4)}/{rng.randint(5, 9)}"
+        for tail in (
+            {"kind": "harmonic", "c": str(rand_pos_frac(rng))},
+            {"kind": "geometric", "a": str(rand_pos_frac(rng)), "r": ratio},
+        ):
+            stars.append({"center_label": "0", "exceptional": exceptional, "tail": tail})
+    stars.append({"center_label": "0", "exceptional": ["2"], "tail": {"kind": "constant", "q": "1"}})
+    paths = []
+    for i, star in enumerate(stars):
+        path = folder / f"star{i:02d}.json"
+        path.write_text(json.dumps(star))
+        paths.append(str(path))
+    return paths
+
+
+def _commands(paths: list[str], stars: list[str]) -> list[list[str]]:
     cmds = [
         ["enumerate", "--n", "6"],
         ["enumerate", "--n", "8"],
@@ -82,6 +106,8 @@ def _commands(paths: list[str]) -> list[list[str]]:
         path, twin = paths[i], paths[i + 1]
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
         cmds += [["weaksim", path, twin], ["weaksim", path, paths[(i + 2) % len(paths)]]]
+    for star in stars:
+        cmds += [["ray", star], ["ray", star, "--truncate", "16"]]
     return [c + extra for c in cmds for extra in ([], ["--json"])]
 
 
@@ -100,7 +126,7 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=200)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        cmds = _commands(_write_corpus(Path(tmp), args.seed, args.count))
+        cmds = _commands(_write_corpus(Path(tmp), args.seed, args.count), _write_stars(Path(tmp), args.seed))
         old, new = _run(args.old_src, cmds), _run(args.new_src, cmds)
     crashed = [(a, b) for a, b in zip(old, new) if str(a[1]).startswith("raised")]
     diffs = [(a, b) for a, b in zip(old, new) if a != b and not str(a[1]).startswith("raised")]
