@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -49,6 +50,9 @@ OK = 0
 FAIL = 1
 USAGE = 2
 CRASH = 3
+
+
+JOBS_HELP = "worker processes, 1 to the CPU count (default 1; on 2 cores, 1 was fastest)"
 
 
 class _InputError(Exception):
@@ -370,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="enumerate weak-similarity classes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", parents=[common], help="run an equivalence sweep")
     p.add_argument("--theorem", choices=["4.3", "4.6"], required=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("probe", parents=[common], help="one-point center-extension probe")
@@ -395,6 +399,9 @@ def run(argv: list[str] | None = None) -> int:
         return USAGE if exc.code not in (0, None) else OK
     fn: Callable = args.fn
     try:
+        # a pool starts all its workers at once: a typo must not fork thousands
+        if not 1 <= getattr(args, "jobs", 1) <= (os.cpu_count() or 1):
+            raise _InputError(f"--jobs must be between 1 and {os.cpu_count() or 1} (the CPU count), got {args.jobs}")
         return fn(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -118,14 +118,15 @@ class RankedHierarchy:
             return [a for g in groups for a in g]
 
         walk(self.root)
-        return tuple(tuple(row) for row in ranks)
+        return tuple([tuple(row) for row in ranks])
 
     def to_space(self, prefix: str = "p") -> FiniteSemimetricSpace:
-        """Representative space with the rank values themselves as distances."""
+        """Representative space with the rank values as distances, one ``Fraction`` per level."""
         ranks = self.rank_matrix()
         n = len(ranks)
-        names = tuple(f"{prefix}{i + 1}" for i in range(n))
-        rows = tuple(tuple(Fraction(v) for v in row) for row in ranks)
+        names = tuple([f"{prefix}{i + 1}" for i in range(n)])
+        values = [Fraction(k) for k in range(max(map(max, ranks)) + 1)]
+        rows = tuple([tuple([values[v] for v in row]) for row in ranks])
         return FiniteSemimetricSpace(names, rows)
 
 
@@ -440,7 +441,7 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     names = s.points + (name,)
     rows = [list(row) + [gaps[i]] for i, row in enumerate(d)]
     rows.append(gaps + [Fraction(0)])
-    extension = FiniteSemimetricSpace(names, tuple(tuple(r) for r in rows))
+    extension = FiniteSemimetricSpace(names, tuple([tuple(r) for r in rows]))
     ext_ultra = is_ultrametric(extension)
     added_center = ext_ultra and name in find_centers(extension)
     success = ext_ultra and added_center

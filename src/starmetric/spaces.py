@@ -104,13 +104,19 @@ class FiniteSemimetricSpace:
         """Distance matrix with each value replaced by its spectrum rank.
 
         The diagonal maps to rank 0; off-diagonal ranks cover 1..k with no
-        gaps because every spectrum value occurs in the matrix.  Values are
-        keyed by (numerator, denominator), which hashes far faster than a
-        Fraction and is unique because Fractions are kept in lowest terms.
+        gaps because every spectrum value occurs in the matrix.  Spaces hold
+        one ``Fraction`` per distinct value, so entries are grouped by object
+        identity and only the distinct objects are keyed by (numerator,
+        denominator), which hashes far faster than a Fraction and is unique
+        in lowest terms.  Rows are built from lists, because
+        ``tuple(generator)`` resizes and leaves its first allocation on
+        CPython's tuple free lists until a full collection.
         """
-        values = {(v.numerator, v.denominator): v for row in self.dist for v in row}
+        objects = {id(v): v for row in self.dist for v in row}
+        values = {(v.numerator, v.denominator): v for v in objects.values()}
         rank = {k: r for r, k in enumerate(sorted(values, key=values.__getitem__))}
-        return tuple(tuple(rank[v.numerator, v.denominator] for v in row) for row in self.dist)
+        of = {i: rank[v.numerator, v.denominator] for i, v in objects.items()}
+        return tuple([tuple([of[id(v)] for v in row]) for row in self.dist])
 
     @cached_property
     def ultrametric_witness(self) -> TripleWitness | None:
@@ -132,7 +138,11 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
 
     Point names are checked first, then the matrix is scanned row-major;
     the first violated axiom is raised, which keeps error output
-    deterministic for golden tests.
+    deterministic for golden tests.  Equal string cells share one
+    ``Fraction``, parsed once per call; other cells each go through
+    ``rat``.  Signs are tested once per cell object and pairs compared by
+    identity first.  Rows are built from lists, for the free-list reason
+    given under ``FiniteSemimetricSpace.ranks``.
     """
     names = tuple(points)
     if not names:
@@ -147,24 +157,36 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
     n = len(names)
     if len(rows) != n:
         raise MalformedMatrix(f"matrix has {len(rows)} rows for {n} points")
+    parsed: dict[str, Fraction] = {}
+    nonpositive: set[int] = set()  # ids of the cell objects that are <= 0
     mat: list[tuple[Fraction, ...]] = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise MalformedMatrix(f"row {i} has {len(row)} entries for {n} points")
+        cells = []
         try:
-            mat.append(tuple(rat(x) for x in row))
+            for x in row:
+                v = parsed.get(x) if type(x) is str else None
+                if v is None:
+                    v = rat(x)
+                    if type(x) is str:
+                        parsed[x] = v
+                    if v <= 0:
+                        nonpositive.add(id(v))
+                cells.append(v)
         except (ValueError, TypeError) as exc:
             raise MalformedMatrix(f"row {i}: {exc}") from exc
+        mat.append(tuple(cells))
     for i in range(n):
         if mat[i][i] != 0:
             raise NonzeroDiagonal(f"d({names[i]}, {names[i]}) = {mat[i][i]} != 0")
         for j in range(i + 1, n):
             a, b = mat[i][j], mat[j][i]
-            if a != b:
+            if a is not b and a != b:
                 raise AsymmetricMatrix(f"d({names[i]}, {names[j]}) = {a} != {b} = d({names[j]}, {names[i]})")
-            if a < 0:
-                raise NegativeDistance(f"d({names[i]}, {names[j]}) = {a} < 0")
-            if a == 0:
+            if id(a) in nonpositive:
+                if a < 0:
+                    raise NegativeDistance(f"d({names[i]}, {names[j]}) = {a} < 0")
                 raise ZeroOffDiagonal(f"d({names[i]}, {names[j]}) = 0 for distinct points")
     return FiniteSemimetricSpace(names, tuple(mat))
 
@@ -229,7 +251,7 @@ def is_ultrametric(s: FiniteSemimetricSpace) -> bool:
 
 def distance_spectrum(s: FiniteSemimetricSpace) -> tuple[Fraction, ...]:
     """Sorted deduplicated set of distance values; always starts at 0."""
-    return tuple(sorted({v for row in s.dist for v in row}))
+    return tuple(sorted(set({id(v): v for row in s.dist for v in row}.values())))
 
 
 def reorder(s: FiniteSemimetricSpace, order: Iterable[str]) -> FiniteSemimetricSpace:
@@ -240,7 +262,7 @@ def reorder(s: FiniteSemimetricSpace, order: Iterable[str]) -> FiniteSemimetricS
     if len(set(names)) != len(names):
         raise DuplicateName(f"duplicate point in {names!r}")
     idx = [s.index(p) for p in names]
-    dist = tuple(tuple(s.dist[a][b] for b in idx) for a in idx)
+    dist = tuple([tuple([s.dist[a][b] for b in idx]) for a in idx])
     return FiniteSemimetricSpace(names, dist)
 
 

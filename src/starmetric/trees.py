@@ -119,9 +119,9 @@ class LabeledTree:
     def of(cls, labeled_vertices: Iterable[tuple[str, object]], edges: Iterable[tuple[str, str]]) -> "LabeledTree":
         pairs = list(labeled_vertices)
         return cls(
-            vertices=tuple(v for v, _ in pairs),
+            vertices=tuple([v for v, _ in pairs]),
             edges=tuple(edges),
-            labels=tuple(rat(lab) for _, lab in pairs),
+            labels=tuple([rat(lab) for _, lab in pairs]),
         )
 
 
@@ -161,7 +161,7 @@ class LabeledStarGraph:
     def as_tree(self) -> LabeledTree:
         return LabeledTree(
             vertices=self.vertices,
-            edges=tuple((self.center, leaf) for leaf in self.leaves),
+            edges=tuple([(self.center, leaf) for leaf in self.leaves]),
             labels=(self.center_label,) + self.leaf_labels,
         )
 
@@ -170,9 +170,9 @@ class LabeledStarGraph:
         pairs = list(leaves)
         return cls(
             center=center,
-            leaves=tuple(v for v, _ in pairs),
+            leaves=tuple([v for v, _ in pairs]),
             center_label=rat(center_label),
-            leaf_labels=tuple(rat(lab) for _, lab in pairs),
+            leaf_labels=tuple([rat(lab) for _, lab in pairs]),
         )
 
 
@@ -210,22 +210,28 @@ def generate_ultrametric(t: TreeLike) -> FiniteSemimetricSpace:
         iu, iv = index[u], index[v]
         adj[iu].append(iv)
         adj[iv].append(iu)
-    labels = tree.labels
+    # path maxima compare label ranks, so equal labels come out as one object
+    values, rank_of = [], {}
+    for lab in sorted({id(lab): lab for lab in tree.labels}.values()):
+        if not values or lab != values[-1]:
+            values.append(lab)
+        rank_of[id(lab)] = len(values) - 1
+    ranks = [rank_of[id(lab)] for lab in tree.labels]
     rows = [[ZERO] * n for _ in range(n)]
     for src in range(n):
         seen = [False] * n
         seen[src] = True
-        stack = [(src, labels[src])]
+        stack = [(src, ranks[src])]
         row = rows[src]
         while stack:
             u, running = stack.pop()
             for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
-                    m = running if running >= labels[w] else labels[w]
-                    row[w] = m
+                    m = running if running >= ranks[w] else ranks[w]
+                    row[w] = values[m]
                     stack.append((w, m))
-    return FiniteSemimetricSpace(tree.vertices, tuple(tuple(r) for r in rows))
+    return FiniteSemimetricSpace(tree.vertices, tuple([tuple(r) for r in rows]))
 
 
 def star_distance(s: LabeledStarGraph, u: str, v: str) -> Fraction:

@@ -6,7 +6,9 @@ generability by exhaustive shape/label search, class enumeration is
 re-counted from raw rank matrices and re-generated by the earlier
 pool-and-pick search, path maxima are recomputed over explicit paths,
 and canonical forms and rank-matrix bijections are recomputed by the
-earlier recursive searches.
+earlier recursive searches.  Matrix parsing and tree generation keep
+their earlier forms, one ``Fraction`` per entry with Fraction
+comparisons, as references for the shared-value paths.
 """
 
 from __future__ import annotations
@@ -26,6 +28,16 @@ from starmetric import (
     validate_semimetric,
 )
 from starmetric.harness import LEAF
+from starmetric.rational import rat
+from starmetric.spaces import (
+    AsymmetricMatrix,
+    DuplicateName,
+    MalformedMatrix,
+    NegativeDistance,
+    NonzeroDiagonal,
+    ZeroOffDiagonal,
+)
+from starmetric.trees import NotGenerating, generating_violation
 from starmetric.similarity import CanonicalForm, _form, _twin_classes, rank_matrix
 
 
@@ -364,3 +376,78 @@ def recursive_matrix_bijection(ma, mb) -> list[int] | None:
         return False
 
     return assigned if extend() else None
+
+
+def reference_validate_semimetric(points, rows) -> FiniteSemimetricSpace:
+    """The earlier ``validate_semimetric``: ``rat`` on every cell, Fraction comparisons.
+
+    The reference for the parse that shares one Fraction per distinct
+    string: same checks, same order, same messages.
+    """
+    names = tuple(points)
+    if not names:
+        raise MalformedMatrix("a space needs at least one point")
+    seen: set[str] = set()
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise MalformedMatrix(f"point names must be nonempty strings, got {name!r}")
+        if name in seen:
+            raise DuplicateName(f"duplicate point name {name!r}")
+        seen.add(name)
+    n = len(names)
+    if len(rows) != n:
+        raise MalformedMatrix(f"matrix has {len(rows)} rows for {n} points")
+    mat: list[tuple[Fraction, ...]] = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise MalformedMatrix(f"row {i} has {len(row)} entries for {n} points")
+        try:
+            mat.append(tuple(rat(x) for x in row))
+        except (ValueError, TypeError) as exc:
+            raise MalformedMatrix(f"row {i}: {exc}") from exc
+    for i in range(n):
+        if mat[i][i] != 0:
+            raise NonzeroDiagonal(f"d({names[i]}, {names[i]}) = {mat[i][i]} != 0")
+        for j in range(i + 1, n):
+            a, b = mat[i][j], mat[j][i]
+            if a != b:
+                raise AsymmetricMatrix(f"d({names[i]}, {names[j]}) = {a} != {b} = d({names[j]}, {names[i]})")
+            if a < 0:
+                raise NegativeDistance(f"d({names[i]}, {names[j]}) = {a} < 0")
+            if a == 0:
+                raise ZeroOffDiagonal(f"d({names[i]}, {names[j]}) = 0 for distinct points")
+    return FiniteSemimetricSpace(names, tuple(mat))
+
+
+def fraction_generate_ultrametric(t) -> FiniteSemimetricSpace:
+    """The earlier ``generate_ultrametric``: path maxima by Fraction comparison.
+
+    The reference for the library's path maxima on label ranks.
+    """
+    tree = t.as_tree() if isinstance(t, LabeledStarGraph) else t
+    bad = generating_violation(tree)
+    if bad is not None:
+        raise NotGenerating(f"edge {bad[0]} -- {bad[1]} has both endpoint labels zero")
+    n = len(tree.vertices)
+    index = {v: i for i, v in enumerate(tree.vertices)}
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in tree.edges:
+        iu, iv = index[u], index[v]
+        adj[iu].append(iv)
+        adj[iv].append(iu)
+    labels = tree.labels
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for src in range(n):
+        seen = [False] * n
+        seen[src] = True
+        stack = [(src, labels[src])]
+        row = rows[src]
+        while stack:
+            u, running = stack.pop()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    m = running if running >= labels[w] else labels[w]
+                    row[w] = m
+                    stack.append((w, m))
+    return FiniteSemimetricSpace(tree.vertices, tuple(tuple(r) for r in rows))

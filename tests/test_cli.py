@@ -1,6 +1,8 @@
 """CLI verbs end to end: exit codes, JSON determinism, file round trips."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -173,6 +175,23 @@ def test_enumerate_jobs_same_output(capsys):
     serial = capsys.readouterr().out
     assert run(["enumerate", "--n", "5", "--jobs", "2", "--json"]) == 0
     assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--n", "4"], ["verify", "--theorem", "4.3", "--n", "4"], ["verify", "--theorem", "4.6"]]
+)
+def test_jobs_out_of_range_is_a_usage_error(argv, monkeypatch, capsys):
+    # checked by rejection only: no worker pool may start
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    limit = os.cpu_count() or 1
+    for jobs in (0, -1, limit + 1):
+        assert run(argv + ["--jobs", str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be between 1 and {limit} (the CPU count), got {jobs}\n"
 
 
 def test_verify_verbs(capsys):

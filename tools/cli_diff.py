@@ -10,9 +10,12 @@ ultrametrics and star spaces from ``tests/helpers.py``), then runs the
 ``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
 on every file, ``ray`` with and without ``--truncate 16`` on seeded star
 presentations (harmonic and geometric tails with exceptional labels, and
-one non-compact constant tail), plus ``enumerate`` at n = 6, 8 and 7 with
-``--jobs 2`` and both ``verify`` sweeps (theorem 4.3 at n = 6 and 8), once
-under each tree, each with and without ``--json``.  Exit code, stdout and
+one non-compact constant tail), ``check``, ``us``, ``witness``, ``star``
+and ``probe`` on malformed spaces that break each axiom in turn (with
+floats, bools and oversized rationals among the cells, and one pair
+spelled ``"1/2"`` and ``"2/4"``), plus ``enumerate`` at n = 6, 8 and 7
+with ``--jobs 2`` and both ``verify`` sweeps (theorem 4.3 at n = 6 and
+8), once under each tree, each with and without ``--json``.  Exit code, stdout and
 stderr must match exactly; the first differences are printed and the
 exit status is 1 if there are any.  Commands that raised out of
 ``cli.run`` under OLD_SRC (a crash with a traceback) are counted apart,
@@ -93,7 +96,23 @@ def _write_stars(folder: Path, seed: int) -> list[str]:
     return paths
 
 
-def _commands(paths: list[str], stars: list[str]) -> list[list[str]]:
+def _write_malformed(folder: Path) -> list[str]:
+    """Spaces that break each axiom in turn, plus one equal pair in two spellings."""
+    dists = [
+        [["1", "1"], ["1", "0"]],
+        [["0", "1/2", "1"], ["2/4", "0", "1"], ["1", "1", "0"]],
+        [["0", "1/2", "1"], ["3/4", "0", "1"], ["1", "1", "0"]],
+    ]
+    dists += [[["0", x], [x, "0"]] for x in ("-1", "0", 0.5, True, "1/" + "3" * 1000, "1e2000")]
+    paths = []
+    for i, dist in enumerate(dists):
+        path = folder / f"malformed{i:02d}.json"
+        path.write_text(json.dumps({"points": [f"p{j + 1}" for j in range(len(dist))], "dist": dist}))
+        paths.append(str(path))
+    return paths
+
+
+def _commands(paths: list[str], stars: list[str], malformed: list[str]) -> list[list[str]]:
     cmds = [
         ["enumerate", "--n", "6"],
         ["enumerate", "--n", "8"],
@@ -108,6 +127,8 @@ def _commands(paths: list[str], stars: list[str]) -> list[list[str]]:
         cmds += [["weaksim", path, twin], ["weaksim", path, paths[(i + 2) % len(paths)]]]
     for star in stars:
         cmds += [["ray", star], ["ray", star, "--truncate", "16"]]
+    for path in malformed:
+        cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
     return [c + extra for c in cmds for extra in ([], ["--json"])]
 
 
@@ -126,7 +147,10 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=200)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        cmds = _commands(_write_corpus(Path(tmp), args.seed, args.count), _write_stars(Path(tmp), args.seed))
+        folder = Path(tmp)
+        cmds = _commands(
+            _write_corpus(folder, args.seed, args.count), _write_stars(folder, args.seed), _write_malformed(folder)
+        )
         old, new = _run(args.old_src, cmds), _run(args.new_src, cmds)
     crashed = [(a, b) for a, b in zip(old, new) if str(a[1]).startswith("raised")]
     diffs = [(a, b) for a, b in zip(old, new) if a != b and not str(a[1]).startswith("raised")]
