@@ -35,6 +35,7 @@ from .decision import (
 )
 from .spaces import (
     FiniteSemimetricSpace,
+    _running_max,
     distance_spectrum,
     is_ultrametric,
     space_to_json,
@@ -55,12 +56,6 @@ class PreconditionFailed(ValueError):
     """Probe input must be ultrametric and free of four-point obstructions."""
 
 
-def _node_leaves(node) -> int:
-    if node == LEAF:
-        return 1
-    return sum(_node_leaves(c) for c in node[1])
-
-
 @dataclass(frozen=True)
 class RankedHierarchy:
     """Canonical encoding of a leveled merge tree.
@@ -68,66 +63,55 @@ class RankedHierarchy:
     A node is either the empty tuple (a leaf) or ``(level, children)``
     with at least two children sorted by encoding; child levels are
     strictly below the parent level and the used levels form 1..k.
+    Read left to right, the leaves form a chain: one explicit-stack pass
+    validates every node in preorder and keeps the level between each
+    pair of adjacent leaves, so the hierarchy may be of any depth.
     """
 
     root: tuple
 
     def __post_init__(self):
-        levels: set[int] = set()
-
-        def walk(node, bound: Optional[int]) -> None:
+        gaps: list[int] = []
+        stack: list[tuple] = [(self.root, None, False)]
+        while stack:
+            node, bound, boundary = stack.pop()
+            if boundary:  # a later sibling: the parent's level separates it from the one before
+                gaps.append(bound)
             if node == LEAF:
-                return
+                continue
             level, children = node
-            levels.add(level)
             if bound is not None and level >= bound:
                 raise ValueError(f"child level {level} not below parent level {bound}")
             if len(children) < 2:
                 raise ValueError("internal nodes need at least two children")
             if tuple(sorted(children)) != tuple(children):
                 raise ValueError("children must be sorted (canonical encoding)")
-            for c in children:
-                walk(c, level)
-
-        walk(self.root, None)
+            stack.extend([(c, level, i > 0) for i, c in reversed(list(enumerate(children)))])
+        levels = set(gaps)  # an internal node has two or more children, so its level is a gap
         if levels != set(range(1, len(levels) + 1)):
             raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
+        object.__setattr__(self, "_gaps", tuple(gaps))
 
     @property
     def leaf_count(self) -> int:
-        return _node_leaves(self.root)
+        return len(self._gaps) + 1
 
     def rank_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """rank(x, y) = level of the least common ancestor; 0 on the diagonal."""
-        n = self.leaf_count
-        ranks = [[0] * n for _ in range(n)]
-        counter = [0]
-
-        def walk(node) -> list[int]:
-            if node == LEAF:
-                idx = counter[0]
-                counter[0] += 1
-                return [idx]
-            level, children = node
-            groups = [walk(c) for c in children]
-            for gi in range(len(groups)):
-                for gj in range(gi + 1, len(groups)):
-                    for a in groups[gi]:
-                        for b in groups[gj]:
-                            ranks[a][b] = ranks[b][a] = level
-            return [a for g in groups for a in g]
-
-        walk(self.root)
-        return tuple([tuple(row) for row in ranks])
+        """rank(x, y) = level of the least common ancestor, the largest adjacent level from x to y; 0 if x = y."""
+        return _running_max(self._gaps)
 
     def to_space(self, prefix: str = "p") -> FiniteSemimetricSpace:
-        """Representative space with the rank values as distances, one ``Fraction`` per level."""
+        """Representative space with the rank values as distances, one ``Fraction`` per level.
+
+        A valid hierarchy fixes the rank matrix and the ultrametric verdict,
+        so the space starts with ``ranks`` and ``ultrametric_witness`` set.
+        """
         ranks = self.rank_matrix()
-        n = len(ranks)
-        names = tuple([f"{prefix}{i + 1}" for i in range(n)])
-        values = [Fraction(k) for k in range(max(map(max, ranks)) + 1)]
-        rows = tuple([tuple([values[v] for v in row]) for row in ranks])
-        return FiniteSemimetricSpace(names, rows)
+        names = tuple([f"{prefix}{i + 1}" for i in range(len(ranks))])
+        values = [Fraction(k) for k in range(max(self._gaps, default=0) + 1)]
+        space = FiniteSemimetricSpace(names, tuple([tuple([values[v] for v in row]) for row in ranks]))
+        vars(space).update(ranks=ranks, ultrametric_witness=None)
+        return space
 
 
 def _set_partitions(items: tuple) -> Iterator[list[list]]:

@@ -14,8 +14,15 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO
+from .spaces import FiniteSemimetricSpace, ZERO, _running_max
 from .trees import LabeledTree, NotGenerating
+
+# Bounds on the work a short presentation can demand.  No tail label past
+# index MAX_TAIL_INDEX is skipped or merged into a ray prefix, which keeps
+# a 1/2-ratio geometric label under Python's 4300-digit string limit;
+# truncations are K x K, so K is bounded too.
+MAX_TAIL_INDEX = 10_000
+MAX_TRUNCATION = 1024
 
 
 class InfiniteModelError(ValueError):
@@ -171,16 +178,35 @@ class FiniteTail(TailLaw):
         return {"kind": "finite"}
 
 
+def _json_rat(obj: dict, key: str, where: str) -> Fraction:
+    if key not in obj:
+        raise MalformedPresentation(f"{where} JSON is missing the {key!r} key")
+    try:
+        return rat(obj[key])
+    except TypeError as exc:
+        raise MalformedPresentation(f"{key!r}: {exc}") from exc
+
+
+def _json_rats(obj: dict, key: str) -> tuple[Fraction, ...]:
+    values = obj.get(key, [])
+    if not isinstance(values, list):
+        raise MalformedPresentation(f"{key!r} must be a JSON array, got {type(values).__name__}")
+    try:
+        return tuple([rat(x) for x in values])
+    except TypeError as exc:
+        raise MalformedPresentation(f"{key!r}: {exc}") from exc
+
+
 def tail_from_json(obj) -> TailLaw:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedPresentation("tail JSON needs a 'kind' key")
     kind = obj["kind"]
     if kind == "harmonic":
-        return HarmonicTail(rat(obj["c"]))
+        return HarmonicTail(_json_rat(obj, "c", "harmonic tail"))
     if kind == "geometric":
-        return GeometricTail(rat(obj["a"]), rat(obj["r"]))
+        return GeometricTail(_json_rat(obj, "a", "geometric tail"), _json_rat(obj, "r", "geometric tail"))
     if kind == "constant":
-        return ConstantTail(rat(obj["q"]))
+        return ConstantTail(_json_rat(obj, "q", "constant tail"))
     if kind == "finite":
         return FiniteTail()
     raise MalformedPresentation(f"unknown tail kind {kind!r}")
@@ -190,6 +216,8 @@ def _json_skip(obj: dict) -> int:
     skip = obj.get("skip", 0)
     if isinstance(skip, bool) or not isinstance(skip, int):
         raise MalformedPresentation(f"'skip' must be a JSON integer, got {skip!r}")
+    if skip > MAX_TAIL_INDEX:
+        raise IndexOutOfRange(f"'skip' {skip} exceeds {MAX_TAIL_INDEX}")
     return skip
 
 
@@ -266,8 +294,8 @@ class StarSpec:
         if not isinstance(obj, dict) or "center_label" not in obj or "tail" not in obj:
             raise MalformedPresentation("star JSON needs 'center_label' and 'tail' keys")
         return cls(
-            center_label=rat(obj["center_label"]),
-            exceptional=tuple(rat(x) for x in obj.get("exceptional", [])),
+            center_label=_json_rat(obj, "center_label", "star"),
+            exceptional=_json_rats(obj, "exceptional"),
             tail=tail_from_json(obj["tail"]),
             tail_skip=_json_skip(obj),
         )
@@ -381,7 +409,7 @@ class RaySpec:
         if not isinstance(decreasing, bool):
             raise MalformedPresentation(f"'decreasing' must be a JSON boolean, got {decreasing!r}")
         return cls(
-            prefix=tuple(rat(x) for x in obj.get("prefix", [])),
+            prefix=_json_rats(obj, "prefix"),
             tail=tail_from_json(obj["tail"]),
             tail_skip=_json_skip(obj),
             decreasing=decreasing,
@@ -405,13 +433,18 @@ def star_to_ray(spec: StarSpec) -> RaySpec:
 
     Exceptional labels are merged into the decreasing tail stream; on ties
     the exceptional label comes first, so the round trip through the
-    completion is reproducible.
+    completion is reproducible.  The merge never passes tail index
+    ``MAX_TAIL_INDEX``; ``count_ge`` checks that before any label is built.
     """
     if spec.finite:
         raise FiniteSpec("the presentation is finite; no ray arises")
     report = is_compact_star(spec)
     if not report.compact:
         raise NotCompact(f"not compact: {report.reason}")
+    if spec.exceptional:
+        reach = spec.tail.count_ge(min(spec.exceptional))
+        if reach > MAX_TAIL_INDEX:
+            raise IndexOutOfRange(f"merging the exceptional labels reaches tail index {reach}, past {MAX_TAIL_INDEX}")
     prefix: list[Fraction] = []
     next_tail = spec.tail_skip + 1
     for e in sorted(spec.exceptional, reverse=True):
@@ -439,18 +472,20 @@ def ray_truncation_tree(r: RaySpec, k: int) -> LabeledTree:
 
 
 def ray_truncation_space(r: RaySpec, k: int) -> FiniteSemimetricSpace:
-    """Metric on the first k ray vertices: running path maxima of one label list."""
+    """First k ray vertices, k up to ``MAX_TRUNCATION``: a chain with gaps max(label_i, label_{i+1}).
+
+    Running maxima of label ranks, mapped back to one shared ``Fraction`` per value.
+    """
     if k < 1:
         raise IndexOutOfRange("truncation needs at least one point")
+    if k > MAX_TRUNCATION:
+        raise IndexOutOfRange(f"truncation of {k} points exceeds {MAX_TRUNCATION}")
     labels = list(r.labels(k))
-    rows = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        top = labels[i]
-        for j in range(i + 1, k):
-            top = max(top, labels[j])
-            rows[i][j] = rows[j][i] = top
-    names = tuple(f"x{i}" for i in range(1, k + 1))
-    return FiniteSemimetricSpace(names, tuple(map(tuple, rows)))
+    values = sorted({ZERO, *labels})
+    rank = {v: i for i, v in enumerate(values)}
+    grid = _running_max([max(rank[a], rank[b]) for a, b in zip(labels, labels[1:])])
+    names = tuple([f"x{i}" for i in range(1, k + 1)])
+    return FiniteSemimetricSpace(names, tuple([tuple([values[v] for v in row]) for row in grid]))
 
 
 @dataclass(frozen=True)
@@ -478,12 +513,11 @@ class CompletionModel:
         return ray_distance(self.ray, m, n)
 
     def truncation_space(self, k: int) -> FiniteSemimetricSpace:
-        """Added point plus the first k ray vertices."""
-        names = (self.added_point,) + tuple(f"x{i}" for i in range(1, k + 1))
-        rows = tuple(
-            tuple(self.distance(i, j) for j in range(k + 1)) for i in range(k + 1)
-        )
-        return FiniteSemimetricSpace(names, rows)
+        """Added point plus the first k ray vertices: the ray truncation bordered by the labels."""
+        labels = (ZERO, *self.ray.labels(k))
+        core = ray_truncation_space(self.ray, k) if k else FiniteSemimetricSpace((), ())
+        rows = [labels] + [(labels[i], *row) for i, row in enumerate(core.dist, start=1)]
+        return FiniteSemimetricSpace((self.added_point, *core.points), tuple(rows))
 
     def to_json(self) -> dict:
         return {

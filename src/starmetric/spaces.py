@@ -191,6 +191,22 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
     return FiniteSemimetricSpace(names, tuple(mat))
 
 
+def _running_max(gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Path maxima of a chain with ``gaps[i]`` between points i and i + 1.
+
+    ``max(gaps[i:j])`` at (i, j) and (j, i), 0 on the diagonal; ints only.
+    """
+    n = len(gaps) + 1
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        row = rows[i]
+        top = 0
+        for j in range(i + 1, n):
+            top = gaps[j - 1] if gaps[j - 1] > top else top
+            row[j] = rows[j][i] = top
+    return tuple([tuple(row) for row in rows])
+
+
 def _equals_subdominant(r: tuple[tuple[int, ...], ...]) -> bool:
     # Grow a minimum spanning tree from point 0.  When v joins through its
     # nearest tree point p, the minimax path rank from v to every tree
@@ -288,4 +304,12 @@ def space_to_json(s: FiniteSemimetricSpace) -> dict:
 def space_from_json(obj) -> FiniteSemimetricSpace:
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise MalformedMatrix("space JSON needs 'points' and 'dist' keys")
-    return validate_semimetric(obj["points"], obj["dist"])
+    points, dist = obj["points"], obj["dist"]
+    if not isinstance(points, list):
+        raise MalformedMatrix(f"'points' must be a JSON array, got {type(points).__name__}")
+    if not isinstance(dist, list):
+        raise MalformedMatrix(f"'dist' must be a JSON array of rows, got {type(dist).__name__}")
+    for i, row in enumerate(dist):
+        if not isinstance(row, list):
+            raise MalformedMatrix(f"row {i} must be a JSON array, got {type(row).__name__}")
+    return validate_semimetric(points, dist)

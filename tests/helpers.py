@@ -8,7 +8,10 @@ pool-and-pick search, path maxima are recomputed over explicit paths,
 and canonical forms and rank-matrix bijections are recomputed by the
 earlier recursive searches.  Matrix parsing and tree generation keep
 their earlier forms, one ``Fraction`` per entry with Fraction
-comparisons, as references for the shared-value paths.
+comparisons, as references for the shared-value paths.  The ranked
+hierarchy's recursive validation and rank walk, and the ray and
+completion truncations with Fraction running maxima or one distance
+call per entry, are kept as references for the chain kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from random import Random
 
 from starmetric import (
     FiniteSemimetricSpace,
+    IndexOutOfRange,
     LabeledStarGraph,
     LabeledTree,
     TripleWitness,
@@ -35,6 +39,7 @@ from starmetric.spaces import (
     MalformedMatrix,
     NegativeDistance,
     NonzeroDiagonal,
+    ZERO,
     ZeroOffDiagonal,
 )
 from starmetric.trees import NotGenerating, generating_violation
@@ -451,3 +456,100 @@ def fraction_generate_ultrametric(t) -> FiniteSemimetricSpace:
                     row[w] = m
                     stack.append((w, m))
     return FiniteSemimetricSpace(tree.vertices, tuple(tuple(r) for r in rows))
+
+
+def recursive_rank_matrix(root) -> tuple[tuple[int, ...], ...]:
+    """The earlier ``RankedHierarchy``: recursive validation, then a recursive rank walk.
+
+    Raises what the constructor raised; otherwise returns what
+    ``rank_matrix`` returned, rank(x, y) = level of the least common
+    ancestor, written pair by pair between sibling subtrees.
+    """
+    levels: set[int] = set()
+
+    def check(node, bound) -> None:
+        if node == LEAF:
+            return
+        level, children = node
+        levels.add(level)
+        if bound is not None and level >= bound:
+            raise ValueError(f"child level {level} not below parent level {bound}")
+        if len(children) < 2:
+            raise ValueError("internal nodes need at least two children")
+        if tuple(sorted(children)) != tuple(children):
+            raise ValueError("children must be sorted (canonical encoding)")
+        for c in children:
+            check(c, level)
+
+    check(root, None)
+    if levels != set(range(1, len(levels) + 1)):
+        raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
+
+    def leaves(node) -> int:
+        return 1 if node == LEAF else sum(leaves(c) for c in node[1])
+
+    n = leaves(root)
+    ranks = [[0] * n for _ in range(n)]
+    counter = [0]
+
+    def walk(node) -> list[int]:
+        if node == LEAF:
+            counter[0] += 1
+            return [counter[0] - 1]
+        level, children = node
+        groups = [walk(c) for c in children]
+        for gi in range(len(groups)):
+            for gj in range(gi + 1, len(groups)):
+                for a in groups[gi]:
+                    for b in groups[gj]:
+                        ranks[a][b] = ranks[b][a] = level
+        return [a for g in groups for a in g]
+
+    walk(root)
+    return tuple(tuple(row) for row in ranks)
+
+
+def random_hierarchy_root(rng: Random, n: int) -> tuple:
+    """Canonical encoding of a random merge process: one or more groups merge per level."""
+    blocks = [LEAF] * n
+    level = 0
+    while len(blocks) > 1:
+        level += 1
+        rng.shuffle(blocks)
+        merged = []
+        while len(blocks) >= 2 and (not merged or rng.random() < 0.4):
+            k = rng.randint(2, min(len(blocks), 4))
+            merged.append((level, tuple(sorted(blocks[:k]))))
+            blocks = blocks[k:]
+        blocks = merged + blocks
+    return blocks[0]
+
+
+def caterpillar_root(n: int) -> tuple:
+    """The n-leaf hierarchy of an n-point star space: one leaf per level on a spine of depth n - 1."""
+    node = LEAF
+    for level in range(1, n):
+        node = (level, (LEAF, node))
+    return node
+
+
+def fraction_ray_truncation_space(r, k: int) -> FiniteSemimetricSpace:
+    """The earlier ``ray_truncation_space``: Fraction running maxima along each row."""
+    if k < 1:
+        raise IndexOutOfRange("truncation needs at least one point")
+    labels = list(r.labels(k))
+    rows = [[ZERO] * k for _ in range(k)]
+    for i in range(k):
+        top = labels[i]
+        for j in range(i + 1, k):
+            top = max(top, labels[j])
+            rows[i][j] = rows[j][i] = top
+    names = tuple(f"x{i}" for i in range(1, k + 1))
+    return FiniteSemimetricSpace(names, tuple(map(tuple, rows)))
+
+
+def per_entry_truncation_space(model, k: int) -> FiniteSemimetricSpace:
+    """The earlier ``CompletionModel.truncation_space``: one ``distance`` call per entry."""
+    names = (model.added_point,) + tuple(f"x{i}" for i in range(1, k + 1))
+    rows = tuple(tuple(model.distance(i, j) for j in range(k + 1)) for i in range(k + 1))
+    return FiniteSemimetricSpace(names, rows)

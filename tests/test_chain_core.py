@@ -1,0 +1,138 @@
+"""The chain kernel: ranked hierarchies and ray truncations as running maxima.
+
+A ranked hierarchy is its leaf order plus the merge level between
+adjacent leaves, and a ray truncation is its vertex order plus
+max(label_i, label_{i+1}); both distance matrices are the running maxima
+of those gaps.  These tests pin the kernel's callers to the earlier
+recursive walk, Fraction running maxima and per-entry distance calls
+kept in ``helpers``, and check that hierarchies of any depth build.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from starmetric import (
+    FiniteSemimetricSpace,
+    GeometricTail,
+    HarmonicTail,
+    RankedHierarchy,
+    RaySpec,
+    enumerate_hierarchies,
+    ray_to_completion,
+    ray_truncation_space,
+)
+from starmetric.harness import LEAF
+from helpers import (
+    caterpillar_root,
+    fraction_ray_truncation_space,
+    per_entry_truncation_space,
+    rand_nonneg_frac,
+    rand_pos_frac,
+    random_hierarchy_root,
+    recursive_rank_matrix,
+)
+
+SIZES = (1, 2, 20, 64)
+
+
+def test_rank_matrix_matches_recursive_walk_on_every_class():
+    for n in range(1, 9):
+        for h in enumerate_hierarchies(n):
+            assert h.leaf_count == n
+            assert h.rank_matrix() == recursive_rank_matrix(h.root)
+
+
+def test_rank_matrix_matches_recursive_walk_on_random_hierarchies():
+    rng = Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        h = RankedHierarchy(random_hierarchy_root(rng, n))
+        assert h.leaf_count == n
+        assert h.rank_matrix() == recursive_rank_matrix(h.root)
+
+
+def _mutated(rng: Random, node):
+    if node == LEAF:
+        return node
+    level, children = node
+    children = tuple(_mutated(rng, c) for c in children)
+    roll = rng.random()
+    if roll < 0.08:
+        level = rng.randint(0, level + 1)
+    elif roll < 0.16:
+        children = children[::-1]
+    elif roll < 0.2:
+        children = children[:1]
+    return level, children
+
+
+def _outcome(fn, root):
+    try:
+        return fn(root)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_validation_matches_recursive_walk_on_broken_encodings():
+    rng = Random(29)
+    rejected = 0
+    for _ in range(600):
+        root = _mutated(rng, random_hierarchy_root(rng, rng.randint(2, 12)))
+        got = _outcome(lambda r: RankedHierarchy(r).rank_matrix(), root)
+        assert got == _outcome(recursive_rank_matrix, root)
+        rejected += isinstance(got[0], type)
+    assert rejected > 100
+
+
+@pytest.mark.parametrize("n", [1200, 3000])
+def test_deep_caterpillar_builds_and_converts(n):
+    # the hierarchy of an n-point star space: a spine of depth n - 1
+    h = RankedHierarchy(caterpillar_root(n))
+    assert h.leaf_count == n
+    s = h.to_space()
+    assert s.ranks[0] == (0,) + (n - 1,) * (n - 1)
+    assert s.ranks == FiniteSemimetricSpace(s.points, s.dist).ranks
+
+
+def _rays(rng: Random) -> list[RaySpec]:
+    """Seeded decreasing, non-monotone and zero-label rays with at least 64 labels."""
+    rays = []
+    for _ in range(4):
+        prefix = tuple(sorted((rand_pos_frac(rng) + 1 for _ in range(rng.randint(0, 5))), reverse=True))
+        skip = rng.randint(0, 3)
+        if rng.random() < 0.5:
+            tail = HarmonicTail(rand_pos_frac(rng))
+        else:
+            tail = GeometricTail(rand_pos_frac(rng), Fraction(rng.randint(1, 4), 5))
+        if prefix and prefix[-1] < tail.label(skip + 1):
+            prefix = ()
+        rays.append(RaySpec(prefix, tail, skip, decreasing=True))
+        rays.append(RaySpec(tuple(rand_nonneg_frac(rng, 4) for _ in range(rng.randint(0, 70))), tail, skip))
+        zeros = tuple(Fraction(0) if rng.random() < 0.5 else rand_pos_frac(rng, 3) for _ in range(64))
+        rays.append(RaySpec(zeros))
+    return rays
+
+
+def test_ray_truncation_matches_fraction_running_max():
+    for ray in _rays(Random(41)):
+        for k in SIZES:
+            got = ray_truncation_space(ray, k)
+            expected = fraction_ray_truncation_space(ray, k)
+            assert got == expected
+            assert got.ranks == expected.ranks
+            cells = [v for row in got.dist for v in row]
+            assert len({id(v) for v in cells}) == len(set(cells))
+
+
+def test_completion_truncation_matches_per_entry_distances():
+    rays = [ray for ray in _rays(Random(43)) if ray.decreasing_to_zero]
+    assert rays
+    for ray in rays:
+        model = ray_to_completion(ray)
+        for k in (0,) + SIZES:
+            got = model.truncation_space(k)
+            expected = per_entry_truncation_space(model, k)
+            assert got == expected
+            assert got.ranks == expected.ranks

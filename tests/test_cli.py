@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from starmetric import space_to_json, x4_space
+from starmetric import GeometricTail, HarmonicTail, RaySpec, space_to_json, x4_space
 from starmetric.cli import run
+from starmetric.infinite import MAX_TAIL_INDEX, MAX_TRUNCATION
 
 
 @pytest.fixture
@@ -170,7 +171,9 @@ def test_enumerate_verb(capsys):
     assert summary == {"classes": 6, "n": 4, "obstructed_classes": 2, "us_classes": 4}
 
 
-def test_enumerate_jobs_same_output(capsys):
+def test_enumerate_jobs_same_output(monkeypatch, capsys):
+    # --jobs is bounded by the CPU count; two workers must run on a one-CPU machine too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run(["enumerate", "--n", "5", "--json"]) == 0
     serial = capsys.readouterr().out
     assert run(["enumerate", "--n", "5", "--jobs", "2", "--json"]) == 0
@@ -272,3 +275,74 @@ def test_ultrametric_only_verbs_reject_other_spaces(tmp_path, capsys):
     for verb in ("witness", "star"):
         assert run([verb, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: d(b,c) = 5 > 4")
+
+
+HARMONIC = {"kind": "harmonic", "c": "1"}
+BAD_SPACES = [
+    {"points": 5, "dist": [["0"]]},
+    {"points": "ab", "dist": [["0", "1"], ["1", "0"]]},
+    {"points": ["a"], "dist": 5},
+    {"points": ["a", "b"], "dist": [1, 2]},
+    {"points": ["a", "b"], "dist": ["01", "10"]},
+]
+BAD_PRESENTATIONS = [
+    ("compact", {"center_label": "0", "exceptional": 5, "tail": HARMONIC}),
+    ("ray", {"center_label": "0", "exceptional": "12", "tail": HARMONIC}),
+    ("compact", {"center_label": "0", "tail": {"kind": "geometric", "a": "1"}}),
+    ("compact", {"center_label": 0.5, "tail": HARMONIC}),
+    ("compact", {"center_label": "0", "exceptional": [None], "tail": HARMONIC}),
+    ("compact", {"center_label": "0", "tail": {"kind": "harmonic", "c": 0.5}}),
+    ("complete", {"prefix": "21", "tail": HARMONIC, "decreasing": True}),
+    ("complete", {"prefix": 5, "tail": HARMONIC, "decreasing": True}),
+]
+
+
+@pytest.mark.parametrize("argv, obj", [(["us"], s) for s in BAD_SPACES] + [([v], p) for v, p in BAD_PRESENTATIONS])
+def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("obj", BAD_SPACES)
+def test_check_reports_malformed_shapes_as_invalid(tmp_path, capsys, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("invalid semimetric: ")
+
+
+SKIP = MAX_TAIL_INDEX + 1
+
+
+def _unbuildable(*args, **kwargs):
+    raise AssertionError("a label was built")
+
+
+@pytest.mark.parametrize(
+    "argv, obj, patched",
+    [
+        # c/n >= 1/(MAX + 1) for n up to MAX + 1: the merge would pass the bound
+        (["ray"], {"center_label": "0", "exceptional": [f"1/{MAX_TAIL_INDEX + 1}"], "tail": HARMONIC}, "tail"),
+        (["ray"], {"center_label": "0", "tail": {"kind": "geometric", "a": "1", "r": "1/2"}, "skip": SKIP}, "tail"),
+        (["complete"], {"tail": HARMONIC, "skip": SKIP, "decreasing": True}, "tail"),
+        (["ray", "--truncate", str(MAX_TRUNCATION + 1)], {"center_label": "0", "tail": HARMONIC}, "ray"),
+    ],
+    ids=["merged-prefix", "star-skip", "ray-skip", "truncation"],
+)
+def test_presentation_work_is_bounded(tmp_path, monkeypatch, capsys, argv, obj, patched):
+    if patched == "tail":
+        monkeypatch.setattr(HarmonicTail, "label", _unbuildable)
+        monkeypatch.setattr(GeometricTail, "label", _unbuildable)
+    else:
+        monkeypatch.setattr(RaySpec, "labels", _unbuildable)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run(argv[:1] + [str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bound = MAX_TAIL_INDEX if patched == "tail" else MAX_TRUNCATION
+    assert captured.err.startswith("error: ") and str(bound) in captured.err

@@ -36,6 +36,7 @@ from starmetric import (
     star_to_ray,
     tail_from_json,
 )
+from starmetric.infinite import MAX_TAIL_INDEX, MAX_TRUNCATION
 from helpers import path_max_oracle
 
 
@@ -127,6 +128,15 @@ def test_star_to_ray_errors():
         star_to_ray(StarSpec(F(1), tail=HarmonicTail(F(1))))
     with pytest.raises(NotCompact):
         star_to_ray(StarSpec(0, tail=ConstantTail(F(2))))
+
+
+def test_star_to_ray_merges_up_to_the_tail_index_bound():
+    ray = star_to_ray(StarSpec(0, exceptional=(F(1, MAX_TAIL_INDEX),), tail=HarmonicTail(F(1))))
+    assert len(ray.prefix) == MAX_TAIL_INDEX and ray.tail_skip == MAX_TAIL_INDEX - 1
+    with pytest.raises(IndexOutOfRange, match=f"reaches tail index {MAX_TAIL_INDEX + 1}"):
+        star_to_ray(StarSpec(0, exceptional=(F(1, MAX_TAIL_INDEX + 1),), tail=HarmonicTail(F(1))))
+    with pytest.raises(IndexOutOfRange, match=f"exceeds {MAX_TRUNCATION}"):
+        ray_truncation_space(ray, MAX_TRUNCATION + 1)
 
 
 def test_star_to_ray_truncation_matches_path_max_oracle():

@@ -3,7 +3,7 @@
 ``validate_semimetric`` parses each distinct string once, ``ranks``
 groups entries by object identity, ``generate_ultrametric`` takes path
 maxima on label ranks and ``RankedHierarchy.to_space`` shares one
-Fraction per level.  These tests pin each to the earlier per-entry
+Fraction per level and hands over the rank core it already holds.  These tests pin each to the earlier per-entry
 Fraction form kept in ``helpers``.  Hypothesis runs derandomized, so
 every run draws the same examples.
 """
@@ -195,8 +195,12 @@ def test_generate_ultrametric_matches_fraction_reference():
 
 
 def test_class_spaces_rank_as_their_hierarchy():
-    for n in range(1, 8):
+    for n in range(1, 9):
         for h in enumerate_hierarchies(n):
             s = h.to_space()
-            assert s.ranks == h.rank_matrix()
+            # to_space fills both caches; a fresh space derives them from the distances
+            assert {"ranks", "ultrametric_witness"} <= vars(s).keys()
+            fresh = FiniteSemimetricSpace(s.points, s.dist)
+            assert s.ranks == fresh.ranks
+            assert s.ultrametric_witness is None and fresh.ultrametric_witness is None
             assert all(v == r for row, rrow in zip(s.dist, s.ranks) for v, r in zip(row, rrow))

@@ -8,9 +8,12 @@ Writes a corpus of space JSON files (the four-point fixtures, the two
 five-point path spaces, and seeded random semimetrics, merge-process
 ultrametrics and star spaces from ``tests/helpers.py``), then runs the
 ``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
-on every file, ``ray`` with and without ``--truncate 16`` on seeded star
-presentations (harmonic and geometric tails with exceptional labels, and
-one non-compact constant tail), ``check``, ``us``, ``witness``, ``star``
+on every file, ``compact`` and ``ray`` with and without ``--truncate 16``
+and ``--truncate 64`` on seeded star presentations (harmonic and
+geometric tails with exceptional labels, and one non-compact constant
+tail), ``complete`` on seeded ray presentations (decreasing, unflagged
+and finite), ``gen`` on seeded tree texts (random trees, stars, and one
+tree with a zero-zero edge), ``check``, ``us``, ``witness``, ``star``
 and ``probe`` on malformed spaces that break each axiom in turn (with
 floats, bools and oversized rationals among the cells, and one pair
 spelled ``"1/2"`` and ``"2/4"``), plus ``enumerate`` at n = 6, 8 and 7
@@ -30,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -74,7 +78,7 @@ def _write_corpus(folder: Path, seed: int, count: int) -> list[str]:
     return paths
 
 
-def _write_stars(folder: Path, seed: int) -> list[str]:
+def _write_presentations(folder: Path, seed: int) -> tuple[list[str], list[str]]:
     from helpers import rand_pos_frac
 
     rng = Random(seed)
@@ -88,10 +92,36 @@ def _write_stars(folder: Path, seed: int) -> list[str]:
         ):
             stars.append({"center_label": "0", "exceptional": exceptional, "tail": tail})
     stars.append({"center_label": "0", "exceptional": ["2"], "tail": {"kind": "constant", "q": "1"}})
+    rays = [{"prefix": [], "tail": {"kind": "finite"}, "decreasing": True}]
+    for star in stars:
+        prefix = sorted(star["exceptional"], key=Fraction, reverse=True)
+        decreasing = [str(Fraction(x) + 1) for x in prefix]
+        rays.append({"prefix": decreasing, "tail": star["tail"], "decreasing": True, "skip": rng.randint(0, 3)})
+        rays.append({"prefix": star["exceptional"], "tail": star["tail"]})
+    return _dump(folder, "star", stars), _dump(folder, "ray", rays)
+
+
+def _dump(folder: Path, tag: str, objs: list[dict]) -> list[str]:
     paths = []
-    for i, star in enumerate(stars):
-        path = folder / f"star{i:02d}.json"
-        path.write_text(json.dumps(star))
+    for i, obj in enumerate(objs):
+        path = folder / f"{tag}{i:02d}.json"
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    return paths
+
+
+def _write_trees(folder: Path, seed: int) -> list[str]:
+    from helpers import random_star, random_tree
+    from starmetric import format_tree_text
+
+    rng = Random(seed)
+    texts = [format_tree_text(random_tree(rng, rng.randint(1, 12))) for _ in range(6)]
+    texts += [format_tree_text(random_star(rng)) for _ in range(4)]
+    texts.append("a 0\nb 0\nc 1\na -- b\nb -- c\n")
+    paths = []
+    for i, text in enumerate(texts):
+        path = folder / f"tree{i:02d}.txt"
+        path.write_text(text)
         paths.append(str(path))
     return paths
 
@@ -112,7 +142,9 @@ def _write_malformed(folder: Path) -> list[str]:
     return paths
 
 
-def _commands(paths: list[str], stars: list[str], malformed: list[str]) -> list[list[str]]:
+def _commands(
+    paths: list[str], presentations: tuple[list[str], list[str]], trees: list[str], malformed: list[str]
+) -> list[list[str]]:
     cmds = [
         ["enumerate", "--n", "6"],
         ["enumerate", "--n", "8"],
@@ -125,8 +157,11 @@ def _commands(paths: list[str], stars: list[str], malformed: list[str]) -> list[
         path, twin = paths[i], paths[i + 1]
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
         cmds += [["weaksim", path, twin], ["weaksim", path, paths[(i + 2) % len(paths)]]]
+    stars, rays = presentations
     for star in stars:
-        cmds += [["ray", star], ["ray", star, "--truncate", "16"]]
+        cmds += [["compact", star], ["ray", star], ["ray", star, "--truncate", "16"], ["ray", star, "--truncate", "64"]]
+    cmds += [["complete", ray] for ray in rays]
+    cmds += [["gen", path] for path in trees]
     for path in malformed:
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
     return [c + extra for c in cmds for extra in ([], ["--json"])]
@@ -149,7 +184,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         folder = Path(tmp)
         cmds = _commands(
-            _write_corpus(folder, args.seed, args.count), _write_stars(folder, args.seed), _write_malformed(folder)
+            _write_corpus(folder, args.seed, args.count),
+            _write_presentations(folder, args.seed),
+            _write_trees(folder, args.seed),
+            _write_malformed(folder),
         )
         old, new = _run(args.old_src, cmds), _run(args.new_src, cmds)
     crashed = [(a, b) for a, b in zip(old, new) if str(a[1]).startswith("raised")]
