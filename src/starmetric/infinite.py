@@ -125,11 +125,17 @@ class GeometricTail(TailLaw):
         return self.a * self.r**n
 
     def count_ge(self, eps: Fraction) -> Optional[int]:
+        """Exact up to ``MAX_TAIL_INDEX``; a larger count is given as ``MAX_TAIL_INDEX + 1``.
+
+        Each step multiplies one ``Fraction``, so a ratio near 1 and a
+        small ``eps`` would take millions of steps; the only use compares
+        the count with ``MAX_TAIL_INDEX``.
+        """
         if eps <= 0:
             return None
         count = 0
         value = self.a * self.r
-        while value >= eps:
+        while value >= eps and count <= MAX_TAIL_INDEX:
             count += 1
             value *= self.r
         return count

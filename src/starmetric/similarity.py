@@ -27,23 +27,21 @@ def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
     return s.ranks
 
 
-def _row_profile(mat: Sequence[Sequence], i: int, n: int) -> tuple:
-    return tuple(sorted(mat[i][j] for j in range(n) if j != i))
-
-
 def _matrix_bijection(ma: Sequence[Sequence[int]], mb: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """Index bijection carrying rank matrix ``ma`` onto ``mb`` entrywise, or None.
 
     Backtracking over rows, pruned by per-point sorted row profiles, in a
-    loop that counts the candidates tried per row.  Deterministic: rows
+    loop that counts the candidates tried per row.  A profile is the whole
+    sorted row: in a rank matrix the diagonal 0 is each row's only 0, so it
+    adds the same leading 0 to every profile.  Deterministic: rows
     assigned in input order, candidates tried in input order, first
     complete assignment returned.
     """
     n = len(ma)
     if len(mb) != n:
         return None
-    prof_a = [_row_profile(ma, i, n) for i in range(n)]
-    prof_b = [_row_profile(mb, i, n) for i in range(n)]
+    prof_a = [tuple(sorted(row)) for row in ma]
+    prof_b = [tuple(sorted(row)) for row in mb]
     if sorted(prof_a) != sorted(prof_b):
         return None
     candidates = [[j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .rational import rat
@@ -106,17 +107,13 @@ class FiniteSemimetricSpace:
         The diagonal maps to rank 0; off-diagonal ranks cover 1..k with no
         gaps because every spectrum value occurs in the matrix.  Spaces hold
         one ``Fraction`` per distinct value, so entries are grouped by object
-        identity and only the distinct objects are keyed by (numerator,
-        denominator), which hashes far faster than a Fraction and is unique
-        in lowest terms.  Rows are built from lists, because
-        ``tuple(generator)`` resizes and leaves its first allocation on
-        CPython's tuple free lists until a full collection.
+        identity into codes, and ``_rank_codes`` ranks the distinct objects.
+        Spaces read by ``validate_semimetric`` arrive with this already set.
         """
         objects = {id(v): v for row in self.dist for v in row}
-        values = {(v.numerator, v.denominator): v for v in objects.values()}
-        rank = {k: r for r, k in enumerate(sorted(values, key=values.__getitem__))}
-        of = {i: rank[v.numerator, v.denominator] for i, v in objects.items()}
-        return tuple([tuple([of[id(v)] for v in row]) for row in self.dist])
+        code_of = {i: c for c, i in enumerate(objects)}
+        codes = [list(map(code_of.__getitem__, map(id, row))) for row in self.dist]
+        return _rank_codes(list(objects.values()), codes)
 
     @cached_property
     def ultrametric_witness(self) -> TripleWitness | None:
@@ -136,13 +133,16 @@ class FiniteSemimetricSpace:
 def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> FiniteSemimetricSpace:
     """Check the semimetric axioms and return the validated space.
 
-    Point names are checked first, then the matrix is scanned row-major;
-    the first violated axiom is raised, which keeps error output
-    deterministic for golden tests.  Equal string cells share one
-    ``Fraction``, parsed once per call; other cells each go through
-    ``rat``.  Signs are tested once per cell object and pairs compared by
-    identity first.  Rows are built from lists, for the free-list reason
-    given under ``FiniteSemimetricSpace.ranks``.
+    Point names are checked first, then the rows are parsed in order, each
+    after its length check, and then the axioms; the first violation is
+    raised, which keeps error output deterministic for golden tests.
+    Cells become codes into a list of values: a row of already seen strings
+    is mapped in one C-level pass, and any other row goes cell by cell,
+    where an unseen string is parsed once and every other cell goes through
+    ``rat``.  The rank matrix is built from the codes in the same pass and
+    set on the returned space.  The axioms are checked on it; only when
+    that check fails does the row-major scan run to find the first
+    violation.
     """
     names = tuple(points)
     if not names:
@@ -157,38 +157,87 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
     n = len(names)
     if len(rows) != n:
         raise MalformedMatrix(f"matrix has {len(rows)} rows for {n} points")
-    parsed: dict[str, Fraction] = {}
-    nonpositive: set[int] = set()  # ids of the cell objects that are <= 0
-    mat: list[tuple[Fraction, ...]] = []
+    code_of: dict[str, int] = {}  # exact str cells only
+    values: list[Fraction] = []
+    codes: list[list[int]] = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise MalformedMatrix(f"row {i} has {len(row)} entries for {n} points")
+        try:
+            codes.append(list(map(code_of.__getitem__, row)))
+            continue
+        except (KeyError, TypeError):  # an unseen or unhashable cell
+            pass
         cells = []
         try:
             for x in row:
-                v = parsed.get(x) if type(x) is str else None
-                if v is None:
-                    v = rat(x)
+                c = code_of.get(x) if type(x) is str else None
+                if c is None:
+                    c = len(values)
+                    values.append(rat(x))
                     if type(x) is str:
-                        parsed[x] = v
-                    if v <= 0:
-                        nonpositive.add(id(v))
-                cells.append(v)
+                        code_of[x] = c
+                cells.append(c)
         except (ValueError, TypeError) as exc:
             raise MalformedMatrix(f"row {i}: {exc}") from exc
-        mat.append(tuple(cells))
+        codes.append(cells)
+    dist = _pick(values, codes)
+    ranks = _rank_codes(values, codes)
+    if not _is_semimetric(dist, ranks):
+        _raise_first_axiom_violation(names, dist)
+    space = FiniteSemimetricSpace(names, dist)
+    vars(space)["ranks"] = ranks
+    return space
+
+
+def _rank_codes(values: list[Fraction], codes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rank matrix of the cells ``values[c]`` for the codes c in ``codes``.
+
+    Distinct values are sorted once, keyed by (numerator, denominator),
+    which hashes far faster than a Fraction and is unique in lowest terms.
+    """
+    distinct = {(v.numerator, v.denominator): v for v in values}
+    rank = {k: r for r, k in enumerate(sorted(distinct, key=distinct.__getitem__))}
+    return _pick([rank[v.numerator, v.denominator] for v in values], codes)
+
+
+def _pick(items: list, codes: list[list[int]]) -> tuple[tuple, ...]:
+    """Rows of ``items[c]`` for the codes c in each row of a square matrix.
+
+    ``itemgetter`` builds each row at its exact size.  ``tuple(map(...))``
+    would start from a guess of 10 and resize, so rows of other short
+    lengths pile up on CPython's tuple free lists, which raised the
+    ``decide`` benchmark's peak memory by 2 MB.
+    """
+    if len(codes) == 1:  # one index makes itemgetter return the item itself
+        return ((items[codes[0][0]],),)
+    return tuple([itemgetter(*row)(items) for row in codes])
+
+
+def _is_semimetric(dist: tuple[tuple[Fraction, ...], ...], r: tuple[tuple[int, ...], ...]) -> bool:
+    # rank 0 is the smallest value; when d(x0, x0) = 0 has it, the axioms
+    # say rank 0 sits exactly on the diagonal and the ranks are symmetric
+    return (
+        dist[0][0] == 0
+        and all(row[i] == 0 and row.count(0) == 1 for i, row in enumerate(r))
+        and tuple(zip(*r)) == r
+    )
+
+
+def _raise_first_axiom_violation(names: tuple[str, ...], mat: tuple[tuple[Fraction, ...], ...]) -> None:
+    # row-major over pairs i <= j: diagonal, then symmetry, sign and zero
+    n = len(names)
     for i in range(n):
         if mat[i][i] != 0:
             raise NonzeroDiagonal(f"d({names[i]}, {names[i]}) = {mat[i][i]} != 0")
         for j in range(i + 1, n):
             a, b = mat[i][j], mat[j][i]
-            if a is not b and a != b:
+            if a != b:
                 raise AsymmetricMatrix(f"d({names[i]}, {names[j]}) = {a} != {b} = d({names[j]}, {names[i]})")
-            if id(a) in nonpositive:
-                if a < 0:
-                    raise NegativeDistance(f"d({names[i]}, {names[j]}) = {a} < 0")
+            if a < 0:
+                raise NegativeDistance(f"d({names[i]}, {names[j]}) = {a} < 0")
+            if a == 0:
                 raise ZeroOffDiagonal(f"d({names[i]}, {names[j]}) = 0 for distinct points")
-    return FiniteSemimetricSpace(names, tuple(mat))
 
 
 def _running_max(gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -328,10 +328,16 @@ def _unbuildable(*args, **kwargs):
         # c/n >= 1/(MAX + 1) for n up to MAX + 1: the merge would pass the bound
         (["ray"], {"center_label": "0", "exceptional": [f"1/{MAX_TAIL_INDEX + 1}"], "tail": HARMONIC}, "tail"),
         (["ray"], {"center_label": "0", "tail": {"kind": "geometric", "a": "1", "r": "1/2"}, "skip": SKIP}, "tail"),
+        # about 2.3 million labels reach 1e-100 at ratio 9999/10000; counting stops past the bound
+        (
+            ["ray"],
+            {"center_label": "0", "exceptional": ["1e-100"], "tail": {"kind": "geometric", "a": "1", "r": "9999/10000"}},
+            "tail",
+        ),
         (["complete"], {"tail": HARMONIC, "skip": SKIP, "decreasing": True}, "tail"),
         (["ray", "--truncate", str(MAX_TRUNCATION + 1)], {"center_label": "0", "tail": HARMONIC}, "ray"),
     ],
-    ids=["merged-prefix", "star-skip", "ray-skip", "truncation"],
+    ids=["merged-prefix", "star-skip", "slow-geometric-merge", "ray-skip", "truncation"],
 )
 def test_presentation_work_is_bounded(tmp_path, monkeypatch, capsys, argv, obj, patched):
     if patched == "tail":

@@ -54,6 +54,9 @@ def test_tail_count_ge_exact():
     assert g.count_ge(F(1, 8)) == 3
     assert g.count_ge(F(1, 7)) == 2
     assert g.count_ge(F(2)) == 0
+    # exact up to the tail index bound; past it, counting stops at MAX_TAIL_INDEX + 1
+    assert g.count_ge(g.label(MAX_TAIL_INDEX)) == MAX_TAIL_INDEX
+    assert g.count_ge(g.label(MAX_TAIL_INDEX + 5)) == MAX_TAIL_INDEX + 1
     c = ConstantTail(F(1))
     assert c.count_ge(F(2)) == 0
     assert c.count_ge(F(1)) is None

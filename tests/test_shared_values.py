@@ -1,7 +1,8 @@
 """One Fraction per distinct distance value, and integer work per entry.
 
-``validate_semimetric`` parses each distinct string once, ``ranks``
-groups entries by object identity, ``generate_ultrametric`` takes path
+``validate_semimetric`` parses each distinct string once and returns
+the space with its rank matrix already set, ``ranks`` groups entries by
+object identity, ``generate_ultrametric`` takes path
 maxima on label ranks and ``RankedHierarchy.to_space`` shares one
 Fraction per level and hands over the rank core it already holds.  These tests pin each to the earlier per-entry
 Fraction form kept in ``helpers``.  Hypothesis runs derandomized, so
@@ -21,15 +22,20 @@ from hypothesis import strategies as st
 
 from starmetric import (
     FiniteSemimetricSpace,
+    LabeledStarGraph,
     LabeledTree,
     generate_ultrametric,
     is_ultrametric,
+    space_from_json,
+    space_to_json,
     validate_semimetric,
 )
 from starmetric.cli import run
 from starmetric.harness import enumerate_hierarchies
 from helpers import (
     fraction_generate_ultrametric,
+    permuted_copy,
+    rand_pos_frac,
     random_semimetric,
     random_ultrametric,
     reference_validate_semimetric,
@@ -100,7 +106,70 @@ def test_parse_matches_reference(m):
     expected = _outcome(reference_validate_semimetric, points, rows)
     assert got == expected
     if not isinstance(expected, tuple):
+        # the parse sets the rank matrix; the reference's space derives it
+        assert "ranks" in vars(got)
         assert got.ranks == expected.ranks
+
+
+def _ones_row(n: int, i: int) -> list:
+    return ["0" if j == i else "1" for j in range(n)]
+
+
+# each row of strings already seen maps in one pass; these take the cell-by-cell path
+FALLBACK_ROWS = {
+    "unhashable after seen rows": [_ones_row(3, 0), _ones_row(3, 1), ["1", [1], "0"]],
+    "bad string before unhashable": [_ones_row(3, 0), _ones_row(3, 1), ["1", "abc", {"a": 1}]],
+    "True next to 1 and '1'": [_ones_row(3, 0), [1, "0", True], ["1", True, "0"]],
+    "True among seen strings": [_ones_row(3, 0), ["1", "0", "1"], ["1", True, "0"]],
+    "bad cell before a short row": [_ones_row(3, 0), ["1", "0", "1/0"], ["1", "1"]],
+    "short row before a bad cell": [_ones_row(3, 0), ["1", "0"], ["1", "1/0", "0"]],
+    "valid int in the last row": [["0", "1", "2"], ["1", "0", "1"], ["2", 1, "0"]],
+    "asymmetric int in the last row": [["0", "1", "2"], ["1", "0", "1"], ["2", 3, "0"]],
+    "negative int in the last row": [["0", "1", "-1"], ["1", "0", "1"], [-1, "1", "0"]],
+    "Fraction in the last row": [["0", "1/2"], [Fraction(1, 2), "0"]],
+    "zero in the last row of 128": [_ones_row(128, i) for i in range(127)] + [[0] + _ones_row(128, 127)[1:]],
+    "bad last row of 128": [_ones_row(128, i) for i in range(127)] + [_ones_row(128, 127)[:-1] + [0.5]],
+}
+
+
+def test_fallback_rows_match_reference():
+    for name, rows in FALLBACK_ROWS.items():
+        points = [f"p{i + 1}" for i in range(len(rows))]
+        got = _outcome(validate_semimetric, points, rows)
+        assert got == _outcome(reference_validate_semimetric, points, rows), name
+        if not isinstance(got, tuple):
+            assert got.ranks == FiniteSemimetricSpace(got.points, got.dist).ranks, name
+
+
+def _family_space(rng: Random, family: str, n: int) -> FiniteSemimetricSpace:
+    if family == "star":
+        leaves = [(f"u{i + 1}", rand_pos_frac(rng)) for i in range(n - 1)]
+        return generate_ultrametric(LabeledStarGraph.of("c", 0, leaves))
+    return (random_semimetric if family == "semi" else random_ultrametric)(rng, n)
+
+
+def _json_copy(s: FiniteSemimetricSpace) -> FiniteSemimetricSpace:
+    return space_from_json(json.loads(json.dumps(space_to_json(s))))
+
+
+def test_parsed_spaces_hold_their_rank_matrix():
+    rng = Random(13)
+    for n in (1, 2, 5, 17, 64, 128, 256):
+        for family in ("semi", "ultra", "star"):
+            s = _family_space(rng, family, n)
+            for space in (s, permuted_copy(rng, s)):
+                parsed = _json_copy(space)
+                assert "ranks" in vars(parsed)
+                assert parsed.ranks == FiniteSemimetricSpace(parsed.points, parsed.dist).ranks
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["semi", "ultra", "star"]), st.integers(1, 40))
+def test_json_round_trip(seed, family, n):
+    s = _family_space(Random(seed), family, n)
+    back = _json_copy(s)
+    assert back == s
+    assert back.ranks == s.ranks == FiniteSemimetricSpace(s.points, s.dist).ranks
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

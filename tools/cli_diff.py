@@ -8,10 +8,12 @@ Writes a corpus of space JSON files (the four-point fixtures, the two
 five-point path spaces, and seeded random semimetrics, merge-process
 ultrametrics and star spaces from ``tests/helpers.py``), then runs the
 ``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
-on every file, ``compact`` and ``ray`` with and without ``--truncate 16``
-and ``--truncate 64`` on seeded star presentations (harmonic and
-geometric tails with exceptional labels, and one non-compact constant
-tail), ``complete`` on seeded ray presentations (decreasing, unflagged
+on every file, ``check``, ``us`` and ``weaksim`` on seeded spaces of the
+same three kinds at n = 128 and 256, ``check`` and ``us`` on two
+256-point matrices whose only fault is in the last row, ``compact`` and
+``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
+seeded star presentations (harmonic and geometric tails with
+exceptional labels, and one non-compact constant tail), ``complete`` on seeded ray presentations (decreasing, unflagged
 and finite), ``gen`` on seeded tree texts (random trees, stars, and one
 tree with a zero-zero edge), ``check``, ``us``, ``witness``, ``star``
 and ``probe`` on malformed spaces that break each axiom in turn (with
@@ -76,6 +78,31 @@ def _write_corpus(folder: Path, seed: int, count: int) -> list[str]:
             path.write_text(json.dumps(space_to_json(space)))
             paths.append(str(path))
     return paths
+
+
+def _write_large(folder: Path, seed: int) -> tuple[list[str], list[str]]:
+    """Spaces at n = 128 and 256 with permuted twins, and two faulty 256-point matrices."""
+    from helpers import permuted_copy, rand_pos_frac, random_semimetric, random_ultrametric
+    from starmetric import LabeledStarGraph, generate_ultrametric, space_to_json
+
+    rng = Random(seed)
+    spaces = []
+    for n in (128, 256):
+        leaves = [(f"u{i + 1}", rand_pos_frac(rng)) for i in range(n - 1)]
+        spaces += [
+            random_semimetric(rng, n),
+            random_ultrametric(rng, n),
+            generate_ultrametric(LabeledStarGraph.of("c", 0, leaves)),
+        ]
+    objs = []
+    for s in spaces:
+        objs += [space_to_json(s), space_to_json(permuted_copy(rng, s))]
+    faulty = []
+    for cell in ("1", 0.5):  # a nonzero diagonal; a float cell
+        obj = space_to_json(spaces[-1])
+        obj["dist"][-1][-1] = cell
+        faulty.append(obj)
+    return _dump(folder, "large", objs), _dump(folder, "faulty", faulty)
 
 
 def _write_presentations(folder: Path, seed: int) -> tuple[list[str], list[str]]:
@@ -143,7 +170,11 @@ def _write_malformed(folder: Path) -> list[str]:
 
 
 def _commands(
-    paths: list[str], presentations: tuple[list[str], list[str]], trees: list[str], malformed: list[str]
+    paths: list[str],
+    presentations: tuple[list[str], list[str]],
+    trees: list[str],
+    malformed: list[str],
+    large: tuple[list[str], list[str]],
 ) -> list[list[str]]:
     cmds = [
         ["enumerate", "--n", "6"],
@@ -164,6 +195,12 @@ def _commands(
     cmds += [["gen", path] for path in trees]
     for path in malformed:
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
+    spaces, faulty = large
+    for i in range(0, len(spaces), 2):
+        path, twin = spaces[i], spaces[i + 1]
+        cmds += [["check", path], ["us", path], ["weaksim", path, twin], ["weaksim", path, spaces[(i + 2) % len(spaces)]]]
+    for path in faulty:
+        cmds += [["check", path], ["us", path]]
     return [c + extra for c in cmds for extra in ([], ["--json"])]
 
 
@@ -188,6 +225,7 @@ def main() -> int:
             _write_presentations(folder, args.seed),
             _write_trees(folder, args.seed),
             _write_malformed(folder),
+            _write_large(folder, args.seed),
         )
         old, new = _run(args.old_src, cmds), _run(args.new_src, cmds)
     crashed = [(a, b) for a, b in zip(old, new) if str(a[1]).startswith("raised")]
