@@ -226,9 +226,10 @@ def exhaustive_quadruple_scan(s: FiniteSemimetricSpace) -> QuadrupleReport | Non
             ((quad[0], quad[2]), (quad[1], quad[3])),
             ((quad[0], quad[3]), (quad[1], quad[2])),
         ):
+            # {p, q} and {u, t} are the close pairs, so p and u sit across
             big = r[p][u]
             if r[p][t] == big and r[q][u] == big and r[q][t] == big and r[p][q] < big and r[u][t] < big:
-                found.append(_normalized_report(s, p, q, u, t))
+                found.append(_normalized_report(s, p, u, q, t))
         if found:
             return min(found, key=lambda rep: (rep.small1, rep.small2, rep.x, rep.z, rep.y, rep.w))
     return None
@@ -313,13 +314,12 @@ class UsCheckReport:
         }
 
 
-def semimetric_us_check(s: FiniteSemimetricSpace, allow_cardinality_three: bool = False) -> UsCheckReport:
+def semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:
     """Evaluate the three statements on an arbitrary finite semimetric space.
 
     Star generation forces ultrametricity, so statement (in_us) is decided
     as is_ultrametric plus the center criterion.  For card X = 3 a
-    CardinalityThree error carrying the report is raised unless
-    ``allow_cardinality_three`` is set.
+    CardinalityThree error carrying the report is raised.
     """
     n = len(s.points)
     ultra = is_ultrametric(s)
@@ -338,6 +338,6 @@ def semimetric_us_check(s: FiniteSemimetricSpace, allow_cardinality_three: bool 
             if not every4_us and not every4_tree:
                 break
     report = UsCheckReport(in_us, every4_us, every4_tree, cardinality_ok=(n != 3))
-    if n == 3 and not allow_cardinality_three:
+    if n == 3:
         raise CardinalityThree(report)
     return report

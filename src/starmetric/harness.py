@@ -100,14 +100,14 @@ class RankedHierarchy:
         """rank(x, y) = level of the least common ancestor, the largest adjacent level from x to y; 0 if x = y."""
         return _running_max(self._gaps)
 
-    def to_space(self, prefix: str = "p") -> FiniteSemimetricSpace:
+    def to_space(self) -> FiniteSemimetricSpace:
         """Representative space with the rank values as distances, one ``Fraction`` per level.
 
         A valid hierarchy fixes the rank matrix and the ultrametric verdict,
         so the space starts with ``ranks`` and ``ultrametric_witness`` set.
         """
         ranks = self.rank_matrix()
-        names = tuple([f"{prefix}{i + 1}" for i in range(len(ranks))])
+        names = tuple([f"p{i + 1}" for i in range(len(ranks))])
         values = [Fraction(k) for k in range(max(self._gaps, default=0) + 1)]
         space = FiniteSemimetricSpace(names, tuple([tuple([values[v] for v in row]) for row in ranks]))
         vars(space).update(ranks=ranks, ultrametric_witness=None)

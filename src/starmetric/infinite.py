@@ -533,11 +533,11 @@ class CompletionModel:
         }
 
 
-def ray_to_completion(r: RaySpec, added_point: str = "x0") -> CompletionModel:
+def ray_to_completion(r: RaySpec) -> CompletionModel:
     """Complete a decreasing-to-zero ray by adjoining its limit point.
 
-    The result is the compact star with center ``added_point`` labeled 0
-    and the ray labels as leaf labels.
+    The result is the compact star with center ``x0`` labeled 0 and the
+    ray labels as leaf labels.
     """
     if not r.decreasing_to_zero:
         raise NotDecreasingToZero(
@@ -549,7 +549,7 @@ def ray_to_completion(r: RaySpec, added_point: str = "x0") -> CompletionModel:
         tail=r.tail,
         tail_skip=r.tail_skip,
     )
-    return CompletionModel(added_point=added_point, star=star, ray=r)
+    return CompletionModel(added_point="x0", star=star, ray=r)
 
 
 def dplus(p, q) -> Fraction:

@@ -5,6 +5,9 @@ the unique path joining two vertices (endpoints included).  The result is
 an ultrametric exactly when every edge has at least one positively
 labeled endpoint; `generating_violation` reports the first edge breaking
 that condition.
+
+A labeled star graph is a `LabeledTree` whose first vertex, the center,
+meets every edge: one validation, one adjacency, and the same functions.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable
 
 from .rational import rat
 from .spaces import FiniteSemimetricSpace, ZERO
@@ -47,7 +50,8 @@ class LabeledTree:
     """Tree with a nonnegative rational label on every vertex.
 
     Edges are normalized at construction (endpoints ordered by vertex
-    index, edges sorted) so text and DOT output are stable.
+    index, edges sorted) so text and DOT output are stable.  The same pass
+    keeps each vertex's neighbour indices for every walk over the tree.
     """
 
     vertices: tuple[str, ...]
@@ -56,18 +60,19 @@ class LabeledTree:
 
     def __post_init__(self):
         names = self.vertices
+        n = len(names)
         if not names:
             raise NotATree("a tree needs at least one vertex")
-        if len(set(names)) != len(names):
+        if len(set(names)) != n:
             raise NotATree(f"duplicate vertex names in {names!r}")
-        if len(self.labels) != len(names):
+        if len(self.labels) != n:
             raise NotATree("one label per vertex required")
         for v, lab in zip(names, self.labels):
             if lab < 0:
                 raise NegativeLabel(f"label of {v!r} is {lab} < 0")
         index = {v: i for i, v in enumerate(names)}
-        normalized = []
         seen = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             if u not in index:
                 raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
@@ -75,35 +80,26 @@ class LabeledTree:
                 raise UnknownVertex(f"edge endpoint {v!r} is not a vertex")
             if u == v:
                 raise NotATree(f"self-loop at {u!r}")
-            pair = (u, v) if index[u] < index[v] else (v, u)
-            if pair in seen:
-                raise NotATree(f"duplicate edge {pair!r}")
-            seen.add(pair)
-            normalized.append(pair)
-        normalized.sort(key=lambda e: (index[e[0]], index[e[1]]))
-        object.__setattr__(self, "edges", tuple(normalized))
-        if len(self.edges) != len(names) - 1:
-            raise NotATree(f"{len(names)} vertices need {len(names) - 1} edges, got {len(self.edges)}")
+            a, b = (index[u], index[v]) if index[u] < index[v] else (index[v], index[u])
+            if (a, b) in seen:
+                raise NotATree(f"duplicate edge {(names[a], names[b])!r}")
+            seen.add((a, b))
+            adj[a].append(b)
+            adj[b].append(a)
+        object.__setattr__(self, "edges", tuple([(names[a], names[b]) for a, b in sorted(seen)]))
+        object.__setattr__(self, "_adj", adj)
+        if len(seen) != n - 1:
+            raise NotATree(f"{n} vertices need {n - 1} edges, got {len(seen)}")
         # |E| = |V| - 1 plus connectivity rules out cycles
-        reached = {names[0]}
-        frontier = [names[0]]
-        adj = self.adjacency
+        reached = [True] + [False] * (n - 1)
+        frontier = [0]
         while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in reached:
-                    reached.add(w)
+            for w in adj[frontier.pop()]:
+                if not reached[w]:
+                    reached[w] = True
                     frontier.append(w)
-        if len(reached) != len(names):
+        if not all(reached):
             raise NotATree("edge set is not connected")
-
-    @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        nbr: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return {v: tuple(ws) for v, ws in nbr.items()}
 
     @cached_property
     def _label_of(self) -> dict[str, Fraction]:
@@ -126,97 +122,68 @@ class LabeledTree:
 
 
 @dataclass(frozen=True)
-class LabeledStarGraph:
-    """Star: a center adjacent to every leaf, and no other edges."""
+class LabeledStarGraph(LabeledTree):
+    """Star: a tree whose first vertex, the center, meets every edge.
 
-    center: str
-    leaves: tuple[str, ...]
-    center_label: Fraction
-    leaf_labels: tuple[Fraction, ...]
+    It has no fields of its own; the center and leaves, and their
+    labels, are read off ``vertices`` and ``labels``.
+    """
 
     def __post_init__(self):
-        names = (self.center,) + self.leaves
-        if len(set(names)) != len(names):
-            raise NotATree(f"duplicate vertex names in star {names!r}")
-        if len(self.leaf_labels) != len(self.leaves):
-            raise NotATree("one label per leaf required")
-        if self.center_label < 0:
-            raise NegativeLabel(f"label of center {self.center!r} is {self.center_label} < 0")
-        for v, lab in zip(self.leaves, self.leaf_labels):
-            if lab < 0:
-                raise NegativeLabel(f"label of {v!r} is {lab} < 0")
+        super().__post_init__()
+        for u, v in self.edges:
+            if u != self.vertices[0]:
+                raise NotATree(f"edge {u} -- {v} misses the center {self.vertices[0]!r}")
 
     @property
-    def vertices(self) -> tuple[str, ...]:
-        return (self.center,) + self.leaves
+    def center(self) -> str:
+        return self.vertices[0]
 
-    def label_of(self, v: str) -> Fraction:
-        if v == self.center:
-            return self.center_label
-        try:
-            return self.leaf_labels[self.leaves.index(v)]
-        except ValueError:
-            raise UnknownVertex(f"unknown vertex {v!r}") from None
+    @property
+    def leaves(self) -> tuple[str, ...]:
+        return self.vertices[1:]
 
-    def as_tree(self) -> LabeledTree:
-        return LabeledTree(
-            vertices=self.vertices,
-            edges=tuple([(self.center, leaf) for leaf in self.leaves]),
-            labels=(self.center_label,) + self.leaf_labels,
-        )
+    @property
+    def center_label(self) -> Fraction:
+        return self.labels[0]
+
+    @property
+    def leaf_labels(self) -> tuple[Fraction, ...]:
+        return self.labels[1:]
 
     @classmethod
     def of(cls, center: str, center_label, leaves: Iterable[tuple[str, object]]) -> "LabeledStarGraph":
         pairs = list(leaves)
-        return cls(
-            center=center,
-            leaves=tuple([v for v, _ in pairs]),
-            center_label=rat(center_label),
-            leaf_labels=tuple([rat(lab) for _, lab in pairs]),
-        )
+        return super().of([(center, center_label), *pairs], [(center, v) for v, _ in pairs])
 
 
-TreeLike = Union[LabeledTree, LabeledStarGraph]
-
-
-def _as_tree(t: TreeLike) -> LabeledTree:
-    return t.as_tree() if isinstance(t, LabeledStarGraph) else t
-
-
-def generating_violation(t: TreeLike) -> tuple[str, str] | None:
+def generating_violation(t: LabeledTree) -> tuple[str, str] | None:
     """First edge (in normalized order) whose endpoint labels are both zero."""
-    tree = _as_tree(t)
-    for u, v in tree.edges:
-        if tree.label_of(u) == 0 and tree.label_of(v) == 0:
+    for u, v in t.edges:
+        if t.label_of(u) == 0 and t.label_of(v) == 0:
             return (u, v)
     return None
 
 
-def is_generating(t: TreeLike) -> bool:
+def is_generating(t: LabeledTree) -> bool:
     """True iff the path-max distance of ``t`` is an ultrametric."""
     return generating_violation(t) is None
 
 
-def generate_ultrametric(t: TreeLike) -> FiniteSemimetricSpace:
+def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     """Space on the vertices with d(u,v) = max label along the u-v path."""
-    tree = _as_tree(t)
-    bad = generating_violation(tree)
+    bad = generating_violation(t)
     if bad is not None:
         raise NotGenerating(f"edge {bad[0]} -- {bad[1]} has both endpoint labels zero")
-    n = len(tree.vertices)
-    index = {v: i for i, v in enumerate(tree.vertices)}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in tree.edges:
-        iu, iv = index[u], index[v]
-        adj[iu].append(iv)
-        adj[iv].append(iu)
+    n = len(t.vertices)
+    adj = t._adj
     # path maxima compare label ranks, so equal labels come out as one object
     values, rank_of = [], {}
-    for lab in sorted({id(lab): lab for lab in tree.labels}.values()):
+    for lab in sorted({id(lab): lab for lab in t.labels}.values()):
         if not values or lab != values[-1]:
             values.append(lab)
         rank_of[id(lab)] = len(values) - 1
-    ranks = [rank_of[id(lab)] for lab in tree.labels]
+    ranks = [rank_of[id(lab)] for lab in t.labels]
     rows = [[ZERO] * n for _ in range(n)]
     for src in range(n):
         seen = [False] * n
@@ -231,7 +198,7 @@ def generate_ultrametric(t: TreeLike) -> FiniteSemimetricSpace:
                     m = running if running >= ranks[w] else ranks[w]
                     row[w] = values[m]
                     stack.append((w, m))
-    return FiniteSemimetricSpace(tree.vertices, tuple([tuple(r) for r in rows]))
+    return FiniteSemimetricSpace(t.vertices, tuple([tuple(r) for r in rows]))
 
 
 def star_distance(s: LabeledStarGraph, u: str, v: str) -> Fraction:
@@ -274,10 +241,9 @@ def parse_tree_text(text: str) -> LabeledTree:
         raise TreeFormatError(str(exc)) from exc
 
 
-def format_tree_text(t: TreeLike) -> str:
-    tree = _as_tree(t)
-    lines = [f"{v} {lab}" for v, lab in zip(tree.vertices, tree.labels)]
-    lines += [f"{u} -- {v}" for u, v in tree.edges]
+def format_tree_text(t: LabeledTree) -> str:
+    lines = [f"{v} {lab}" for v, lab in zip(t.vertices, t.labels)]
+    lines += [f"{u} -- {v}" for u, v in t.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -285,13 +251,12 @@ def _dot_quote(name: str) -> str:
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(t: TreeLike) -> str:
+def to_dot(t: LabeledTree) -> str:
     """DOT export with the label value rendered inside each node."""
-    tree = _as_tree(t)
     lines = ["graph {"]
-    for v, lab in zip(tree.vertices, tree.labels):
+    for v, lab in zip(t.vertices, t.labels):
         lines.append(f"  {_dot_quote(v)} [label={_dot_quote(f'{v}: {lab}')}];")
-    for u, v in tree.edges:
+    for u, v in t.edges:
         lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -429,7 +429,7 @@ def fraction_generate_ultrametric(t) -> FiniteSemimetricSpace:
 
     The reference for the library's path maxima on label ranks.
     """
-    tree = t.as_tree() if isinstance(t, LabeledStarGraph) else t
+    tree = t
     bad = generating_violation(tree)
     if bad is not None:
         raise NotGenerating(f"edge {bad[0]} -- {bad[1]} has both endpoint labels zero")

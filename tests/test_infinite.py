@@ -1,9 +1,12 @@
 """Tail laws, compactness, star/ray duality, completions, the dplus line."""
 
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starmetric import (
     ConstantTail,
@@ -38,6 +41,44 @@ from starmetric import (
 )
 from starmetric.infinite import MAX_TAIL_INDEX, MAX_TRUNCATION
 from helpers import path_max_oracle
+
+POS = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+NONNEG = st.one_of(st.just(Fraction(0)), POS)
+RATIO = st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12), max_denominator=12)
+TAIL_KINDS = ("harmonic", "geometric", "constant", "finite")
+
+
+def tails(kind: str, positive: bool):
+    if kind == "harmonic":
+        return st.builds(HarmonicTail, POS)
+    if kind == "geometric":
+        return st.builds(GeometricTail, POS, RATIO)
+    if kind == "constant":
+        return st.builds(ConstantTail, POS if positive else NONNEG)
+    return st.just(FiniteTail())
+
+
+@st.composite
+def star_specs(draw, kind: str, skip_on: bool):
+    """Valid star presentations: a zero center keeps every leaf label positive."""
+    center = draw(NONNEG)
+    leaf = POS if center == 0 else NONNEG
+    tail = draw(tails(kind, positive=center == 0))
+    skip = draw(st.integers(1, 40)) if skip_on else 0
+    return StarSpec(center, tuple(draw(st.lists(leaf, max_size=6))), tail, skip)
+
+
+@st.composite
+def ray_specs(draw, kind: str, skip_on: bool):
+    """Valid ray presentations; decreasing ones sit above the first tail label."""
+    decreasing = draw(st.booleans())
+    tail = draw(tails(kind, positive=decreasing))
+    skip = draw(st.integers(1, 40)) if skip_on else 0
+    if not decreasing:
+        return RaySpec(tuple(draw(st.lists(NONNEG, max_size=6))), tail, skip)
+    floor = Fraction(0) if tail.finite else tail.label(skip + 1)
+    prefix = sorted([floor + x for x in draw(st.lists(POS, max_size=6))], reverse=True)
+    return RaySpec(tuple(prefix), tail, skip, decreasing=True)
 
 
 F = Fraction
@@ -114,6 +155,16 @@ def test_is_compact_star():
     assert is_compact_star(StarSpec(F(5), exceptional=(F(0), F(3)), tail=FiniteTail())).compact
 
 
+@pytest.mark.parametrize("skip_on", [False, True])
+@pytest.mark.parametrize("kind", TAIL_KINDS)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_star_spec_json_round_trip_property(kind, skip_on, data):
+    spec = data.draw(star_specs(kind, skip_on))
+    assert spec.tail.to_json()["kind"] == kind and bool(spec.tail_skip) == skip_on
+    assert StarSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
 def test_star_to_ray_merges_streams():
     spec = StarSpec(0, exceptional=(F(1, 2), F(2)), tail=HarmonicTail(F(1)))
     ray = star_to_ray(spec)
@@ -163,6 +214,16 @@ def test_ray_spec_validation():
     with pytest.raises(MalformedPresentation):
         RaySpec(prefix=(F(1, 3),), tail=HarmonicTail(F(1)), decreasing=True)  # junction 1/3 < 1
     RaySpec(prefix=(F(1), F(2)))  # non-monotone is fine without the flag
+
+
+@pytest.mark.parametrize("skip_on", [False, True])
+@pytest.mark.parametrize("kind", TAIL_KINDS)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ray_spec_json_round_trip_property(kind, skip_on, data):
+    ray = data.draw(ray_specs(kind, skip_on))
+    assert ray.tail.to_json()["kind"] == kind and bool(ray.tail_skip) == skip_on
+    assert RaySpec.from_json(json.loads(json.dumps(ray.to_json()))) == ray
 
 
 def test_ray_labels_and_bounds():

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starmetric import (
+    KIND_Y4,
+    exhaustive_quadruple_scan,
     find_centers,
     find_forbidden_quadruple,
     generate_ultrametric,
@@ -101,6 +103,31 @@ def test_ultrametric_violation_matches_fraction_scan(s):
         assert (got.x, got.y, got.z) == (expected.x, expected.y, expected.z)
         assert (got.lhs, got.rhs) == (expected.lhs, expected.rhs)
         assert got.to_json() == expected.to_json()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(any_space)
+def test_triple_witness_is_valid(s):
+    w = ultrametric_violation(s)
+    if w is None:
+        return
+    assert len({w.x, w.y, w.z}) == 3
+    assert w.lhs == s.d(w.x, w.y) and w.rhs == max(s.d(w.x, w.z), s.d(w.z, w.y))
+    assert w.lhs > w.rhs
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ultrametric_space)
+def test_quadruple_witness_is_valid(s):
+    for q in (find_forbidden_quadruple(s), exhaustive_quadruple_scan(s)):
+        if q is None:
+            assert find_centers(s)
+            continue
+        assert len({q.x, q.y, q.z, q.w}) == 4
+        assert s.d(q.x, q.y) == s.d(q.x, q.w) == s.d(q.z, q.y) == s.d(q.z, q.w) == q.big
+        assert (q.small1, q.small2) == (s.d(q.x, q.z), s.d(q.y, q.w))
+        assert q.small1 < q.big and q.small2 < q.big
+        assert (q.kind == KIND_Y4) == (q.small1 == q.small2)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -164,3 +164,54 @@ def test_dot_export_stable():
         '  "c" -- "v";\n'
         '}\n'
     )
+
+
+def test_star_is_a_tree():
+    star = LabeledStarGraph.of("c", 0, [("u", 1), ("v", "1/2")])
+    assert isinstance(star, LabeledTree)
+    assert star.vertices == ("c", "u", "v") and star.labels == (0, 1, Fraction(1, 2))
+    assert (star.center, star.leaves) == ("c", ("u", "v"))
+    assert (star.center_label, star.leaf_labels) == (0, (1, Fraction(1, 2)))
+    assert star.label_of("v") == Fraction(1, 2)
+
+
+def test_star_rejects_an_edge_that_misses_the_center():
+    labels = (Fraction(0), Fraction(1), Fraction(1))
+    with pytest.raises(NotATree):
+        LabeledStarGraph(("c", "a", "b"), (("c", "a"), ("a", "b")), labels)
+    # the same edges make a valid tree, and a valid star once "a" comes first
+    LabeledTree(("c", "a", "b"), (("c", "a"), ("a", "b")), labels)
+    assert LabeledStarGraph(("a", "c", "b"), (("c", "a"), ("a", "b")), labels).center == "a"
+
+
+def test_star_tree_checks_still_apply():
+    with pytest.raises(NegativeLabel):
+        LabeledStarGraph.of("c", "-1", [("u", 1)])
+    with pytest.raises(NotATree):
+        LabeledStarGraph.of("c", 0, [("u", 1), ("u", 2)])
+    with pytest.raises(NotATree):
+        LabeledStarGraph(("c", "u"), (), (Fraction(0), Fraction(1)))
+
+
+def test_one_point_star():
+    star = LabeledStarGraph.of("c", 0, [])
+    assert (star.center, star.leaves, star.edges, star.leaf_labels) == ("c", (), (), ())
+    assert generate_ultrametric(star).points == ("c",)
+
+
+def test_equal_stars_compare_and_hash_equal():
+    a = LabeledStarGraph.of("c", 0, [("u", 1), ("v", "1/2")])
+    b = LabeledStarGraph.of("c", "0", [("u", "2/2"), ("v", Fraction(1, 2))])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != LabeledStarGraph.of("c", 0, [("u", 1), ("v", "1/3")])
+
+
+def test_star_and_plain_tree_give_the_same_outputs():
+    rng = Random(8)
+    for _ in range(200):
+        star = random_star(rng, max_leaves=12)
+        tree = LabeledTree(star.vertices, star.edges, star.labels)
+        assert generate_ultrametric(star) == generate_ultrametric(tree)
+        assert format_tree_text(star) == format_tree_text(tree)
+        assert to_dot(star) == to_dot(tree)

@@ -8,7 +8,11 @@ Writes a corpus of space JSON files (the four-point fixtures, the two
 five-point path spaces, and seeded random semimetrics, merge-process
 ultrametrics and star spaces from ``tests/helpers.py``), then runs the
 ``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
-on every file, ``check``, ``us`` and ``weaksim`` on seeded spaces of the
+on every file, ``star`` on every star-generated file again with
+``--dot FILE`` (the DOT file's bytes are compared too), with
+``--center`` at its second center when it has two or more, and with
+``--center`` at a point that is no center (exit 1, centers listed),
+``check``, ``us`` and ``weaksim`` on seeded spaces of the
 same three kinds at n = 128 and 256, ``check`` and ``us`` on two
 256-point matrices whose only fault is in the last row, ``compact`` and
 ``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
@@ -42,25 +46,43 @@ from random import Random
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs inside each tree's interpreter: every argv line through cli.run.
+# A ``--dot`` file is removed first and its bytes (as latin-1) recorded after.
 _RUNNER = """\
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from starmetric.cli import run
 for line in sys.stdin:
     argv = json.loads(line)
+    dot = argv[argv.index("--dot") + 1] if "--dot" in argv else None
+    if dot and os.path.exists(dot):
+        os.remove(dot)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(argv)
         except Exception as exc:
             code = "raised " + type(exc).__name__
-    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
+    written = None
+    if dot and os.path.exists(dot):
+        with open(dot, "rb") as fh:
+            written = fh.read().decode("latin-1")
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue(), written]))
 """
 
 
-def _write_corpus(folder: Path, seed: int, count: int) -> list[str]:
+def _write_corpus(folder: Path, seed: int, count: int) -> tuple[list[str], dict[str, tuple[str, ...]]]:
+    """Space files in (original, permuted) pairs, and the centers of each ultrametric file."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from helpers import permuted_copy, random_semimetric, random_star, random_ultrametric
-    from starmetric import generate_ultrametric, path_tree_x4, path_tree_y4, space_to_json, x4_space, y4_space
+    from starmetric import (
+        find_centers,
+        generate_ultrametric,
+        is_ultrametric,
+        path_tree_x4,
+        path_tree_y4,
+        space_to_json,
+        x4_space,
+        y4_space,
+    )
 
     rng = Random(seed)
     spaces = [x4_space(), y4_space(), generate_ultrametric(path_tree_x4()), generate_ultrametric(path_tree_y4())]
@@ -71,13 +93,15 @@ def _write_corpus(folder: Path, seed: int, count: int) -> list[str]:
     )
     while len(spaces) < count:
         spaces.append(makers[len(spaces) % 3]())
-    paths = []
+    paths, centers = [], {}
     for i, s in enumerate(spaces):
         for tag, space in (("", s), ("p", permuted_copy(rng, s))):
             path = folder / f"{i:04d}{tag}.json"
             path.write_text(json.dumps(space_to_json(space)))
             paths.append(str(path))
-    return paths
+            if is_ultrametric(space):
+                centers[str(path)] = find_centers(space)
+    return paths, centers
 
 
 def _write_large(folder: Path, seed: int) -> tuple[list[str], list[str]]:
@@ -169,8 +193,21 @@ def _write_malformed(folder: Path) -> list[str]:
     return paths
 
 
+def _star_commands(path: str, points: list[str], centers: tuple[str, ...]) -> list[list[str]]:
+    """``star`` at a second center, at a point that is no center, and with ``--dot``."""
+    if not centers:
+        return []
+    cmds = [["star", path, "--dot", path[: -len(".json")] + ".dot"]]
+    if len(centers) > 1:
+        cmds.append(["star", path, "--center", centers[1]])
+    others = [p for p in points if p not in centers]
+    if others:
+        cmds.append(["star", path, "--center", others[0]])
+    return cmds
+
+
 def _commands(
-    paths: list[str],
+    corpus: tuple[list[str], dict[str, tuple[str, ...]]],
     presentations: tuple[list[str], list[str]],
     trees: list[str],
     malformed: list[str],
@@ -184,10 +221,14 @@ def _commands(
         ["verify", "--theorem", "4.3", "--n", "8"],
         ["verify", "--theorem", "4.6"],
     ]
+    paths, centers = corpus
     for i in range(0, len(paths), 2):
         path, twin = paths[i], paths[i + 1]
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
         cmds += [["weaksim", path, twin], ["weaksim", path, paths[(i + 2) % len(paths)]]]
+    for path, found in centers.items():
+        points = json.loads(Path(path).read_text())["points"]
+        cmds += _star_commands(path, points, found)
     stars, rays = presentations
     for star in stars:
         cmds += [["compact", star], ["ray", star], ["ray", star, "--truncate", "16"], ["ray", star, "--truncate", "64"]]
