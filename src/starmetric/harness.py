@@ -35,7 +35,7 @@ from .decision import (
 )
 from .spaces import (
     FiniteSemimetricSpace,
-    _running_max,
+    _path_maxima,
     distance_spectrum,
     is_ultrametric,
     space_to_json,
@@ -98,7 +98,7 @@ class RankedHierarchy:
 
     def rank_matrix(self) -> tuple[tuple[int, ...], ...]:
         """rank(x, y) = level of the least common ancestor, the largest adjacent level from x to y; 0 if x = y."""
-        return _running_max(self._gaps)
+        return _path_maxima(len(self._gaps) + 1, [(g, i, i + 1) for i, g in enumerate(self._gaps)])
 
     def to_space(self) -> FiniteSemimetricSpace:
         """Representative space with the rank values as distances, one ``Fraction`` per level.

@@ -1,27 +1,30 @@
 """Symbolic presentations of infinite labeled stars and rays.
 
 Infinite objects are never enumerated: compactness and limit questions
-are answered exactly from a small closed algebra of tail laws, and finite
-truncations are produced only for cross-checking against the path-max
-oracle.  Also houses the max-based ultrametric on nonnegative rationals.
+are answered exactly from a small closed algebra of tail laws, and a
+finite truncation is the space its first k vertices generate as a tree.
+Also houses the max-based ultrametric on nonnegative rationals.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _running_max
-from .trees import LabeledTree, NotGenerating
+from .spaces import FiniteSemimetricSpace, ZERO
+from .trees import LabeledTree, NotGenerating, generate_ultrametric
 
 # Bounds on the work a short presentation can demand.  No tail label past
-# index MAX_TAIL_INDEX is skipped or merged into a ray prefix, which keeps
-# a 1/2-ratio geometric label under Python's 4300-digit string limit;
-# truncations are K x K, so K is bounded too.
+# index MAX_TAIL_INDEX is skipped or merged into a ray prefix; no geometric
+# label may have a numerator or denominator of more than MAX_LABEL_DIGITS
+# digits, below Python's 4300-digit string limit (a 1/2-ratio label at
+# MAX_TAIL_INDEX has 3,011); truncations are K x K, so K is bounded too.
 MAX_TAIL_INDEX = 10_000
+MAX_LABEL_DIGITS = 4000
 MAX_TRUNCATION = 1024
 
 
@@ -122,6 +125,7 @@ class GeometricTail(TailLaw):
     decreasing_to_zero = True
 
     def label(self, n: int) -> Fraction:
+        self._check_size(n)
         return self.a * self.r**n
 
     def count_ge(self, eps: Fraction) -> Optional[int]:
@@ -129,16 +133,28 @@ class GeometricTail(TailLaw):
 
         Each step multiplies one ``Fraction``, so a ratio near 1 and a
         small ``eps`` would take millions of steps; the only use compares
-        the count with ``MAX_TAIL_INDEX``.
+        the count with ``MAX_TAIL_INDEX``.  A label too large to build
+        raises ``IndexOutOfRange`` before it is multiplied out.
         """
         if eps <= 0:
             return None
+        self._check_size(1)
         count = 0
         value = self.a * self.r
         while value >= eps and count <= MAX_TAIL_INDEX:
             count += 1
+            self._check_size(count + 1)
             value *= self.r
         return count
+
+    def _check_size(self, n: int) -> None:
+        # With y = 2**e * f, 1 <= f < 2: log2(f) <= (f - 1) / ln 2 < 1.443 (f - 1),
+        # which bounds the bits of x * y**n; b bits make at most b log10(2) + 1 digits.
+        for x, y in ((self.a.numerator, self.r.numerator), (self.a.denominator, self.r.denominator)):
+            e = y.bit_length() - 1
+            bits = x.bit_length() + n * e + n * (y - (1 << e)) * 1443 // (1000 << e) + 1
+            if bits * 30103 // 100_000 >= MAX_LABEL_DIGITS:
+                raise IndexOutOfRange(f"geometric label {n} would pass {MAX_LABEL_DIGITS} digits")
 
     def to_json(self) -> dict:
         return {"kind": "geometric", "a": str(self.a), "r": str(self.r)}
@@ -227,13 +243,6 @@ def _json_skip(obj: dict) -> int:
     return skip
 
 
-def _tail_labels(tail: TailLaw, skip: int) -> Iterator[Fraction]:
-    n = skip + 1
-    while True:
-        yield tail.label(n)
-        n += 1
-
-
 @dataclass(frozen=True)
 class StarSpec:
     """Labeled star presented as center label + exceptional leaf labels + tail law.
@@ -271,19 +280,8 @@ class StarSpec:
 
     def leaf_labels(self, limit: Optional[int] = None) -> Iterator[Fraction]:
         """Leaf labels in presentation order: exceptional first, then the tail."""
-        emitted = 0
-        for x in self.exceptional:
-            if limit is not None and emitted >= limit:
-                return
-            yield x
-            emitted += 1
-        if self.tail.finite:
-            return
-        for x in _tail_labels(self.tail, self.tail_skip):
-            if limit is not None and emitted >= limit:
-                return
-            yield x
-            emitted += 1
+        tail = () if self.tail.finite else map(self.tail.label, itertools.count(self.tail_skip + 1))
+        return itertools.islice(itertools.chain(self.exceptional, tail), limit)
 
     def to_json(self) -> dict:
         obj = {
@@ -467,31 +465,21 @@ def star_to_ray(spec: StarSpec) -> RaySpec:
 
 
 def ray_truncation_tree(r: RaySpec, k: int) -> LabeledTree:
-    """First k ray vertices as an explicit labeled path (path-max oracle input)."""
+    """First k ray vertices as an explicit labeled path."""
     if k < 1:
         raise IndexOutOfRange("truncation needs at least one point")
     names = [f"x{i}" for i in range(1, k + 1)]
-    return LabeledTree.of(
-        [(name, r.label(i + 1)) for i, name in enumerate(names)],
-        [(names[i], names[i + 1]) for i in range(k - 1)],
-    )
+    return LabeledTree.of(zip(names, r.labels(k)), zip(names, names[1:]))
 
 
 def ray_truncation_space(r: RaySpec, k: int) -> FiniteSemimetricSpace:
-    """First k ray vertices, k up to ``MAX_TRUNCATION``: a chain with gaps max(label_i, label_{i+1}).
+    """Space generated by the first k ray vertices, k up to ``MAX_TRUNCATION``.
 
-    Running maxima of label ranks, mapped back to one shared ``Fraction`` per value.
+    Raises ``NotGenerating`` when two adjacent labels are zero.
     """
-    if k < 1:
-        raise IndexOutOfRange("truncation needs at least one point")
     if k > MAX_TRUNCATION:
         raise IndexOutOfRange(f"truncation of {k} points exceeds {MAX_TRUNCATION}")
-    labels = list(r.labels(k))
-    values = sorted({ZERO, *labels})
-    rank = {v: i for i, v in enumerate(values)}
-    grid = _running_max([max(rank[a], rank[b]) for a, b in zip(labels, labels[1:])])
-    names = tuple([f"x{i}" for i in range(1, k + 1)])
-    return FiniteSemimetricSpace(names, tuple([tuple([values[v] for v in row]) for row in grid]))
+    return generate_ultrametric(ray_truncation_tree(r, k))
 
 
 @dataclass(frozen=True)

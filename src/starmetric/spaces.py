@@ -240,19 +240,25 @@ def _raise_first_axiom_violation(names: tuple[str, ...], mat: tuple[tuple[Fracti
                 raise ZeroOffDiagonal(f"d({names[i]}, {names[j]}) = 0 for distinct points")
 
 
-def _running_max(gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Path maxima of a chain with ``gaps[i]`` between points i and i + 1.
+def _path_maxima(n: int, edges: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Largest rank on the path joining each pair, for the ``(rank, u, v)`` edges of a tree on 0..n-1.
 
-    ``max(gaps[i:j])`` at (i, j) and (j, i), 0 on the diagonal; ints only.
+    Single linkage (Gower & Ross, Applied Statistics 18, 1969): in rank
+    order each edge joins its two components, the smaller member list
+    into the larger, and its rank goes to every pair across them.
     """
-    n = len(gaps) + 1
     rows = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        row = rows[i]
-        top = 0
-        for j in range(i + 1, n):
-            top = gaps[j - 1] if gaps[j - 1] > top else top
-            row[j] = rows[j][i] = top
+    members = [[v] for v in range(n)]
+    for rank, u, v in sorted(edges):
+        big, small = members[u], members[v]
+        if len(big) < len(small):
+            big, small = small, big
+        for x in small:
+            row = rows[x]
+            for y in big:
+                row[y] = rows[y][x] = rank
+            members[x] = big
+        big.extend(small)
     return tuple([tuple(row) for row in rows])
 
 

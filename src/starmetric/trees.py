@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO
+from .spaces import FiniteSemimetricSpace, ZERO, _path_maxima, _pick
 
 
 class TreeError(ValueError):
@@ -175,30 +175,16 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     bad = generating_violation(t)
     if bad is not None:
         raise NotGenerating(f"edge {bad[0]} -- {bad[1]} has both endpoint labels zero")
-    n = len(t.vertices)
-    adj = t._adj
-    # path maxima compare label ranks, so equal labels come out as one object
-    values, rank_of = [], {}
+    # path maxima compare label ranks, so equal labels come out as one
+    # object; rank 0 is the diagonal, and every edge has a positive rank
+    values, rank_of = [ZERO], {}
     for lab in sorted({id(lab): lab for lab in t.labels}.values()):
-        if not values or lab != values[-1]:
+        if lab != values[-1]:
             values.append(lab)
         rank_of[id(lab)] = len(values) - 1
     ranks = [rank_of[id(lab)] for lab in t.labels]
-    rows = [[ZERO] * n for _ in range(n)]
-    for src in range(n):
-        seen = [False] * n
-        seen[src] = True
-        stack = [(src, ranks[src])]
-        row = rows[src]
-        while stack:
-            u, running = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    m = running if running >= ranks[w] else ranks[w]
-                    row[w] = values[m]
-                    stack.append((w, m))
-    return FiniteSemimetricSpace(t.vertices, tuple([tuple(r) for r in rows]))
+    edges = [(max(ranks[u], ranks[v]), u, v) for u, adj in enumerate(t._adj) for v in adj if u < v]
+    return FiniteSemimetricSpace(t.vertices, _pick(values, _path_maxima(len(ranks), edges)))
 
 
 def star_distance(s: LabeledStarGraph, u: str, v: str) -> Fraction:

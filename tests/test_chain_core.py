@@ -1,9 +1,11 @@
-"""The chain kernel: ranked hierarchies and ray truncations as running maxima.
+"""The path-maximum kernel and its callers.
 
-A ranked hierarchy is its leaf order plus the merge level between
-adjacent leaves, and a ray truncation is its vertex order plus
-max(label_i, label_{i+1}); both distance matrices are the running maxima
-of those gaps.  These tests pin the kernel's callers to the earlier
+``spaces._path_maxima`` joins the two components of each tree edge in
+rank order and writes the rank into every pair across them.  A ranked
+hierarchy is its leaf order plus the merge level between adjacent
+leaves, so its rank matrix is the kernel on that chain; a ray truncation
+is the space its labeled path generates.  These tests compare the kernel
+with a per-pair path walk on random trees, pin its callers to the earlier
 recursive walk, Fraction running maxima and per-entry distance calls
 kept in ``helpers``, and check that hierarchies of any depth build.
 """
@@ -17,13 +19,19 @@ from starmetric import (
     FiniteSemimetricSpace,
     GeometricTail,
     HarmonicTail,
+    LabeledStarGraph,
+    NotGenerating,
     RankedHierarchy,
     RaySpec,
     enumerate_hierarchies,
+    generate_ultrametric,
+    is_generating,
     ray_to_completion,
     ray_truncation_space,
+    ray_truncation_tree,
 )
 from starmetric.harness import LEAF
+from starmetric.spaces import _path_maxima
 from helpers import (
     caterpillar_root,
     fraction_ray_truncation_space,
@@ -35,6 +43,38 @@ from helpers import (
 )
 
 SIZES = (1, 2, 20, 64)
+
+
+def _walked_path_maxima(n: int, edges) -> list[list[int]]:
+    """Per source, walk the tree keeping the largest edge rank seen."""
+    adj = [[] for _ in range(n)]
+    for rank, u, v in edges:
+        adj[u].append((v, rank))
+        adj[v].append((u, rank))
+    rows = [[0] * n for _ in range(n)]
+    for src in range(n):
+        stack, seen = [(src, 0)], {src}
+        while stack:
+            u, top = stack.pop()
+            rows[src][u] = top
+            for w, rank in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, max(top, rank)))
+    return rows
+
+
+def test_path_maxima_matches_a_walk_on_random_trees():
+    rng = Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        ids = list(range(n))
+        rng.shuffle(ids)  # vertex numbers that do not follow the tree
+        edges = [(rng.randint(1, 5), ids[rng.randint(0, i - 1)], ids[i]) for i in range(1, n)]
+        edges = [(rank, v, u) if rng.random() < 0.5 else (rank, u, v) for rank, u, v in edges]
+        rng.shuffle(edges)
+        got = _path_maxima(n, edges)
+        assert [list(row) for row in got] == _walked_path_maxima(n, edges)
 
 
 def test_rank_matrix_matches_recursive_walk_on_every_class():
@@ -116,14 +156,27 @@ def _rays(rng: Random) -> list[RaySpec]:
 
 
 def test_ray_truncation_matches_fraction_running_max():
+    refused = 0
     for ray in _rays(Random(41)):
         for k in SIZES:
+            if not is_generating(ray_truncation_tree(ray, k)):
+                with pytest.raises(NotGenerating):
+                    ray_truncation_space(ray, k)
+                refused += 1
+                continue
             got = ray_truncation_space(ray, k)
             expected = fraction_ray_truncation_space(ray, k)
             assert got == expected
             assert got.ranks == expected.ranks
             cells = [v for row in got.dist for v in row]
             assert len({id(v) for v in cells}) == len(set(cells))
+    assert refused
+
+
+def test_ray_truncation_with_two_adjacent_zero_labels_generates_nothing():
+    # the path x2 -- x3 has only zero labels, so d(x2, x3) would be 0
+    with pytest.raises(NotGenerating, match="x2 -- x3"):
+        ray_truncation_space(RaySpec(("1", "0", "0", "1")), 4)
 
 
 def test_completion_truncation_matches_per_entry_distances():
@@ -136,3 +189,14 @@ def test_completion_truncation_matches_per_entry_distances():
             expected = per_entry_truncation_space(model, k)
             assert got == expected
             assert got.ranks == expected.ranks
+
+
+def test_completion_truncation_is_the_compact_star_on_its_vertices():
+    # the completion adds the center x0, labeled 0, of a star whose leaves are the ray vertices
+    rays = [ray for ray in _rays(Random(47)) if ray.decreasing_to_zero]
+    assert rays
+    for ray in rays:
+        model = ray_to_completion(ray)
+        for k in SIZES:
+            star = LabeledStarGraph.of("x0", 0, [(f"x{i}", ray.label(i)) for i in range(1, k + 1)])
+            assert model.truncation_space(k) == generate_ultrametric(star)

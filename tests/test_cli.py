@@ -8,7 +8,7 @@ import pytest
 
 from starmetric import GeometricTail, HarmonicTail, RaySpec, space_to_json, x4_space
 from starmetric.cli import run
-from starmetric.infinite import MAX_TAIL_INDEX, MAX_TRUNCATION
+from starmetric.infinite import MAX_LABEL_DIGITS, MAX_TAIL_INDEX, MAX_TRUNCATION
 
 
 @pytest.fixture
@@ -322,33 +322,74 @@ def _unbuildable(*args, **kwargs):
     raise AssertionError("a label was built")
 
 
+GEOMETRIC_TINY = {"kind": "geometric", "a": "1", "r": "1e-1000"}
+
+
 @pytest.mark.parametrize(
-    "argv, obj, patched",
+    "argv, obj, patched, bound",
     [
         # c/n >= 1/(MAX + 1) for n up to MAX + 1: the merge would pass the bound
-        (["ray"], {"center_label": "0", "exceptional": [f"1/{MAX_TAIL_INDEX + 1}"], "tail": HARMONIC}, "tail"),
-        (["ray"], {"center_label": "0", "tail": {"kind": "geometric", "a": "1", "r": "1/2"}, "skip": SKIP}, "tail"),
-        # about 2.3 million labels reach 1e-100 at ratio 9999/10000; counting stops past the bound
+        (
+            ["ray"],
+            {"center_label": "0", "exceptional": [f"1/{MAX_TAIL_INDEX + 1}"], "tail": HARMONIC},
+            "tail",
+            MAX_TAIL_INDEX,
+        ),
+        (
+            ["ray"],
+            {"center_label": "0", "tail": {"kind": "geometric", "a": "1", "r": "1/2"}, "skip": SKIP},
+            "tail",
+            MAX_TAIL_INDEX,
+        ),
+        # about 2.3 million labels reach 1e-100 at ratio 9999/10000; label 997 would pass the digit bound
         (
             ["ray"],
             {"center_label": "0", "exceptional": ["1e-100"], "tail": {"kind": "geometric", "a": "1", "r": "9999/10000"}},
             "tail",
+            MAX_LABEL_DIGITS,
         ),
-        (["complete"], {"tail": HARMONIC, "skip": SKIP, "decreasing": True}, "tail"),
-        (["ray", "--truncate", str(MAX_TRUNCATION + 1)], {"center_label": "0", "tail": HARMONIC}, "ray"),
+        (["complete"], {"tail": HARMONIC, "skip": SKIP, "decreasing": True}, "tail", MAX_TAIL_INDEX),
+        (["ray", "--truncate", str(MAX_TRUNCATION + 1)], {"center_label": "0", "tail": HARMONIC}, "ray", MAX_TRUNCATION),
+        # geometric labels whose digits grow past the bound long before the index bound
+        (
+            ["ray"],
+            {"center_label": "0", "exceptional": ["1/10000"], "tail": {"kind": "geometric", "a": "1", "r": "999/1000"}},
+            None,
+            MAX_LABEL_DIGITS,
+        ),
+        (
+            ["ray"],
+            {"center_label": "0", "exceptional": ["1/2"], "tail": {"kind": "geometric", "a": "1", "r": "0." + "9" * 990}},
+            None,
+            MAX_LABEL_DIGITS,
+        ),
+        (["ray"], {"center_label": "0", "exceptional": ["1/2"], "tail": GEOMETRIC_TINY}, None, MAX_LABEL_DIGITS),
+        (["ray", "--json"], {"center_label": "0", "exceptional": ["1/2"], "tail": GEOMETRIC_TINY}, None, MAX_LABEL_DIGITS),
+        (["ray"], {"center_label": "0", "tail": GEOMETRIC_TINY, "skip": MAX_TAIL_INDEX}, None, MAX_LABEL_DIGITS),
     ],
-    ids=["merged-prefix", "star-skip", "slow-geometric-merge", "ray-skip", "truncation"],
+    ids=[
+        "merged-prefix",
+        "star-skip",
+        "slow-geometric-merge",
+        "ray-skip",
+        "truncation",
+        "geometric-near-one",
+        "geometric-990-nines",
+        "geometric-tiny-ratio",
+        "geometric-tiny-ratio-json",
+        "geometric-tiny-ratio-skip",
+    ],
 )
-def test_presentation_work_is_bounded(tmp_path, monkeypatch, capsys, argv, obj, patched):
+def test_presentation_work_is_bounded(tmp_path, monkeypatch, capsys, argv, obj, patched, bound):
     if patched == "tail":
         monkeypatch.setattr(HarmonicTail, "label", _unbuildable)
         monkeypatch.setattr(GeometricTail, "label", _unbuildable)
-    else:
+    elif patched == "ray":
         monkeypatch.setattr(RaySpec, "labels", _unbuildable)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     assert run(argv[:1] + [str(path)] + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    bound = MAX_TAIL_INDEX if patched == "tail" else MAX_TRUNCATION
+    assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and str(bound) in captured.err

@@ -39,7 +39,7 @@ from starmetric import (
     star_to_ray,
     tail_from_json,
 )
-from starmetric.infinite import MAX_TAIL_INDEX, MAX_TRUNCATION
+from starmetric.infinite import MAX_LABEL_DIGITS, MAX_TAIL_INDEX, MAX_TRUNCATION
 from helpers import path_max_oracle
 
 POS = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
@@ -102,6 +102,55 @@ def test_tail_count_ge_exact():
     assert c.count_ge(F(2)) == 0
     assert c.count_ge(F(1)) is None
     assert FiniteTail().count_ge(F(1, 100)) == 0
+
+
+def rand_ratio(rng: Random) -> Fraction:
+    q = rng.randint(2, 10 ** rng.randint(1, 60))
+    return F(rng.randint(1, q - 1), q)
+
+
+def test_geometric_labels_stay_under_the_digit_bound():
+    # ratio 1/2 builds every label the index bound lets through
+    g = GeometricTail(F(1), F(1, 2))
+    assert g.label(MAX_TAIL_INDEX + 2) == F(1, 2 ** (MAX_TAIL_INDEX + 2))
+    rng = Random(59)
+    for r in [F(999, 1000), F(1, 10**1000), F(10**990 - 1, 10**990)] + [rand_ratio(rng) for _ in range(20)]:
+        g = GeometricTail(F(rng.randint(1, 10**6), rng.randint(1, 10**6)), r)
+
+        def builds(n: int) -> bool:
+            try:
+                g.label(n)
+            except IndexOutOfRange:
+                return False
+            return True
+
+        lo, hi = 0, 1  # label lo builds; find the first label that does not
+        while builds(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if builds(mid) else (lo, mid)
+        last = g.label(lo)
+        assert max(len(str(last.numerator)), len(str(last.denominator))) <= MAX_LABEL_DIGITS
+        with pytest.raises(IndexOutOfRange, match=f"label {hi} would pass {MAX_LABEL_DIGITS} digits"):
+            g.label(hi)
+        # the bound is not far from the truth: label hi has over 80% of the digits allowed
+        big = g.a * g.r**hi
+        assert max(big.numerator.bit_length(), big.denominator.bit_length()) > MAX_LABEL_DIGITS * 332 // 100 * 8 // 10
+    # 1e-4000 has a 4001-digit denominator
+    assert GeometricTail(F(1), F(1, 10**1000)).label(3) == F(1, 10**3000)
+    with pytest.raises(IndexOutOfRange):
+        GeometricTail(F(1), F(1, 10**1000)).label(4)
+
+
+def test_geometric_count_ge_stops_at_the_digit_bound(monkeypatch):
+    monkeypatch.setattr(GeometricTail, "label", None)  # counting builds no label through label()
+    # (999/1000)**n >= 1/10000 up to n = 9205, but label 1281 would pass the bound
+    with pytest.raises(IndexOutOfRange, match="label 1281 would pass"):
+        GeometricTail(F(1), F(999, 1000)).count_ge(F(1, 10000))
+    with pytest.raises(IndexOutOfRange):
+        GeometricTail(F(1), F(10**990 - 1, 10**990)).count_ge(F(1, 2))
+    assert GeometricTail(F(1), F(1, 10**1000)).count_ge(F(1, 2)) == 0
 
 
 def test_tail_labels():

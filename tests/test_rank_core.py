@@ -15,13 +15,18 @@ from hypothesis import strategies as st
 
 from starmetric import (
     KIND_Y4,
+    canonical_form,
     exhaustive_quadruple_scan,
     find_centers,
     find_forbidden_quadruple,
     generate_ultrametric,
     is_ultrametric,
+    is_us,
+    reorder,
+    semimetric_us_check,
     ultrametric_violation,
     validate_semimetric,
+    weakly_similar,
 )
 from starmetric.spaces import _equals_subdominant
 from helpers import (
@@ -158,6 +163,25 @@ def test_centers_and_quadruple_invariant_under_increasing_maps(s, seed):
                 quad.w,
                 quad.kind,
             )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(tied_semimetrics(), merge_ultrametrics(), star_spaces()), st.integers(0, 2**32))
+def test_decisions_invariant_under_relabeling(s, seed):
+    order = list(s.points)
+    Random(seed).shuffle(order)
+    t = reorder(s, order)
+    assert is_ultrametric(t) == is_ultrametric(s)
+    # n = 3 raises; the check visits every 4-subset of a star space, 10,626 at n = 24
+    if len(s) != 3 and len(s) <= 12:
+        assert semimetric_us_check(t) == semimetric_us_check(s)
+    assert canonical_form(t).digest == canonical_form(s).digest
+    assert weakly_similar(s, t)
+    if is_ultrametric(s):
+        assert is_us(t) == is_us(s)
+        assert (find_forbidden_quadruple(t) is None) == (find_forbidden_quadruple(s) is None)
+        centers = set(find_centers(s))
+        assert find_centers(t) == tuple(p for p in t.points if p in centers)
 
 
 def test_verdict_and_ranks_are_cached():

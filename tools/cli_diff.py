@@ -18,8 +18,10 @@ same three kinds at n = 128 and 256, ``check`` and ``us`` on two
 ``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
 seeded star presentations (harmonic and geometric tails with
 exceptional labels, and one non-compact constant tail), ``complete`` on seeded ray presentations (decreasing, unflagged
-and finite), ``gen`` on seeded tree texts (random trees, stars, and one
-tree with a zero-zero edge), ``check``, ``us``, ``witness``, ``star``
+and finite), ``gen`` on seeded tree texts (random trees of at most 12
+vertices, stars, one tree with a zero-zero edge, random trees of 128 and
+256 vertices and a 300-vertex path, all three with labels tied to a
+pool of six values, and a 256-leaf star), ``check``, ``us``, ``witness``, ``star``
 and ``probe`` on malformed spaces that break each axiom in turn (with
 floats, bools and oversized rationals among the cells, and one pair
 spelled ``"1/2"`` and ``"2/4"``), plus ``enumerate`` at n = 6, 8 and 7
@@ -163,12 +165,27 @@ def _dump(folder: Path, tag: str, objs: list[dict]) -> list[str]:
 
 def _write_trees(folder: Path, seed: int) -> list[str]:
     from helpers import random_star, random_tree
-    from starmetric import format_tree_text
+    from starmetric import LabeledStarGraph, LabeledTree, format_tree_text
 
     rng = Random(seed)
     texts = [format_tree_text(random_tree(rng, rng.randint(1, 12))) for _ in range(6)]
     texts += [format_tree_text(random_star(rng)) for _ in range(4)]
     texts.append("a 0\nb 0\nc 1\na -- b\nb -- c\n")
+    # large trees with labels tied to six values, 0 among them, and no edge zero at both ends
+    pool = [Fraction(k, 4) for k in range(6)]
+    for n, shape in ((128, "tree"), (256, "tree"), (300, "path")):
+        names = [f"v{i + 1}" for i in range(n)]
+        parents = [rng.randint(0, i - 1) if shape == "tree" else i - 1 for i in range(1, n)]
+        labels = [rng.choice(pool) for _ in names]
+        for i, p in enumerate(parents, start=1):
+            if labels[i] == 0 and labels[p] == 0:
+                labels[i] = pool[1]
+        listed = rng.sample(range(n), n)  # vertex order does not follow the tree
+        edges = [(names[p], names[i]) for i, p in enumerate(parents, start=1)]
+        tree = LabeledTree.of([(names[i], labels[i]) for i in listed], edges)
+        texts.append(format_tree_text(tree))
+    leaves = [(f"u{i + 1}", rng.choice(pool[1:])) for i in range(256)]
+    texts.append(format_tree_text(LabeledStarGraph.of("c", 0, leaves)))
     paths = []
     for i, text in enumerate(texts):
         path = folder / f"tree{i:02d}.txt"
