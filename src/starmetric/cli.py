@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Callable
 
 from . import infinite, spaces, trees
@@ -69,25 +70,28 @@ def _read_json(path: str):
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _read_space(path: str) -> spaces.FiniteSemimetricSpace:
+@contextmanager
+def _in_file(path: str, *errors: type[Exception]):
+    """Report ``errors`` raised while reading or working on ``path`` as input errors in that file."""
     try:
-        return space_from_json(_read_json(path))
-    except spaces.SpaceError as exc:
+        yield
+    except errors as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _read_space(path: str) -> spaces.FiniteSemimetricSpace:
+    with _in_file(path, spaces.SpaceError):
+        return space_from_json(_read_json(path))
 
 
 def _read_star(path: str) -> StarSpec:
-    try:
+    with _in_file(path, InfiniteModelError, TreeError, ValueError):
         return StarSpec.from_json(_read_json(path))
-    except (InfiniteModelError, TreeError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _read_ray(path: str) -> RaySpec:
-    try:
+    with _in_file(path, InfiniteModelError, ValueError):
         return RaySpec.from_json(_read_json(path))
-    except (InfiniteModelError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -195,49 +199,52 @@ def _cmd_gen(args) -> int:
 
 def _cmd_ray(args) -> int:
     spec = _read_star(args.star)
-    try:
-        ray = star_to_ray(spec)
-    except (infinite.NotCompact, infinite.FiniteSpec) as exc:
-        _emit(args, {"error": str(exc)}, str(exc))
-        return FAIL
-    if args.truncate:
-        space = ray_truncation_space(ray, args.truncate)
-        print(json.dumps(space_to_json(space), separators=(",", ":"), sort_keys=True))
-        return OK
-    _emit(
-        args,
-        {"ray": ray.to_json()},
-        "decreasing ray labels: "
-        + ", ".join(str(x) for x in ray.labels(8))
-        + ", ...",
-    )
+    with _in_file(args.star, InfiniteModelError):
+        try:
+            ray = star_to_ray(spec)
+        except (infinite.NotCompact, infinite.FiniteSpec) as exc:
+            _emit(args, {"error": str(exc)}, str(exc))
+            return FAIL
+        if args.truncate:
+            space = ray_truncation_space(ray, args.truncate)
+            print(json.dumps(space_to_json(space), separators=(",", ":"), sort_keys=True))
+            return OK
+        _emit(
+            args,
+            {"ray": ray.to_json()},
+            "decreasing ray labels: "
+            + ", ".join(str(x) for x in ray.labels(8))
+            + ", ...",
+        )
     return OK
 
 
 def _cmd_complete(args) -> int:
     ray = _read_ray(args.ray)
-    try:
-        model = ray_to_completion(ray)
-    except infinite.NotDecreasingToZero as exc:
-        _emit(args, {"error": str(exc)}, str(exc))
-        return FAIL
-    _emit(
-        args,
-        {"completion": model.to_json()},
-        f"completion adds point {model.added_point} with center label 0",
-    )
+    with _in_file(args.ray, InfiniteModelError):
+        try:
+            model = ray_to_completion(ray)
+        except infinite.NotDecreasingToZero as exc:
+            _emit(args, {"error": str(exc)}, str(exc))
+            return FAIL
+        _emit(
+            args,
+            {"completion": model.to_json()},
+            f"completion adds point {model.added_point} with center label 0",
+        )
     return OK
 
 
 def _cmd_compact(args) -> int:
     spec = _read_star(args.star)
-    rep = is_compact_star(spec)
-    _emit(
-        args,
-        {"compactness": rep.to_json()},
-        ("compact" if rep.compact else "not compact") + f" ({rep.reason})"
-        + (f" at epsilon={rep.epsilon}" if rep.epsilon is not None else ""),
-    )
+    with _in_file(args.star, InfiniteModelError):
+        rep = is_compact_star(spec)
+        _emit(
+            args,
+            {"compactness": rep.to_json()},
+            ("compact" if rep.compact else "not compact") + f" ({rep.reason})"
+            + (f" at epsilon={rep.epsilon}" if rep.epsilon is not None else ""),
+        )
     return OK if rep.compact else FAIL
 
 

@@ -148,17 +148,13 @@ def _require_ultrametric(s: FiniteSemimetricSpace) -> None:
 
 def _row_minima(r: tuple[tuple[int, ...], ...]) -> list[int]:
     """Nearest-neighbor rank of every point of a rank matrix (0 for one point)."""
-    return [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(r)]
+    # rank 0 occurs only on the diagonal
+    return [min(filter(None, row), default=0) for row in r]
 
 
 def _is_center(row: tuple[int, ...], mins: list[int]) -> bool:
     # row[j] >= mins[j] always holds off the diagonal, and row[i] = 0 on it
     return all(map(le, row, mins))
-
-
-def _center_indices(r: tuple[tuple[int, ...], ...]) -> list[int]:
-    mins = _row_minima(r)
-    return [i for i, row in enumerate(r) if _is_center(row, mins)]
 
 
 def find_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
@@ -168,7 +164,8 @@ def find_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
     distance.  Returned in input order; may be empty.
     """
     _require_ultrametric(s)
-    return tuple(s.points[i] for i in _center_indices(s.ranks))
+    mins = _row_minima(s.ranks)
+    return tuple(p for p, row in zip(s.points, s.ranks) if _is_center(row, mins))
 
 
 def is_us(s: FiniteSemimetricSpace) -> bool:
@@ -272,9 +269,20 @@ def find_forbidden_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None
     return None
 
 
-def _has_diameter_point(r: tuple[tuple[int, ...], ...]) -> bool:
-    diam = max(map(max, r))
-    return any(sorted(row)[1] == diam for row in r)
+def _four_point(ab: int, ac: int, ad: int, bc: int, bd: int, cd: int) -> tuple[bool, bool]:
+    """Whether four points a, b, c, d have a center, and a diameter point, from their six pair ranks.
+
+    A center realizes each other point's nearest-neighbor rank; a
+    diameter point has the diameter as its own nearest-neighbor rank.
+    """
+    ma, mb, mc, md = min(ab, ac, ad), min(ab, bc, bd), min(ac, bc, cd), min(ad, bd, cd)
+    center = (
+        (ab <= mb and ac <= mc and ad <= md)
+        or (ab <= ma and bc <= mc and bd <= md)
+        or (ac <= ma and bc <= mb and cd <= md)
+        or (ad <= ma and bd <= mb and cd <= mc)
+    )
+    return center, max(ab, ac, ad, bc, bd, cd) in (ma, mb, mc, md)
 
 
 def four_point_tree_generable(s: FiniteSemimetricSpace) -> bool:
@@ -282,7 +290,8 @@ def four_point_tree_generable(s: FiniteSemimetricSpace) -> bool:
     if len(s.points) != 4:
         raise NotFourPoints(f"need exactly 4 points, got {len(s.points)}")
     _require_ultrametric(s)
-    return _has_diameter_point(s.ranks)
+    r0, r1, r2 = s.ranks[:3]
+    return _four_point(r0[1], r0[2], r0[3], r1[2], r1[3], r2[3])[1]
 
 
 @dataclass(frozen=True)
@@ -329,12 +338,11 @@ def semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:
     every4_us = every4_tree = ultra or n < 4
     if n >= 4 and ultra:
         r = s.ranks
-        for quad in combinations(range(n), 4):
-            sub = tuple(tuple(r[a][b] for b in quad) for a in quad)
-            if every4_us and not _center_indices(sub):
-                every4_us = False
-            if every4_tree and not _has_diameter_point(sub):
-                every4_tree = False
+        for a, b, c, d in combinations(range(n), 4):
+            ra, rb = r[a], r[b]
+            center, diameter_point = _four_point(ra[b], ra[c], ra[d], rb[c], rb[d], r[c][d])
+            every4_us = every4_us and center
+            every4_tree = every4_tree and diameter_point
             if not every4_us and not every4_tree:
                 break
     report = UsCheckReport(in_us, every4_us, every4_tree, cardinality_ok=(n != 3))

@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Optional
 from .decision import (
     KIND_X4,
     KIND_Y4,
+    QuadrupleReport,
     _row_minima,
     exhaustive_quadruple_scan,
     find_centers,
@@ -213,26 +214,48 @@ class ObstructionSweepReport:
         }
 
 
-def _obstruction_row(space: FiniteSemimetricSpace) -> tuple[bool, Optional[str], bool]:
+def _is_obstruction(s: FiniteSemimetricSpace, rep: QuadrupleReport) -> bool:
+    """Whether ``rep`` names four points of ``s`` in the obstruction pattern, with their distances and kind."""
+    at = [s._index.get(p) for p in (rep.x, rep.y, rep.z, rep.w)]
+    if None in at or len(set(at)) != 4:
+        return False
+    x, y, z, w = at
+    r, d = s.ranks, s.dist
+    rx, rz = r[x], r[z]
+    big = rx[y]
+    return (
+        rx[w] == rz[y] == rz[w] == big > max(rx[z], r[y][w])
+        and (d[x][y], d[x][z], d[y][w]) == (rep.big, rep.small1, rep.small2)
+        and rep.kind == (KIND_Y4 if rx[z] == r[y][w] else KIND_X4)
+    )
+
+
+def _obstruction_row(space: FiniteSemimetricSpace) -> tuple[bool, Optional[str], tuple[str, ...]]:
+    """is_us, the constructive obstruction kind, and what is wrong with the two quadruple routes."""
     us = is_us(space)
     quad = find_forbidden_quadruple(space)
     oracle = exhaustive_quadruple_scan(space)
-    routes_agree = (quad is None) == (oracle is None)
-    return us, None if quad is None else quad.kind, routes_agree
+    faults = () if (quad is None) == (oracle is None) else ("constructive and exhaustive quadruple routes disagree",)
+    for route, rep in (("constructive", quad), ("exhaustive", oracle)):
+        if rep is not None and not _is_obstruction(space, rep):
+            faults += (f"{route} route returned no obstruction: {(rep.x, rep.y, rep.z, rep.w)}",)
+    return us, None if quad is None else quad.kind, faults
 
 
 def verify_obstruction_equivalence(n: int, jobs: int = 1) -> ObstructionSweepReport:
     """Check is_us <=> no four-point obstruction over every class of size n.
 
     Also cross-checks the constructive quadruple search against the
-    exhaustive scan; any disagreement lands in the discrepancy list.
+    exhaustive scan, and checks each returned quadruple against the rank
+    matrix; any disagreement or invalid witness lands in the discrepancy
+    list.
     """
     spaces, rows = map_classes(_obstruction_row, n, jobs)
     us_classes = 0
     obstructed = 0
     kinds: dict[str, int] = {KIND_X4: 0, KIND_Y4: 0}
     discrepancies: list[ClassDiscrepancy] = []
-    for space, (us, kind, routes_agree) in zip(spaces, rows):
+    for space, (us, kind, faults) in zip(spaces, rows):
         if us:
             us_classes += 1
         if kind is not None:
@@ -242,10 +265,7 @@ def verify_obstruction_equivalence(n: int, jobs: int = 1) -> ObstructionSweepRep
             discrepancies.append(
                 ClassDiscrepancy(space, f"is_us={us} but obstruction kind={kind}")
             )
-        if not routes_agree:
-            discrepancies.append(
-                ClassDiscrepancy(space, "constructive and exhaustive quadruple routes disagree")
-            )
+        discrepancies += [ClassDiscrepancy(space, fault) for fault in faults]
     return ObstructionSweepReport(
         n=n,
         classes=len(spaces),
@@ -416,16 +436,20 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     while name in s.points:
         serial += 1
         name = f"c{serial}"
-    d = s.dist
+    # the added point sits at each point's nearest-neighbor rank, whose
+    # value the first entry of the row at that rank gives; one point gets
+    # the new value 1 at rank 1
+    d, r = s.dist, s.ranks
     if len(d) == 1:
-        gaps = [Fraction(1)]
+        gaps, mins = [Fraction(1)], [1]
     else:
-        # the first entry of each row at its nearest-neighbor rank
-        gaps = [d[i][row.index(m)] for i, (row, m) in enumerate(zip(s.ranks, _row_minima(s.ranks)))]
+        mins = _row_minima(r)
+        gaps = [d[i][row.index(m)] for i, (row, m) in enumerate(zip(r, mins))]
     names = s.points + (name,)
     rows = [list(row) + [gaps[i]] for i, row in enumerate(d)]
     rows.append(gaps + [Fraction(0)])
-    extension = FiniteSemimetricSpace(names, tuple([tuple(r) for r in rows]))
+    extension = FiniteSemimetricSpace(names, tuple([tuple(row) for row in rows]))
+    vars(extension)["ranks"] = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
     ext_ultra = is_ultrametric(extension)
     added_center = ext_ultra and name in find_centers(extension)
     success = ext_ultra and added_center

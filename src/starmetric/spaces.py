@@ -190,14 +190,25 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
     return space
 
 
+def _exact_key(v: Fraction) -> tuple[int, Fraction]:
+    """Exact sort key for rationals that mostly compares one int, not two Fractions.
+
+    ``(p << 64) // q``, the floor of the value times 2**64, orders values
+    more than 2**-64 apart; closer values tie on it and fall through to
+    the exact ``Fraction`` comparison, a Python-level call per comparison.
+    """
+    return (v.numerator << 64) // v.denominator, v
+
+
 def _rank_codes(values: list[Fraction], codes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Rank matrix of the cells ``values[c]`` for the codes c in ``codes``.
 
-    Distinct values are sorted once, keyed by (numerator, denominator),
-    which hashes far faster than a Fraction and is unique in lowest terms.
+    Distinct values are sorted once by ``_exact_key``, and looked up by
+    (numerator, denominator), which hashes far faster than a Fraction
+    and is unique in lowest terms.
     """
     distinct = {(v.numerator, v.denominator): v for v in values}
-    rank = {k: r for r, k in enumerate(sorted(distinct, key=distinct.__getitem__))}
+    rank = {(v.numerator, v.denominator): r for r, v in enumerate(sorted(distinct.values(), key=_exact_key))}
     return _pick([rank[v.numerator, v.denominator] for v in values], codes)
 
 
@@ -322,7 +333,7 @@ def is_ultrametric(s: FiniteSemimetricSpace) -> bool:
 
 def distance_spectrum(s: FiniteSemimetricSpace) -> tuple[Fraction, ...]:
     """Sorted deduplicated set of distance values; always starts at 0."""
-    return tuple(sorted(set({id(v): v for row in s.dist for v in row}.values())))
+    return tuple(sorted(set({id(v): v for row in s.dist for v in row}.values()), key=_exact_key))
 
 
 def reorder(s: FiniteSemimetricSpace, order: Iterable[str]) -> FiniteSemimetricSpace:

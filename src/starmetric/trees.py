@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _path_maxima, _pick
+from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _path_maxima, _pick
 
 
 class TreeError(ValueError):
@@ -171,20 +171,35 @@ def is_generating(t: LabeledTree) -> bool:
 
 
 def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
-    """Space on the vertices with d(u,v) = max label along the u-v path."""
+    """Space on the vertices with d(u,v) = max label along the u-v path.
+
+    A generating tree gives an ultrametric, and the path maxima are its
+    rank matrix, so the space starts with ``ranks`` and
+    ``ultrametric_witness`` set.
+    """
     bad = generating_violation(t)
     if bad is not None:
         raise NotGenerating(f"edge {bad[0]} -- {bad[1]} has both endpoint labels zero")
     # path maxima compare label ranks, so equal labels come out as one
     # object; rank 0 is the diagonal, and every edge has a positive rank
     values, rank_of = [ZERO], {}
-    for lab in sorted({id(lab): lab for lab in t.labels}.values()):
+    for lab in sorted({id(lab): lab for lab in t.labels}.values(), key=_exact_key):
         if lab != values[-1]:
             values.append(lab)
         rank_of[id(lab)] = len(values) - 1
     ranks = [rank_of[id(lab)] for lab in t.labels]
     edges = [(max(ranks[u], ranks[v]), u, v) for u, adj in enumerate(t._adj) for v in adj if u < v]
-    return FiniteSemimetricSpace(t.vertices, _pick(values, _path_maxima(len(ranks), edges)))
+    # a path maximum is an edge's rank, so the distances are the edge ranks
+    # plus 0, numbered densely: a label on no edge's larger end (such as a
+    # leaf label below the center label) is no distance
+    used = sorted({e[0] for e in edges})
+    dense = [0] * len(values)
+    for r, k in enumerate(used, 1):
+        dense[k] = r
+    maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
+    space = FiniteSemimetricSpace(t.vertices, _pick([ZERO] + [values[k] for k in used], maxima))
+    vars(space).update(ranks=maxima, ultrametric_witness=None)
+    return space
 
 
 def star_distance(s: LabeledStarGraph, u: str, v: str) -> Fraction:

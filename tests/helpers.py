@@ -11,7 +11,10 @@ their earlier forms, one ``Fraction`` per entry with Fraction
 comparisons, as references for the shared-value paths.  The ranked
 hierarchy's recursive validation and rank walk, and the ray and
 completion truncations with Fraction running maxima or one distance
-call per entry, are kept as references for the chain kernel.
+call per entry, are kept as references for the chain kernel.  Value
+ranking by Fraction comparisons, nearest-neighbor ranks from row slices
+and the four-point statements on 4x4 submatrices are kept as references
+for the exact sort key and the six-rank four-point checks.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ from itertools import combinations, permutations, product
 from random import Random
 
 from starmetric import (
+    CardinalityThree,
     FiniteSemimetricSpace,
     IndexOutOfRange,
     LabeledStarGraph,
     LabeledTree,
     TripleWitness,
+    UsCheckReport,
     distance_spectrum,
     generate_ultrametric,
+    is_ultrametric,
     validate_semimetric,
 )
 from starmetric.harness import LEAF
@@ -553,3 +559,52 @@ def per_entry_truncation_space(model, k: int) -> FiniteSemimetricSpace:
     names = (model.added_point,) + tuple(f"x{i}" for i in range(1, k + 1))
     rows = tuple(tuple(model.distance(i, j) for j in range(k + 1)) for i in range(k + 1))
     return FiniteSemimetricSpace(names, rows)
+
+
+def fraction_rank_codes(values: list[Fraction], codes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The earlier ``spaces._rank_codes``: distinct values sorted by Fraction comparisons."""
+    distinct = {(v.numerator, v.denominator): v for v in values}
+    rank = {k: r for r, k in enumerate(sorted(distinct, key=distinct.__getitem__))}
+    return tuple(tuple(rank[values[c].numerator, values[c].denominator] for c in row) for row in codes)
+
+
+def sliced_row_minima(r: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The earlier ``decision._row_minima``: the minimum of each row with its diagonal entry sliced out."""
+    return [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(r)]
+
+
+def submatrix_center_indices(r: tuple[tuple[int, ...], ...]) -> list[int]:
+    mins = sliced_row_minima(r)
+    return [i for i, row in enumerate(r) if all(a <= m for a, m in zip(row, mins))]
+
+
+def submatrix_has_diameter_point(r: tuple[tuple[int, ...], ...]) -> bool:
+    diam = max(map(max, r))
+    return any(sorted(row)[1] == diam for row in r)
+
+
+def submatrix_semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:
+    """The earlier ``semimetric_us_check``: each 4-subset as a 4x4 rank submatrix.
+
+    Centers and diameter points are found on the submatrix rows, and
+    ``in_us`` on the rows of the whole rank matrix; raises
+    ``CardinalityThree`` for three points, as the library does.
+    """
+    n = len(s.points)
+    ultra = is_ultrametric(s)
+    in_us = ultra and bool(submatrix_center_indices(s.ranks))
+    every4_us = every4_tree = ultra or n < 4
+    if n >= 4 and ultra:
+        r = s.ranks
+        for quad in combinations(range(n), 4):
+            sub = tuple(tuple(r[a][b] for b in quad) for a in quad)
+            if every4_us and not submatrix_center_indices(sub):
+                every4_us = False
+            if every4_tree and not submatrix_has_diameter_point(sub):
+                every4_tree = False
+            if not every4_us and not every4_tree:
+                break
+    report = UsCheckReport(in_us, every4_us, every4_tree, cardinality_ok=(n != 3))
+    if n == 3:
+        raise CardinalityThree(report)
+    return report

@@ -1,12 +1,13 @@
 """CLI verbs end to end: exit codes, JSON determinism, file round trips."""
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 
 import pytest
 
-from starmetric import GeometricTail, HarmonicTail, RaySpec, space_to_json, x4_space
+from starmetric import GeometricTail, HarmonicTail, RaySpec, harness, space_to_json, x4_space
 from starmetric.cli import run
 from starmetric.infinite import MAX_LABEL_DIGITS, MAX_TAIL_INDEX, MAX_TRUNCATION
 
@@ -204,6 +205,21 @@ def test_verify_verbs(capsys):
     assert "five-point witnesses" in capsys.readouterr().out
 
 
+def test_verify_reports_an_invalid_oracle_quadruple(monkeypatch, capsys):
+    scan = harness.exhaustive_quadruple_scan
+
+    def swapped(space):
+        rep = scan(space)
+        return None if rep is None else dataclasses.replace(rep, y=rep.z, z=rep.y)
+
+    monkeypatch.setattr(harness, "exhaustive_quadruple_scan", swapped)
+    assert run(["verify", "--theorem", "4.3", "--n", "5", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert not report["ok"]
+    details = [d["details"] for d in report["discrepancies"]]
+    assert details and all(d.startswith("exhaustive route returned no obstruction") for d in details)
+
+
 def test_verify_requires_n(capsys):
     assert run(["verify", "--theorem", "4.3"]) == 2
 
@@ -392,4 +408,4 @@ def test_presentation_work_is_bounded(tmp_path, monkeypatch, capsys, argv, obj, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ") and str(bound) in captured.err
+    assert captured.err.startswith(f"error: {path}: ") and str(bound) in captured.err

@@ -5,8 +5,9 @@ Usage, from the repository root:
     python3 tools/cli_diff.py OLD_SRC NEW_SRC [--seed 7] [--count 200]
 
 Writes a corpus of space JSON files (the four-point fixtures, the two
-five-point path spaces, and seeded random semimetrics, merge-process
-ultrametrics and star spaces from ``tests/helpers.py``), then runs the
+five-point path spaces, seeded random semimetrics, merge-process
+ultrametrics and star spaces from ``tests/helpers.py``, and one space
+each of one and two points), then runs the
 ``check``, ``us``, ``witness``, ``star``, ``probe`` and ``weaksim`` verbs
 on every file, ``star`` on every star-generated file again with
 ``--dot FILE`` (the DOT file's bytes are compared too), with
@@ -21,7 +22,8 @@ exceptional labels, and one non-compact constant tail), ``complete`` on seeded r
 and finite), ``gen`` on seeded tree texts (random trees of at most 12
 vertices, stars, one tree with a zero-zero edge, random trees of 128 and
 256 vertices and a 300-vertex path, all three with labels tied to a
-pool of six values, and a 256-leaf star), ``check``, ``us``, ``witness``, ``star``
+pool of six values, a 256-leaf star, and stars whose center label
+exceeds some leaf labels), ``check``, ``us``, ``witness``, ``star``
 and ``probe`` on malformed spaces that break each axiom in turn (with
 floats, bools and oversized rationals among the cells, and one pair
 spelled ``"1/2"`` and ``"2/4"``), plus ``enumerate`` at n = 6, 8 and 7
@@ -82,6 +84,7 @@ def _write_corpus(folder: Path, seed: int, count: int) -> tuple[list[str], dict[
         path_tree_x4,
         path_tree_y4,
         space_to_json,
+        validate_semimetric,
         x4_space,
         y4_space,
     )
@@ -95,6 +98,7 @@ def _write_corpus(folder: Path, seed: int, count: int) -> tuple[list[str], dict[
     )
     while len(spaces) < count:
         spaces.append(makers[len(spaces) % 3]())
+    spaces += [validate_semimetric(["a"], [["0"]]), validate_semimetric(["a", "b"], [["0", "3/2"], ["3/2", "0"]])]
     paths, centers = [], {}
     for i, s in enumerate(spaces):
         for tag, space in (("", s), ("p", permuted_copy(rng, s))):
@@ -186,6 +190,10 @@ def _write_trees(folder: Path, seed: int) -> list[str]:
         texts.append(format_tree_text(tree))
     leaves = [(f"u{i + 1}", rng.choice(pool[1:])) for i in range(256)]
     texts.append(format_tree_text(LabeledStarGraph.of("c", 0, leaves)))
+    # leaf labels below the center label are no distance of the space
+    for size in (1, 5, 12, 40):
+        leaves = [(f"u{i + 1}", rng.choice(pool)) for i in range(size)]
+        texts.append(format_tree_text(LabeledStarGraph.of("c", pool[3], leaves)))
     paths = []
     for i, text in enumerate(texts):
         path = folder / f"tree{i:02d}.txt"
