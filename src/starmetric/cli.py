@@ -15,9 +15,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import infinite, spaces, trees
+from . import spaces, trees
 from .decision import (
     NotACenter,
     NotUltrametric,
@@ -34,18 +34,11 @@ from .harness import (
     verify_obstruction_equivalence,
     verify_tree_equivalence,
 )
-from .infinite import (
-    InfiniteModelError,
-    RaySpec,
-    StarSpec,
-    is_compact_star,
-    ray_to_completion,
-    ray_truncation_space,
-    star_to_ray,
-)
-from .similarity import weak_similarity_bijection
 from .spaces import space_from_json, space_to_json, ultrametric_violation
 from .trees import TreeError, generate_ultrametric, parse_tree_text, to_dot
+
+if TYPE_CHECKING:  # the verbs that use them import these, so other verbs never load ``infinite``
+    from .infinite import RaySpec, StarSpec
 
 OK = 0
 FAIL = 1
@@ -85,11 +78,15 @@ def _read_space(path: str) -> spaces.FiniteSemimetricSpace:
 
 
 def _read_star(path: str) -> StarSpec:
+    from .infinite import InfiniteModelError, StarSpec
+
     with _in_file(path, InfiniteModelError, TreeError, ValueError):
         return StarSpec.from_json(_read_json(path))
 
 
 def _read_ray(path: str) -> RaySpec:
+    from .infinite import InfiniteModelError, RaySpec
+
     with _in_file(path, InfiniteModelError, ValueError):
         return RaySpec.from_json(_read_json(path))
 
@@ -198,11 +195,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ray(args) -> int:
+    from .infinite import FiniteSpec, InfiniteModelError, NotCompact, ray_truncation_space, star_to_ray
+
     spec = _read_star(args.star)
     with _in_file(args.star, InfiniteModelError):
         try:
             ray = star_to_ray(spec)
-        except (infinite.NotCompact, infinite.FiniteSpec) as exc:
+        except (NotCompact, FiniteSpec) as exc:
             _emit(args, {"error": str(exc)}, str(exc))
             return FAIL
         if args.truncate:
@@ -220,11 +219,13 @@ def _cmd_ray(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    from .infinite import InfiniteModelError, NotDecreasingToZero, ray_to_completion
+
     ray = _read_ray(args.ray)
     with _in_file(args.ray, InfiniteModelError):
         try:
             model = ray_to_completion(ray)
-        except infinite.NotDecreasingToZero as exc:
+        except NotDecreasingToZero as exc:
             _emit(args, {"error": str(exc)}, str(exc))
             return FAIL
         _emit(
@@ -236,6 +237,8 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_compact(args) -> int:
+    from .infinite import InfiniteModelError, is_compact_star
+
     spec = _read_star(args.star)
     with _in_file(args.star, InfiniteModelError):
         rep = is_compact_star(spec)
@@ -249,6 +252,8 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_weaksim(args) -> int:
+    from .similarity import weak_similarity_bijection
+
     a = _read_space(args.a)
     b = _read_space(args.b)
     phi = weak_similarity_bijection(a, b)
@@ -264,14 +269,14 @@ def _cmd_weaksim(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spaces_list, flags = map_classes(is_us, args.n, args.jobs)
-    total = len(spaces_list)
-    us_count = sum(flags)
-    if args.json:
-        for idx, (space, us) in enumerate(zip(spaces_list, flags), start=1):
+    total = us_count = 0
+    for space, us in map_classes(is_us, args.n, args.jobs):
+        total += 1
+        us_count += us
+        if args.json:
             print(
                 json.dumps(
-                    {"class": idx, "us": us, "space": space_to_json(space)},
+                    {"class": total, "us": us, "space": space_to_json(space)},
                     separators=(",", ":"),
                     sort_keys=True,
                 )
@@ -413,7 +418,7 @@ def run(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (spaces.SpaceError, TreeError, InfiniteModelError, BoundExceeded, NotUltrametric) as exc:
+    except (spaces.SpaceError, TreeError, BoundExceeded, NotUltrametric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:

@@ -64,34 +64,22 @@ class RankedHierarchy:
     A node is either the empty tuple (a leaf) or ``(level, children)``
     with at least two children sorted by encoding; child levels are
     strictly below the parent level and the used levels form 1..k.
-    Read left to right, the leaves form a chain: one explicit-stack pass
-    validates every node in preorder and keeps the level between each
-    pair of adjacent leaves, so the hierarchy may be of any depth.
+    Read left to right, the leaves form a chain, and the hierarchy keeps
+    the level between each pair of adjacent leaves (see ``_leaf_gaps``).
+    Every encoding passed in is checked; the catalogue's own, built
+    canonical, skip the checks (``_trusted``).
     """
 
     root: tuple
 
     def __post_init__(self):
-        gaps: list[int] = []
-        stack: list[tuple] = [(self.root, None, False)]
-        while stack:
-            node, bound, boundary = stack.pop()
-            if boundary:  # a later sibling: the parent's level separates it from the one before
-                gaps.append(bound)
-            if node == LEAF:
-                continue
-            level, children = node
-            if bound is not None and level >= bound:
-                raise ValueError(f"child level {level} not below parent level {bound}")
-            if len(children) < 2:
-                raise ValueError("internal nodes need at least two children")
-            if tuple(sorted(children)) != tuple(children):
-                raise ValueError("children must be sorted (canonical encoding)")
-            stack.extend([(c, level, i > 0) for i, c in reversed(list(enumerate(children)))])
-        levels = set(gaps)  # an internal node has two or more children, so its level is a gap
-        if levels != set(range(1, len(levels) + 1)):
-            raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
-        object.__setattr__(self, "_gaps", tuple(gaps))
+        vars(self)["_gaps"] = _leaf_gaps(self.root, check=True)
+
+    @classmethod
+    def _trusted(cls, root: tuple) -> RankedHierarchy:
+        h = object.__new__(cls)
+        vars(h).update(root=root, _gaps=_leaf_gaps(root, check=False))
+        return h
 
     @property
     def leaf_count(self) -> int:
@@ -113,6 +101,36 @@ class RankedHierarchy:
         space = FiniteSemimetricSpace(names, tuple([tuple([values[v] for v in row]) for row in ranks]))
         vars(space).update(ranks=ranks, ultrametric_witness=None)
         return space
+
+
+def _leaf_gaps(root: tuple, check: bool) -> tuple[int, ...]:
+    """Levels between adjacent leaves, left to right; with ``check``, raise unless ``root`` is canonical.
+
+    One explicit-stack pass visits every node in preorder, so the
+    hierarchy may be of any depth.
+    """
+    gaps: list[int] = []
+    stack: list[tuple] = [(root, None, False)]
+    while stack:
+        node, bound, boundary = stack.pop()
+        if boundary:  # a later sibling: the parent's level separates it from the one before
+            gaps.append(bound)
+        if node == LEAF:
+            continue
+        level, children = node
+        if check:
+            if bound is not None and level >= bound:
+                raise ValueError(f"child level {level} not below parent level {bound}")
+            if len(children) < 2:
+                raise ValueError("internal nodes need at least two children")
+            if tuple(sorted(children)) != tuple(children):
+                raise ValueError("children must be sorted (canonical encoding)")
+        stack.extend([(c, level, i > 0) for i, c in reversed(list(enumerate(children)))])
+    if check:
+        levels = set(gaps)  # an internal node has two or more children, so its level is a gap
+        if levels != set(range(1, len(levels) + 1)):
+            raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
+    return tuple(gaps)
 
 
 def _set_partitions(items: tuple) -> Iterator[list[list]]:
@@ -154,7 +172,7 @@ def enumerate_hierarchies(n: int) -> Iterator[RankedHierarchy]:
     if not 1 <= n <= MAX_POINTS:
         raise BoundExceeded(f"supported point counts are 1..{MAX_POINTS}, got {n}")
     for enc in _merge_levels(n):
-        yield RankedHierarchy(enc)
+        yield RankedHierarchy._trusted(enc)
 
 
 def enumerate_classes(n: int) -> Iterator[FiniteSemimetricSpace]:
@@ -163,19 +181,24 @@ def enumerate_classes(n: int) -> Iterator[FiniteSemimetricSpace]:
         yield h.to_space()
 
 
-def map_classes(fn: Callable, n: int, jobs: int = 1) -> tuple[list[FiniteSemimetricSpace], list]:
-    """The class spaces of size n and ``fn`` of each, in catalogue order.
+def map_classes(fn: Callable, n: int, jobs: int = 1) -> Iterator[tuple[FiniteSemimetricSpace, object]]:
+    """Each class space of size n with ``fn`` of it, in catalogue order.
 
-    With ``jobs > 1`` the calls run in that many worker processes, so ``fn``
-    must be a module-level function; results come back in input order.
+    With ``jobs <= 1`` one class at a time is built, decided and handed on,
+    so no list of classes is kept.  With ``jobs > 1`` the calls run in that
+    many worker processes, so ``fn`` must be a module-level function;
+    results come back in input order.
     """
-    spaces = list(enumerate_classes(n))
     if jobs <= 1:
-        return spaces, [fn(space) for space in spaces]
+        for space in enumerate_classes(n):
+            yield space, fn(space)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
+    spaces = list(enumerate_classes(n))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return spaces, list(pool.map(fn, spaces, chunksize=16))
+        results = list(pool.map(fn, spaces, chunksize=16))
+    yield from zip(spaces, results)
 
 
 @dataclass(frozen=True)
@@ -250,12 +273,11 @@ def verify_obstruction_equivalence(n: int, jobs: int = 1) -> ObstructionSweepRep
     matrix; any disagreement or invalid witness lands in the discrepancy
     list.
     """
-    spaces, rows = map_classes(_obstruction_row, n, jobs)
-    us_classes = 0
-    obstructed = 0
+    classes = us_classes = obstructed = 0
     kinds: dict[str, int] = {KIND_X4: 0, KIND_Y4: 0}
     discrepancies: list[ClassDiscrepancy] = []
-    for space, (us, kind, faults) in zip(spaces, rows):
+    for space, (us, kind, faults) in map_classes(_obstruction_row, n, jobs):
+        classes += 1
         if us:
             us_classes += 1
         if kind is not None:
@@ -268,7 +290,7 @@ def verify_obstruction_equivalence(n: int, jobs: int = 1) -> ObstructionSweepRep
         discrepancies += [ClassDiscrepancy(space, fault) for fault in faults]
     return ObstructionSweepReport(
         n=n,
-        classes=len(spaces),
+        classes=classes,
         us_classes=us_classes,
         obstructed_classes=obstructed,
         kind_counts=tuple(sorted(kinds.items())),

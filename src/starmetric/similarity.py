@@ -8,7 +8,6 @@ matrices up to point relabeling.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -170,5 +169,7 @@ def canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
 
 
 def _form(ranks: tuple[tuple[int, ...], ...]) -> CanonicalForm:
+    import hashlib  # loads OpenSSL: only the verbs that take a digest pay for it
+
     payload = json.dumps([list(r) for r in ranks], separators=(",", ":"))
     return CanonicalForm(ranks=ranks, digest=hashlib.sha256(payload.encode()).hexdigest())

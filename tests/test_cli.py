@@ -270,12 +270,12 @@ def test_oversized_rational_is_an_input_error(tmp_path, capsys, value):
 
 
 def test_unexpected_exception_exits_3(x4_file, monkeypatch, capsys):
-    import starmetric.cli as cli
+    import starmetric.similarity as similarity  # weaksim imports the name from here when it runs
 
     def deep(a, b):
         raise RecursionError("maximum recursion depth exceeded\nwhile matching")
 
-    monkeypatch.setattr(cli, "weak_similarity_bijection", deep)
+    monkeypatch.setattr(similarity, "weak_similarity_bijection", deep)
     assert run(["weaksim", x4_file, x4_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
