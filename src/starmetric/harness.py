@@ -64,22 +64,34 @@ class RankedHierarchy:
     A node is either the empty tuple (a leaf) or ``(level, children)``
     with at least two children sorted by encoding; child levels are
     strictly below the parent level and the used levels form 1..k.
-    Read left to right, the leaves form a chain, and the hierarchy keeps
-    the level between each pair of adjacent leaves (see ``_leaf_gaps``).
-    Every encoding passed in is checked; the catalogue's own, built
-    canonical, skip the checks (``_trusted``).
+    Read left to right, the leaves form a chain: one explicit-stack pass
+    validates every node in preorder and keeps the level between each
+    pair of adjacent leaves, so the hierarchy may be of any depth.
     """
 
     root: tuple
 
     def __post_init__(self):
-        vars(self)["_gaps"] = _leaf_gaps(self.root, check=True)
-
-    @classmethod
-    def _trusted(cls, root: tuple) -> RankedHierarchy:
-        h = object.__new__(cls)
-        vars(h).update(root=root, _gaps=_leaf_gaps(root, check=False))
-        return h
+        gaps: list[int] = []
+        stack: list[tuple] = [(self.root, None, False)]
+        while stack:
+            node, bound, boundary = stack.pop()
+            if boundary:  # a later sibling: the parent's level separates it from the one before
+                gaps.append(bound)
+            if node == LEAF:
+                continue
+            level, children = node
+            if bound is not None and level >= bound:
+                raise ValueError(f"child level {level} not below parent level {bound}")
+            if len(children) < 2:
+                raise ValueError("internal nodes need at least two children")
+            if tuple(sorted(children)) != tuple(children):
+                raise ValueError("children must be sorted (canonical encoding)")
+            stack.extend([(c, level, i > 0) for i, c in reversed(list(enumerate(children)))])
+        levels = set(gaps)  # an internal node has two or more children, so its level is a gap
+        if levels != set(range(1, len(levels) + 1)):
+            raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
+        object.__setattr__(self, "_gaps", tuple(gaps))
 
     @property
     def leaf_count(self) -> int:
@@ -101,36 +113,6 @@ class RankedHierarchy:
         space = FiniteSemimetricSpace(names, tuple([tuple([values[v] for v in row]) for row in ranks]))
         vars(space).update(ranks=ranks, ultrametric_witness=None)
         return space
-
-
-def _leaf_gaps(root: tuple, check: bool) -> tuple[int, ...]:
-    """Levels between adjacent leaves, left to right; with ``check``, raise unless ``root`` is canonical.
-
-    One explicit-stack pass visits every node in preorder, so the
-    hierarchy may be of any depth.
-    """
-    gaps: list[int] = []
-    stack: list[tuple] = [(root, None, False)]
-    while stack:
-        node, bound, boundary = stack.pop()
-        if boundary:  # a later sibling: the parent's level separates it from the one before
-            gaps.append(bound)
-        if node == LEAF:
-            continue
-        level, children = node
-        if check:
-            if bound is not None and level >= bound:
-                raise ValueError(f"child level {level} not below parent level {bound}")
-            if len(children) < 2:
-                raise ValueError("internal nodes need at least two children")
-            if tuple(sorted(children)) != tuple(children):
-                raise ValueError("children must be sorted (canonical encoding)")
-        stack.extend([(c, level, i > 0) for i, c in reversed(list(enumerate(children)))])
-    if check:
-        levels = set(gaps)  # an internal node has two or more children, so its level is a gap
-        if levels != set(range(1, len(levels) + 1)):
-            raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
-    return tuple(gaps)
 
 
 def _set_partitions(items: tuple) -> Iterator[list[list]]:
@@ -172,7 +154,7 @@ def enumerate_hierarchies(n: int) -> Iterator[RankedHierarchy]:
     if not 1 <= n <= MAX_POINTS:
         raise BoundExceeded(f"supported point counts are 1..{MAX_POINTS}, got {n}")
     for enc in _merge_levels(n):
-        yield RankedHierarchy._trusted(enc)
+        yield RankedHierarchy(enc)
 
 
 def enumerate_classes(n: int) -> Iterator[FiniteSemimetricSpace]:

@@ -360,15 +360,10 @@ def restrict(s: FiniteSemimetricSpace, subset: Iterable[str]) -> FiniteSemimetri
 
 
 def space_to_json(s: FiniteSemimetricSpace) -> dict:
-    """JSON form with distances as exact rational strings.
-
-    Spaces hold one ``Fraction`` per distinct value, so each object is
-    formatted once and its string looked up by identity.
-    """
-    text = {id(v): str(v) for v in {id(v): v for row in s.dist for v in row}.values()}
+    """JSON form with distances as exact rational strings."""
     return {
         "points": list(s.points),
-        "dist": [list(map(text.__getitem__, map(id, row))) for row in s.dist],
+        "dist": [[str(v) for v in row] for row in s.dist],
     }
 
 

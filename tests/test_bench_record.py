@@ -31,7 +31,7 @@ def test_lean_cli_record_holds_parent_and_change_rows():
     record = json.loads((ROOT / "BENCH_lean_cli.json").read_text())
     rows = {(row["layer"], row["case"], row["n"]) for row in record["rows"]}
     for tree in ("parent", "change"):
-        assert ("perfbench", f"{tree}: sweep seed 1", 7) in rows
+        assert ("perfbench", f"{tree}: sweep seed 1", bench_record.sweep_n()) in rows
         assert ("cli", f"{tree}: verify --theorem 4.3", 7) in rows
         assert ("cli", f"{tree}: verify --theorem 4.3", 8) in rows
         assert ("cli", f"{tree}: enumerate", 8) in rows

@@ -9,7 +9,6 @@ from starmetric import (
     AsymmetricMatrix,
     DuplicateName,
     EmptySubset,
-    FiniteSemimetricSpace,
     MalformedMatrix,
     NegativeDistance,
     NonzeroDiagonal,
@@ -149,18 +148,6 @@ def test_json_round_trip_exact():
     obj = space_to_json(s)
     assert obj["dist"][0][1] == "1/3"
     assert space_from_json(obj) == s
-
-
-def test_json_formats_each_value_object_once(monkeypatch):
-    s = y4_space()
-    calls = []
-    fmt = Fraction.__str__
-    monkeypatch.setattr(Fraction, "__str__", lambda v: calls.append(v) or fmt(v))
-    obj = space_to_json(s)
-    assert sorted(calls) == list(distance_spectrum(s))
-    # equal values held as separate objects are each formatted, and agree
-    twin = FiniteSemimetricSpace(s.points, tuple(tuple(Fraction(v) for v in row) for row in s.dist))
-    assert space_to_json(twin) == obj
 
 
 def test_json_requires_keys():

@@ -1,10 +1,7 @@
-"""The catalogue streamed one class at a time, and its trusted hierarchies.
+"""The catalogue streamed one class at a time.
 
-``enumerate_hierarchies`` builds each hierarchy from ``_merge_levels``
-without the canonical-encoding checks; ``RankedHierarchy(root)`` keeps
-them for encodings from outside.  ``map_classes`` hands on one class at a
-time, and ``verify_obstruction_equivalence`` keeps only its
-discrepancies.
+``map_classes`` hands on one class at a time, and
+``verify_obstruction_equivalence`` keeps only its discrepancies.
 """
 
 import dataclasses
@@ -14,7 +11,7 @@ import weakref
 
 import pytest
 
-from starmetric import RankedHierarchy, enumerate_hierarchies, harness, verify_obstruction_equivalence
+from starmetric import harness, verify_obstruction_equivalence
 from starmetric.cli import run
 
 # (classes, us_classes, X4, Y4) per n
@@ -28,30 +25,6 @@ SWEEP_COUNTS = {
     7: (468, 32, 338, 98),
     8: (2910, 64, 2309, 537),
 }
-
-
-@pytest.mark.parametrize("n", sorted(SWEEP_COUNTS))
-def test_trusted_hierarchies_equal_checked_ones(n):
-    count = 0
-    for h in enumerate_hierarchies(n):
-        checked = RankedHierarchy(h.root)
-        assert h == checked
-        assert h._gaps == checked._gaps
-        assert h.leaf_count == n
-        count += 1
-    assert count == SWEEP_COUNTS[n][0]
-
-
-def test_outside_encodings_keep_every_check():
-    cases = {
-        (1, ((),)): "internal nodes need at least two children",
-        (2, ((), ())): r"levels must be exactly 1..k, got \[2\]",
-        (1, ((), (1, ((), ())))): "child level 1 not below parent level 1",
-        (2, ((1, ((), ())), ())): r"children must be sorted \(canonical encoding\)",
-    }
-    for root, message in cases.items():
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            RankedHierarchy(root)
 
 
 @pytest.mark.parametrize("n", sorted(SWEEP_COUNTS))

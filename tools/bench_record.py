@@ -3,19 +3,18 @@
 Usage, from the repository root:
 
     python3 tools/bench_record.py LABEL NAME=ROOT [NAME=ROOT ...]
-        [--reps 10] [--runs 3] [--seconds 15] [--seed 1] [--workload sweep ...]
 
 Each ROOT is a checkout with ``src/`` and ``perfbench/``; NAME labels its
 rows, as in ``parent=/tmp/parent change=.``.  The trees take turns within
 every repetition, so a slow phase of a shared host falls on all of them:
 
-* every CLI case runs ``--reps`` times in a fresh ``python -m starmetric``
+* every CLI case runs ``REPS`` times in a fresh ``python -m starmetric``
   on that tree's ``src/``; exit code and stdout must be the same on every
   tree and every repetition;
-* every ``--workload`` runs ``--runs`` times as ``perfbench/run.py
-  --seconds S --seed N --trace 0`` in that tree, and must report
-  ``correct``; its row holds the raw per-op seconds from the run's record
-  (an op of ``sweep`` is one ``verify`` plus one ``enumerate``).
+* the ``sweep`` workload runs ``RUNS`` times as ``perfbench/run.py
+  --workload sweep --seconds SECONDS --seed SEED --trace 0`` in that tree,
+  and must report ``correct``; its row holds the raw per-op seconds from
+  the run's record (an op is one ``verify`` plus one ``enumerate``).
 
 Writes ``BENCH_<label>.json`` in the repository root:
 
@@ -23,7 +22,7 @@ Writes ``BENCH_<label>.json`` in the repository root:
      rows: [{layer, case, n, reps, min_s, median_s}]}
 
 ``layer`` is ``cli`` or ``perfbench``; ``case`` is ``NAME: command``;
-``n`` is the point count of a sweep (null for the in-process workloads);
+``n`` is the point count of a sweep (null for an in-process workload);
 ``src_lines`` counts the non-blank lines of this checkout's
 ``src/starmetric``.  No timing gate is applied anywhere.
 """
@@ -31,6 +30,7 @@ Writes ``BENCH_<label>.json`` in the repository root:
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -48,7 +48,10 @@ CLI_CASES = (
     ("enumerate", 8, ()),
     ("enumerate", 8, ("--json",)),
 )
-SWEEP_N = 7  # perfbench's sweep runs its verbs at this n
+REPS = 10  # fresh-interpreter runs per CLI case and tree
+RUNS = 3  # perfbench sweep runs per tree
+SECONDS = 15  # length of each perfbench run
+SEED = 1
 RECORD_KEYS = {"python", "cpu_count", "src_lines", "rows"}
 ROW_KEYS = {"layer", "case", "n", "reps", "min_s", "median_s"}
 
@@ -62,6 +65,16 @@ def src_lines(root: Path = ROOT) -> int:
     )
 
 
+def sweep_n(root: Path = ROOT) -> int:
+    """The point count perfbench's sweep runs its verbs at: ``SWEEP_N`` in ``perfbench/ops.py``."""
+    module = ast.parse((root / "perfbench" / "ops.py").read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value)
+        for node in module.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SWEEP_N"]
+    )
+
+
 def _row(layer: str, case: str, n, times: list[float]) -> dict:
     return {"layer": layer, "case": case, "n": n, "reps": len(times), "min_s": min(times),
             "median_s": statistics.median(times)}
@@ -71,7 +84,7 @@ def _cli_argv(verb: str, n: int, extra: tuple) -> list[str]:
     return [*verb.split(), "--n", str(n), *extra]
 
 
-def cli_rows(trees: dict[str, Path], reps: int, cases=CLI_CASES) -> list[dict]:
+def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES) -> list[dict]:
     """One row per tree and CLI case: wall seconds of a fresh interpreter, best and median of ``reps``."""
     times = {(name, i): [] for name in trees for i in range(len(cases))}
     outputs: dict[int, tuple] = {}
@@ -93,26 +106,22 @@ def cli_rows(trees: dict[str, Path], reps: int, cases=CLI_CASES) -> list[dict]:
     ]
 
 
-def perfbench_rows(trees: dict[str, Path], workloads: list[str], runs: int, seconds: int, seed: int) -> list[dict]:
-    """One row per tree and workload: raw per-op seconds over ``runs`` runs of ``perfbench/run.py``."""
-    times = {(name, w): [] for name in trees for w in workloads}
-    for _ in range(runs):
-        for w in workloads:
-            for name, root in trees.items():
-                proc = subprocess.run(
-                    [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(seed),
-                     "--seconds", str(seconds), "--trace", "0"],
-                    capture_output=True, text=True, cwd=root, timeout=600, check=True,
-                )
-                if not json.loads(proc.stdout.splitlines()[-1])["correct"]:
-                    raise SystemExit(f"{name}: perfbench {w} reported wrong answers")
-                record = json.loads((root / ".perfbench" / f"{w}-{seed}-trace0.json").read_text())
-                times[name, w] += [dt for _, dt, _ in record["latencies_s"]]
-    return [
-        _row("perfbench", f"{name}: {w} seed {seed}", SWEEP_N if w == "sweep" else None, times[name, w])
-        for w in workloads
-        for name in trees
-    ]
+def sweep_rows(trees: dict[str, Path]) -> list[dict]:
+    """One row per tree: raw per-op seconds over ``RUNS`` runs of ``perfbench/run.py --workload sweep``."""
+    times = {name: [] for name in trees}
+    for _ in range(RUNS):
+        for name, root in trees.items():
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", "sweep", "--seed", str(SEED),
+                 "--seconds", str(SECONDS), "--trace", "0"],
+                capture_output=True, text=True, cwd=root, timeout=600, check=True,
+            )
+            if not json.loads(proc.stdout.splitlines()[-1])["correct"]:
+                raise SystemExit(f"{name}: perfbench sweep reported wrong answers")
+            record = json.loads((root / ".perfbench" / f"sweep-{SEED}-trace0.json").read_text())
+            times[name] += [dt for _, dt, _ in record["latencies_s"]]
+    return [_row("perfbench", f"{name}: sweep seed {SEED}", sweep_n(root), times[name])
+            for name, root in trees.items()]
 
 
 def check_record(record: dict) -> None:
@@ -144,12 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label")
     parser.add_argument("trees", nargs="+", metavar="NAME=ROOT")
-    parser.add_argument("--reps", type=int, default=10, help="fresh-interpreter runs per CLI case and tree")
-    parser.add_argument("--runs", type=int, default=3, help="perfbench runs per workload and tree")
-    parser.add_argument("--seconds", type=int, default=15, help="length of each perfbench run")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=["decide", "similar", "sweep"],
-                        help="perfbench workload to run (repeatable; default sweep)")
     args = parser.parse_args(argv)
     trees = {}
     for item in args.trees:
@@ -157,8 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not (Path(root) / "src" / "starmetric").is_dir():
             parser.error(f"{item!r} is not NAME=ROOT with a ROOT/src/starmetric")
         trees[name] = Path(root).resolve()
-    rows = cli_rows(trees, args.reps)
-    rows += perfbench_rows(trees, args.workload or ["sweep"], args.runs, args.seconds, args.seed)
+    rows = cli_rows(trees) + sweep_rows(trees)
     record = {"python": platform.python_version(), "cpu_count": os.cpu_count(), "src_lines": src_lines(),
               "rows": rows}
     check_record(record)
