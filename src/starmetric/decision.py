@@ -179,10 +179,11 @@ def build_star(s: FiniteSemimetricSpace, x0: str) -> LabeledStarGraph:
     if x0 not in s.points or not _is_center(s.ranks[s.index(x0)], _row_minima(s.ranks)):
         raise NotACenter(f"{x0!r} does not satisfy the center criterion (centers: {list(find_centers(s))})")
     i0 = s.index(x0)
+    row, values = s.ranks[i0], s.spectrum
     return LabeledStarGraph.of(
         x0,
         ZERO,
-        [(p, s.dist[i0][j]) for j, p in enumerate(s.points) if j != i0],
+        [(p, values[row[j]]) for j, p in enumerate(s.points) if j != i0],
     )
 
 
@@ -194,15 +195,15 @@ def _normalized_report(s: FiniteSemimetricSpace, xi: int, yi: int, zi: int, wi: 
     yi, wi = (yi, wi) if yi < wi else (wi, yi)
     if (r[xi][zi], xi, zi) > (r[yi][wi], yi, wi):
         xi, zi, yi, wi = yi, wi, xi, zi
-    d = s.dist
+    v = s.spectrum
     return QuadrupleReport(
         x=s.points[xi],
         y=s.points[yi],
         z=s.points[zi],
         w=s.points[wi],
-        big=d[xi][yi],
-        small1=d[xi][zi],
-        small2=d[yi][wi],
+        big=v[r[xi][yi]],
+        small1=v[r[xi][zi]],
+        small2=v[r[yi][wi]],
         kind=KIND_Y4 if r[xi][zi] == r[yi][wi] else KIND_X4,
     )
 

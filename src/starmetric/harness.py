@@ -109,10 +109,8 @@ class RankedHierarchy:
         """
         ranks = self.rank_matrix()
         names = tuple([f"p{i + 1}" for i in range(len(ranks))])
-        values = [Fraction(k) for k in range(max(self._gaps, default=0) + 1)]
-        space = FiniteSemimetricSpace(names, tuple([tuple([values[v] for v in row]) for row in ranks]))
-        vars(space).update(ranks=ranks, ultrametric_witness=None)
-        return space
+        values = tuple([Fraction(k) for k in range(max(self._gaps, default=0) + 1)])
+        return FiniteSemimetricSpace._ranked(names, values, ranks, ultrametric=True)
 
 
 def _set_partitions(items: tuple) -> Iterator[list[list]]:
@@ -225,12 +223,12 @@ def _is_obstruction(s: FiniteSemimetricSpace, rep: QuadrupleReport) -> bool:
     if None in at or len(set(at)) != 4:
         return False
     x, y, z, w = at
-    r, d = s.ranks, s.dist
+    r, v = s.ranks, s.spectrum
     rx, rz = r[x], r[z]
     big = rx[y]
     return (
         rx[w] == rz[y] == rz[w] == big > max(rx[z], r[y][w])
-        and (d[x][y], d[x][z], d[y][w]) == (rep.big, rep.small1, rep.small2)
+        and (v[big], v[rx[z]], v[r[y][w]]) == (rep.big, rep.small1, rep.small2)
         and rep.kind == (KIND_Y4 if rx[z] == r[y][w] else KIND_X4)
     )
 
@@ -440,20 +438,15 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     while name in s.points:
         serial += 1
         name = f"c{serial}"
-    # the added point sits at each point's nearest-neighbor rank, whose
-    # value the first entry of the row at that rank gives; one point gets
-    # the new value 1 at rank 1
-    d, r = s.dist, s.ranks
-    if len(d) == 1:
-        gaps, mins = [Fraction(1)], [1]
+    # the added point sits at each point's nearest-neighbor rank, so the
+    # spectrum stays; one point gets the new value 1 at rank 1
+    r, spectrum = s.ranks, s.spectrum
+    if len(r) == 1:
+        spectrum, mins = (*spectrum, Fraction(1)), [1]
     else:
         mins = _row_minima(r)
-        gaps = [d[i][row.index(m)] for i, (row, m) in enumerate(zip(r, mins))]
-    names = s.points + (name,)
-    rows = [list(row) + [gaps[i]] for i, row in enumerate(d)]
-    rows.append(gaps + [Fraction(0)])
-    extension = FiniteSemimetricSpace(names, tuple([tuple(row) for row in rows]))
-    vars(extension)["ranks"] = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
+    ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
+    extension = FiniteSemimetricSpace._ranked(s.points + (name,), spectrum, ranks)
     ext_ultra = is_ultrametric(extension)
     added_center = ext_ultra and name in find_centers(extension)
     success = ext_ultra and added_center

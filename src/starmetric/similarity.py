@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Iterator, Optional, Sequence
 
-from .spaces import FiniteSemimetricSpace, distance_spectrum
+from .spaces import FiniteSemimetricSpace
 
 
 def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
@@ -43,7 +43,10 @@ def _matrix_bijection(ma: Sequence[Sequence[int]], mb: Sequence[Sequence[int]]) 
     prof_b = [tuple(sorted(row)) for row in mb]
     if sorted(prof_a) != sorted(prof_b):
         return None
-    candidates = [[j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)]
+    rows_of: dict[tuple[int, ...], list[int]] = {}
+    for j, prof in enumerate(prof_b):
+        rows_of.setdefault(prof, []).append(j)
+    candidates = [rows_of[prof] for prof in prof_a]
     assigned: list[int] = []
     used = [False] * n
     tried = [0] * n
@@ -70,7 +73,7 @@ def weak_similarity_bijection(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace
     """Point bijection realizing a weak similarity from ``a`` to ``b``, or None."""
     if len(a.points) != len(b.points):
         return None
-    if max(map(max, a.ranks)) != max(map(max, b.ranks)):
+    if len(a.spectrum) != len(b.spectrum):
         return None
     mapping = _matrix_bijection(a.ranks, b.ranks)
     if mapping is None:
@@ -88,7 +91,7 @@ def isometry_bijection(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> Op
     With equal distance spectra, equal ranks mean equal distances, so an
     isometry is exactly a weak similarity between the rank matrices.
     """
-    if distance_spectrum(a) != distance_spectrum(b):
+    if a.spectrum != b.spectrum:
         return None
     return weak_similarity_bijection(a, b)
 

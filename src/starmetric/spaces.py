@@ -7,7 +7,7 @@ return witnesses instead of mutating state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -77,12 +77,84 @@ class TripleWitness:
         }
 
 
-@dataclass(frozen=True)
 class FiniteSemimetricSpace:
-    """Named points plus an exact, symmetric, positive off-diagonal matrix."""
+    """Named points over an exact, symmetric, positive off-diagonal distance matrix.
 
-    points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    A space stores ``points``, its ``spectrum`` (the sorted distinct
+    distance values, starting at 0) and ``ranks`` (each entry's index in
+    the spectrum); ``dist``, the matrix of ``Fraction`` values, is built
+    from them the first time a caller reads it.  Parsing, generation,
+    ``reorder`` and the probe extension hand over all three through
+    ``_ranked``.  The
+    public ``FiniteSemimetricSpace(points, dist)`` stores ``dist`` instead
+    and derives the other two on first use.  Spaces are equal, and hash
+    equal, when their points and distances are; two spaces that both hold
+    ranks compare them without building ``dist``.  Attributes cannot be
+    assigned.
+    """
+
+    def __init__(self, points: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> None:
+        vars(self).update(points=points, dist=dist)
+
+    @classmethod
+    def _ranked(
+        cls, points: tuple[str, ...], spectrum: tuple[Fraction, ...], ranks: tuple[tuple[int, ...], ...],
+        *, ultrametric: bool = False,
+    ) -> FiniteSemimetricSpace:
+        """Space from its points, sorted distinct values and rank matrix; ``ultrametric`` hands over the verdict."""
+        space = cls.__new__(cls)
+        vars(space).update(points=points, spectrum=spectrum, ranks=ranks)
+        if ultrametric:
+            vars(space)["ultrametric_witness"] = None
+        return space
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.points != other.points:
+            return False
+        if "ranks" in vars(self) and "ranks" in vars(other):
+            return self.spectrum == other.spectrum and self.ranks == other.ranks
+        return self.dist == other.dist
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.dist))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(points={self.points!r}, dist={self.dist!r})"
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _pick(self.spectrum, self.ranks)
+
+    @cached_property
+    def spectrum(self) -> tuple[Fraction, ...]:
+        """Sorted distinct distance values; ``spectrum[0]`` is 0."""
+        return self._rank_core[0]
+
+    @cached_property
+    def ranks(self) -> tuple[tuple[int, ...], ...]:
+        """Distance matrix with each value replaced by its index in ``spectrum``.
+
+        The diagonal maps to rank 0; off-diagonal ranks cover 1..k with no
+        gaps because every spectrum value occurs in the matrix.  Parsed and
+        generated spaces store it; a space built from ``dist`` derives it
+        once, with its spectrum.
+        """
+        return self._rank_core[1]
+
+    @cached_property
+    def _rank_core(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+        # spaces hold one object per distinct value, so entries are
+        # grouped by identity and each object is ranked once
+        objects = {id(v): v for row in self.dist for v in row}
+        return _rank_cells(objects, [list(map(id, row)) for row in self.dist])
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -98,22 +170,7 @@ class FiniteSemimetricSpace:
             raise UnknownPoint(f"unknown point {point!r}") from None
 
     def d(self, u: str, v: str) -> Fraction:
-        return self.dist[self.index(u)][self.index(v)]
-
-    @cached_property
-    def ranks(self) -> tuple[tuple[int, ...], ...]:
-        """Distance matrix with each value replaced by its spectrum rank.
-
-        The diagonal maps to rank 0; off-diagonal ranks cover 1..k with no
-        gaps because every spectrum value occurs in the matrix.  Spaces hold
-        one ``Fraction`` per distinct value, so entries are grouped by object
-        identity into codes, and ``_rank_codes`` ranks the distinct objects.
-        Spaces read by ``validate_semimetric`` arrive with this already set.
-        """
-        objects = {id(v): v for row in self.dist for v in row}
-        code_of = {i: c for c, i in enumerate(objects)}
-        codes = [list(map(code_of.__getitem__, map(id, row))) for row in self.dist]
-        return _rank_codes(list(objects.values()), codes)
+        return self.spectrum[self.ranks[self.index(u)][self.index(v)]]
 
     @cached_property
     def ultrametric_witness(self) -> TripleWitness | None:
@@ -133,16 +190,16 @@ class FiniteSemimetricSpace:
 def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> FiniteSemimetricSpace:
     """Check the semimetric axioms and return the validated space.
 
-    Point names are checked first, then the rows are parsed in order, each
-    after its length check, and then the axioms; the first violation is
-    raised, which keeps error output deterministic for golden tests.
-    Cells become codes into a list of values: a row of already seen strings
-    is mapped in one C-level pass, and any other row goes cell by cell,
-    where an unseen string is parsed once and every other cell goes through
-    ``rat``.  The rank matrix is built from the codes in the same pass and
-    set on the returned space.  The axioms are checked on it; only when
-    that check fails does the row-major scan run to find the first
-    violation.
+    Point names are checked first, then the rows in order, each for its
+    length and then cell by cell, and then the axioms; the first violation
+    is raised, which keeps error output deterministic for golden tests.
+    A matrix of strings is parsed without that ordered scan: its distinct
+    cells are coerced once each through ``rat``, sorted, and every row is
+    mapped from cell to rank in one C-level pass.  Any other input, valid
+    or not, goes through the ordered scan, which raises the first bad row
+    or cell, or turns the cells into codes into their values.  The axioms
+    are checked on the ranks; only when that check fails is the row-major
+    scan run to find the first violation.
     """
     names = tuple(points)
     if not names:
@@ -157,17 +214,31 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
     n = len(names)
     if len(rows) != n:
         raise MalformedMatrix(f"matrix has {len(rows)} rows for {n} points")
-    code_of: dict[str, int] = {}  # exact str cells only
+    try:
+        if set(map(len, rows)) != {n}:
+            raise ValueError
+        cells = set().union(*rows)  # TypeError on an unhashable cell
+        if set(map(type, cells)) != {str}:
+            raise TypeError
+        value_of = dict(zip(cells, map(rat, cells)))
+    except (ValueError, TypeError):
+        value_of, rows = _codes_in_order(rows, n)
+    spectrum, ranks = _rank_cells(value_of, rows)
+    if not _is_semimetric(spectrum, ranks):
+        _raise_first_axiom_violation(names, _pick(spectrum, ranks))
+    return FiniteSemimetricSpace._ranked(names, spectrum, ranks)
+
+
+def _codes_in_order(rows: Sequence[Sequence], n: int) -> tuple[dict[int, Fraction], list[list[int]]]:
+    # row by row, each length before its cells, so the first bad one
+    # raises; cells become codes into the values, parsing each distinct
+    # string once and every other cell through rat
+    code_of: dict[str, int] = {}
     values: list[Fraction] = []
     codes: list[list[int]] = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise MalformedMatrix(f"row {i} has {len(row)} entries for {n} points")
-        try:
-            codes.append(list(map(code_of.__getitem__, row)))
-            continue
-        except (KeyError, TypeError):  # an unseen or unhashable cell
-            pass
         cells = []
         try:
             for x in row:
@@ -181,13 +252,7 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
         except (ValueError, TypeError) as exc:
             raise MalformedMatrix(f"row {i}: {exc}") from exc
         codes.append(cells)
-    dist = _pick(values, codes)
-    ranks = _rank_codes(values, codes)
-    if not _is_semimetric(dist, ranks):
-        _raise_first_axiom_violation(names, dist)
-    space = FiniteSemimetricSpace(names, dist)
-    vars(space)["ranks"] = ranks
-    return space
+    return dict(enumerate(values)), codes
 
 
 def _exact_key(v: Fraction) -> tuple[int, Fraction]:
@@ -200,19 +265,20 @@ def _exact_key(v: Fraction) -> tuple[int, Fraction]:
     return (v.numerator << 64) // v.denominator, v
 
 
-def _rank_codes(values: list[Fraction], codes: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Rank matrix of the cells ``values[c]`` for the codes c in ``codes``.
+def _rank_cells(value_of: dict, rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+    """Spectrum and rank matrix of a matrix of cells, given each distinct cell's value.
 
     Distinct values are sorted once by ``_exact_key``, and looked up by
     (numerator, denominator), which hashes far faster than a Fraction
     and is unique in lowest terms.
     """
-    distinct = {(v.numerator, v.denominator): v for v in values}
-    rank = {(v.numerator, v.denominator): r for r, v in enumerate(sorted(distinct.values(), key=_exact_key))}
-    return _pick([rank[v.numerator, v.denominator] for v in values], codes)
+    distinct = {(v.numerator, v.denominator): v for v in value_of.values()}
+    spectrum = tuple(sorted(distinct.values(), key=_exact_key))
+    rank = {(v.numerator, v.denominator): r for r, v in enumerate(spectrum)}
+    return spectrum, _pick({c: rank[v.numerator, v.denominator] for c, v in value_of.items()}, rows)
 
 
-def _pick(items: list, codes: list[list[int]]) -> tuple[tuple, ...]:
+def _pick(items: Sequence | dict, codes: Sequence[Sequence]) -> tuple[tuple, ...]:
     """Rows of ``items[c]`` for the codes c in each row of a square matrix.
 
     ``itemgetter`` builds each row at its exact size.  ``tuple(map(...))``
@@ -225,11 +291,11 @@ def _pick(items: list, codes: list[list[int]]) -> tuple[tuple, ...]:
     return tuple([itemgetter(*row)(items) for row in codes])
 
 
-def _is_semimetric(dist: tuple[tuple[Fraction, ...], ...], r: tuple[tuple[int, ...], ...]) -> bool:
-    # rank 0 is the smallest value; when d(x0, x0) = 0 has it, the axioms
-    # say rank 0 sits exactly on the diagonal and the ranks are symmetric
+def _is_semimetric(spectrum: tuple[Fraction, ...], r: tuple[tuple[int, ...], ...]) -> bool:
+    # rank 0 is the smallest value; when that value is 0, the axioms say
+    # rank 0 sits exactly on the diagonal and the ranks are symmetric
     return (
-        dist[0][0] == 0
+        spectrum[0] == 0
         and all(row[i] == 0 and row.count(0) == 1 for i, row in enumerate(r))
         and tuple(zip(*r)) == r
     )
@@ -311,8 +377,8 @@ def _first_violation(s: FiniteSemimetricSpace) -> TripleWitness | None:
             rj = r[j]
             for k in range(n):
                 if rij > ri[k] and rij > rj[k]:
-                    rhs = s.dist[i][k] if ri[k] >= rj[k] else s.dist[j][k]
-                    return TripleWitness(s.points[i], s.points[j], s.points[k], s.dist[i][j], rhs)
+                    rhs = ri[k] if ri[k] >= rj[k] else rj[k]
+                    return TripleWitness(s.points[i], s.points[j], s.points[k], s.spectrum[rij], s.spectrum[rhs])
     return None
 
 
@@ -333,19 +399,29 @@ def is_ultrametric(s: FiniteSemimetricSpace) -> bool:
 
 def distance_spectrum(s: FiniteSemimetricSpace) -> tuple[Fraction, ...]:
     """Sorted deduplicated set of distance values; always starts at 0."""
-    return tuple(sorted(set({id(v): v for row in s.dist for v in row}.values()), key=_exact_key))
+    return s.spectrum
 
 
 def reorder(s: FiniteSemimetricSpace, order: Iterable[str]) -> FiniteSemimetricSpace:
-    """Subspace over ``order``, with points in exactly that order."""
+    """Subspace over ``order``, with points in exactly that order.
+
+    Built on the rank matrix: a permutation keeps the spectrum, and a
+    proper subset keeps the values its pairs still use, renumbered.
+    """
     names = tuple(order)
     if not names:
         raise EmptySubset("need at least one point")
     if len(set(names)) != len(names):
         raise DuplicateName(f"duplicate point in {names!r}")
     idx = [s.index(p) for p in names]
-    dist = tuple([tuple([s.dist[a][b] for b in idx]) for a in idx])
-    return FiniteSemimetricSpace(names, dist)
+    r = s.ranks
+    pick = itemgetter(*idx)
+    ranks = tuple([pick(r[a]) for a in idx]) if len(idx) > 1 else ((0,),)
+    if len(idx) == len(r):
+        return FiniteSemimetricSpace._ranked(names, s.spectrum, ranks)
+    used = sorted(set().union(*ranks))
+    dense = {k: i for i, k in enumerate(used)}
+    return FiniteSemimetricSpace._ranked(names, tuple([s.spectrum[k] for k in used]), _pick(dense, ranks))
 
 
 def restrict(s: FiniteSemimetricSpace, subset: Iterable[str]) -> FiniteSemimetricSpace:

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _path_maxima, _pick
+from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _path_maxima
 
 
 class TreeError(ValueError):
@@ -197,9 +197,7 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     for r, k in enumerate(used, 1):
         dense[k] = r
     maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
-    space = FiniteSemimetricSpace(t.vertices, _pick([ZERO] + [values[k] for k in used], maxima))
-    vars(space).update(ranks=maxima, ultrametric_witness=None)
-    return space
+    return FiniteSemimetricSpace._ranked(t.vertices, (ZERO, *[values[k] for k in used]), maxima, ultrametric=True)
 
 
 def star_distance(s: LabeledStarGraph, u: str, v: str) -> Fraction:

@@ -14,7 +14,9 @@ completion truncations with Fraction running maxima or one distance
 call per entry, are kept as references for the chain kernel.  Value
 ranking by Fraction comparisons, nearest-neighbor ranks from row slices
 and the four-point statements on 4x4 submatrices are kept as references
-for the exact sort key and the six-rank four-point checks.
+for the exact sort key and the six-rank four-point checks.  The parse
+through per-row codes, with its eager ``dist``, is kept as the reference
+for the parse straight to spectrum and ranks.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from starmetric.spaces import (
     NonzeroDiagonal,
     ZERO,
     ZeroOffDiagonal,
+    _pick,
+    _raise_first_axiom_violation,
 )
 from starmetric.trees import NotGenerating, generating_violation
 from starmetric.similarity import CanonicalForm, _form, _twin_classes, rank_matrix
@@ -428,6 +432,70 @@ def reference_validate_semimetric(points, rows) -> FiniteSemimetricSpace:
             if a == 0:
                 raise ZeroOffDiagonal(f"d({names[i]}, {names[j]}) = 0 for distinct points")
     return FiniteSemimetricSpace(names, tuple(mat))
+
+
+def coded_validate_semimetric(points, rows) -> FiniteSemimetricSpace:
+    """The earlier ``validate_semimetric``: cells to codes, ``dist`` built eagerly, ``ranks`` patched on.
+
+    The reference for the parse straight to spectrum and ranks: a row of
+    seen strings maps in one pass, any other row goes cell by cell with
+    one ``rat`` per unseen string and per other cell.  Same checks, same
+    order, same messages.
+    """
+    names = tuple(points)
+    if not names:
+        raise MalformedMatrix("a space needs at least one point")
+    seen: set[str] = set()
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise MalformedMatrix(f"point names must be nonempty strings, got {name!r}")
+        if name in seen:
+            raise DuplicateName(f"duplicate point name {name!r}")
+        seen.add(name)
+    n = len(names)
+    if len(rows) != n:
+        raise MalformedMatrix(f"matrix has {len(rows)} rows for {n} points")
+    code_of: dict[str, int] = {}  # exact str cells only
+    values: list[Fraction] = []
+    codes: list[list[int]] = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise MalformedMatrix(f"row {i} has {len(row)} entries for {n} points")
+        try:
+            codes.append(list(map(code_of.__getitem__, row)))
+            continue
+        except (KeyError, TypeError):  # an unseen or unhashable cell
+            pass
+        cells = []
+        try:
+            for x in row:
+                c = code_of.get(x) if type(x) is str else None
+                if c is None:
+                    c = len(values)
+                    values.append(rat(x))
+                    if type(x) is str:
+                        code_of[x] = c
+                cells.append(c)
+        except (ValueError, TypeError) as exc:
+            raise MalformedMatrix(f"row {i}: {exc}") from exc
+        codes.append(cells)
+    dist = _pick(values, codes)
+    ranks = fraction_rank_codes(values, codes)
+    if not _coded_is_semimetric(dist, ranks):
+        _raise_first_axiom_violation(names, dist)
+    space = FiniteSemimetricSpace(names, dist)
+    vars(space)["ranks"] = ranks
+    return space
+
+
+def _coded_is_semimetric(dist, r) -> bool:
+    # rank 0 is the smallest value; when d(x0, x0) = 0 has it, the axioms
+    # say rank 0 sits exactly on the diagonal and the ranks are symmetric
+    return (
+        dist[0][0] == 0
+        and all(row[i] == 0 and row.count(0) == 1 for i, row in enumerate(r))
+        and tuple(zip(*r)) == r
+    )
 
 
 def fraction_generate_ultrametric(t) -> FiniteSemimetricSpace:

@@ -37,6 +37,18 @@ def test_lean_cli_record_holds_parent_and_change_rows():
         assert ("cli", f"{tree}: enumerate", 8) in rows
 
 
+def test_rank_first_record_holds_every_workload_and_cli_case():
+    record = json.loads((ROOT / "BENCH_rank_first.json").read_text())
+    rows = {(row["layer"], row["case"], row["n"]) for row in record["rows"]}
+    assert bench_record.WORKLOADS == ("decide", "similar", "sweep")
+    for tree in ("parent", "change"):
+        for w in bench_record.WORKLOADS:
+            n = bench_record.sweep_n() if w == "sweep" else None
+            assert ("perfbench", f"{tree}: {w} seed {bench_record.SEED}", n) in rows
+        for verb, n, extra in bench_record.CLI_CASES:
+            assert ("cli", f"{tree}: " + " ".join([verb, *extra]), n) in rows
+
+
 def test_recorded_cli_rows_follow_the_schema():
     rows = bench_record.cli_rows({"here": ROOT}, reps=2, cases=(("enumerate", 3, ("--json",)),))
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [("cli", "here: enumerate --json", 3, 2)]

@@ -28,7 +28,7 @@ from starmetric import (
     validate_semimetric,
 )
 from starmetric.decision import _four_point, _row_minima
-from starmetric.spaces import _exact_key, _rank_codes
+from starmetric.spaces import _exact_key, _rank_cells
 from helpers import (
     fraction_rank_codes,
     rand_pos_frac,
@@ -108,7 +108,7 @@ def test_exact_key_orders_like_sorted(values):
         assert sorted(values, key=_exact_key) == sorted(values)
     fractions = [Fraction(v) for v in values]
     codes = [[rng.randrange(len(fractions)) for _ in range(4)] for _ in range(4)]
-    assert _rank_codes(fractions, codes) == fraction_rank_codes(fractions, codes)
+    assert _rank_cells(dict(enumerate(fractions)), codes)[1] == fraction_rank_codes(fractions, codes)
 
 
 def test_spectrum_of_close_values():

@@ -11,10 +11,11 @@ every repetition, so a slow phase of a shared host falls on all of them:
 * every CLI case runs ``REPS`` times in a fresh ``python -m starmetric``
   on that tree's ``src/``; exit code and stdout must be the same on every
   tree and every repetition;
-* the ``sweep`` workload runs ``RUNS`` times as ``perfbench/run.py
-  --workload sweep --seconds SECONDS --seed SEED --trace 0`` in that tree,
+* each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
+  --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
-  the run's record (an op is one ``verify`` plus one ``enumerate``).
+  the run's record (a ``sweep`` op is one ``verify`` plus one
+  ``enumerate``, a ``decide`` op one space, a ``similar`` op one pair).
 
 Writes ``BENCH_<label>.json`` in the repository root:
 
@@ -48,8 +49,9 @@ CLI_CASES = (
     ("enumerate", 8, ()),
     ("enumerate", 8, ("--json",)),
 )
+WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
-RUNS = 3  # perfbench sweep runs per tree
+RUNS = 3  # perfbench runs per workload and tree
 SECONDS = 15  # length of each perfbench run
 SEED = 1
 RECORD_KEYS = {"python", "cpu_count", "src_lines", "rows"}
@@ -106,22 +108,26 @@ def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES) -> list[
     ]
 
 
-def sweep_rows(trees: dict[str, Path]) -> list[dict]:
-    """One row per tree: raw per-op seconds over ``RUNS`` runs of ``perfbench/run.py --workload sweep``."""
-    times = {name: [] for name in trees}
+def workload_rows(trees: dict[str, Path], workloads=WORKLOADS) -> list[dict]:
+    """One row per tree and workload: raw per-op seconds over ``RUNS`` runs of ``perfbench/run.py``.
+
+    ``n`` is the sweep's point count, and null for the in-process workloads.
+    """
+    times = {(name, w): [] for name in trees for w in workloads}
     for _ in range(RUNS):
-        for name, root in trees.items():
-            proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", "sweep", "--seed", str(SEED),
-                 "--seconds", str(SECONDS), "--trace", "0"],
-                capture_output=True, text=True, cwd=root, timeout=600, check=True,
-            )
-            if not json.loads(proc.stdout.splitlines()[-1])["correct"]:
-                raise SystemExit(f"{name}: perfbench sweep reported wrong answers")
-            record = json.loads((root / ".perfbench" / f"sweep-{SEED}-trace0.json").read_text())
-            times[name] += [dt for _, dt, _ in record["latencies_s"]]
-    return [_row("perfbench", f"{name}: sweep seed {SEED}", sweep_n(root), times[name])
-            for name, root in trees.items()]
+        for w in workloads:
+            for name, root in trees.items():
+                proc = subprocess.run(
+                    [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(SEED),
+                     "--seconds", str(SECONDS), "--trace", "0"],
+                    capture_output=True, text=True, cwd=root, timeout=600, check=True,
+                )
+                if not json.loads(proc.stdout.splitlines()[-1])["correct"]:
+                    raise SystemExit(f"{name}: perfbench {w} reported wrong answers")
+                record = json.loads((root / ".perfbench" / f"{w}-{SEED}-trace0.json").read_text())
+                times[name, w] += [dt for _, dt, _ in record["latencies_s"]]
+    return [_row("perfbench", f"{name}: {w} seed {SEED}", sweep_n(root) if w == "sweep" else None, times[name, w])
+            for w in workloads for name, root in trees.items()]
 
 
 def check_record(record: dict) -> None:
@@ -160,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not (Path(root) / "src" / "starmetric").is_dir():
             parser.error(f"{item!r} is not NAME=ROOT with a ROOT/src/starmetric")
         trees[name] = Path(root).resolve()
-    rows = cli_rows(trees) + sweep_rows(trees)
+    rows = cli_rows(trees) + workload_rows(trees)
     record = {"python": platform.python_version(), "cpu_count": os.cpu_count(), "src_lines": src_lines(),
               "rows": rows}
     check_record(record)
