@@ -7,9 +7,10 @@ return witnesses instead of mutating state.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -77,6 +78,7 @@ class TripleWitness:
         }
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FiniteSemimetricSpace:
     """Named points over an exact, symmetric, positive off-diagonal distance matrix.
 
@@ -107,12 +109,6 @@ class FiniteSemimetricSpace:
         if ultrametric:
             vars(space)["ultrametric_witness"] = None
         return space
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -187,19 +183,26 @@ class FiniteSemimetricSpace:
         return _first_violation(self)
 
 
+# Cells of exactly these types are coerced once per distinct cell.  A bool
+# or a float, which rat refuses, can hide behind an equal int or Fraction
+# among the distinct cells, so a matrix that is not all strings has the
+# type of every cell checked.
+_CELL_TYPES = {str, int, Fraction}
+
+
 def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> FiniteSemimetricSpace:
     """Check the semimetric axioms and return the validated space.
 
     Point names are checked first, then the rows in order, each for its
     length and then cell by cell, and then the axioms; the first violation
     is raised, which keeps error output deterministic for golden tests.
-    A matrix of strings is parsed without that ordered scan: its distinct
-    cells are coerced once each through ``rat``, sorted, and every row is
-    mapped from cell to rank in one C-level pass.  Any other input, valid
-    or not, goes through the ordered scan, which raises the first bad row
-    or cell, or turns the cells into codes into their values.  The axioms
-    are checked on the ranks; only when that check fails is the row-major
-    scan run to find the first violation.
+    A square matrix of ``str``, ``int`` and ``Fraction`` cells is parsed
+    without that ordered scan: its distinct cells are coerced once each
+    through ``rat``, sorted, and every row is mapped from cell to rank in
+    one C-level pass.  The ordered scan runs only when that fails, to
+    raise the first bad row or cell (or to coerce cells of subclasses of
+    those types).  The axioms are checked on the ranks; only when that
+    check fails is the row-major scan run to find the first violation.
     """
     names = tuple(points)
     if not names:
@@ -218,41 +221,30 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
         if set(map(len, rows)) != {n}:
             raise ValueError
         cells = set().union(*rows)  # TypeError on an unhashable cell
-        if set(map(type, cells)) != {str}:
+        if set(map(type, cells)) != {str} and not set(map(type, chain.from_iterable(rows))) <= _CELL_TYPES:
             raise TypeError
         value_of = dict(zip(cells, map(rat, cells)))
     except (ValueError, TypeError):
-        value_of, rows = _codes_in_order(rows, n)
+        rows = _rats_in_order(rows, n)
+        value_of = {v: v for v in set().union(*rows)}
     spectrum, ranks = _rank_cells(value_of, rows)
     if not _is_semimetric(spectrum, ranks):
         _raise_first_axiom_violation(names, _pick(spectrum, ranks))
     return FiniteSemimetricSpace._ranked(names, spectrum, ranks)
 
 
-def _codes_in_order(rows: Sequence[Sequence], n: int) -> tuple[dict[int, Fraction], list[list[int]]]:
-    # row by row, each length before its cells, so the first bad one
-    # raises; cells become codes into the values, parsing each distinct
-    # string once and every other cell through rat
-    code_of: dict[str, int] = {}
-    values: list[Fraction] = []
-    codes: list[list[int]] = []
+def _rats_in_order(rows: Sequence[Sequence], n: int) -> list[list[Fraction]]:
+    # row by row, each length before its cells, so the first bad row or
+    # cell raises; only cells of subclasses of str, int or Fraction pass
+    out = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise MalformedMatrix(f"row {i} has {len(row)} entries for {n} points")
-        cells = []
         try:
-            for x in row:
-                c = code_of.get(x) if type(x) is str else None
-                if c is None:
-                    c = len(values)
-                    values.append(rat(x))
-                    if type(x) is str:
-                        code_of[x] = c
-                cells.append(c)
+            out.append(list(map(rat, row)))
         except (ValueError, TypeError) as exc:
             raise MalformedMatrix(f"row {i}: {exc}") from exc
-        codes.append(cells)
-    return dict(enumerate(values)), codes
+    return out
 
 
 def _exact_key(v: Fraction) -> tuple[int, Fraction]:

@@ -1,10 +1,11 @@
 """Spaces store points, spectrum and ranks; ``dist`` is built only when read.
 
-``validate_semimetric`` parses a matrix of strings straight to the
-spectrum and the rank matrix, and any other input through one ordered
-scan.  These tests pin the parse to the earlier per-row-code parse kept
-in ``helpers`` (same ranks, spectrum and distances; same exception type
-and message), check that the similarity and decision verbs never build
+``validate_semimetric`` parses a square matrix of ``str``, ``int`` and
+``Fraction`` cells straight to the spectrum and the rank matrix; an
+ordered scan runs only to raise the first bad row or cell.  These tests
+pin the parse to the earlier per-row-code parse kept in ``helpers``
+(same ranks, spectrum and distances; same exception type and message),
+check that the similarity and decision verbs never build
 ``dist``, and that equality, hashing and immutability keep their meaning.
 """
 
@@ -35,6 +36,15 @@ from starmetric import (
 )
 from helpers import coded_validate_semimetric, monotone_transform, permuted_copy, random_semimetric, random_ultrametric
 
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 # equal values in several spellings; bools and floats sit among them on purpose
 SPELLINGS = [
     ["1/2", "2/4", "0.5", " 1/2 ", Fraction(1, 2)],
@@ -50,6 +60,7 @@ CASES = {
     "True hidden behind an equal int": [["0", 1, 1], [1, "0", True], [1, 1, "0"]],
     "1.0 next to '1'": [["0", "1"], [1.0, "0"]],
     "1.0 hidden behind an equal Fraction": [["0", Fraction(1)], [1.0, "0"]],
+    "int and str subclass cells": [["0", _Int(2)], [_Str("2"), "0"]],
     "Fraction and int cells": [[0, Fraction(1, 2), "3"], [Fraction(1, 2), 0, 2], ["3", 2, Fraction(0)]],
     "'1/2' mirrored by '0.5'": [["0", "1/2"], ["0.5", "0"]],
     "diagonal '0/1' and '0.0'": [["0/1", "1", "2"], ["1", "0.0", "1"], ["2", "1", "0"]],
@@ -128,7 +139,7 @@ def test_seeded_string_spaces_match_reference(n):
         s = make(rng, n)
         rows = space_to_json(s)["dist"]
         assert _same_parse(s.points, rows)
-        # the same matrix with every cell an exact Fraction takes the ordered scan
+        # the same matrix with every cell an exact Fraction
         assert _same_parse(s.points, [[Fraction(x) for x in row] for row in rows])
 
 

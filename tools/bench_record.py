@@ -108,14 +108,14 @@ def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES) -> list[
     ]
 
 
-def workload_rows(trees: dict[str, Path], workloads=WORKLOADS) -> list[dict]:
+def workload_rows(trees: dict[str, Path]) -> list[dict]:
     """One row per tree and workload: raw per-op seconds over ``RUNS`` runs of ``perfbench/run.py``.
 
     ``n`` is the sweep's point count, and null for the in-process workloads.
     """
-    times = {(name, w): [] for name in trees for w in workloads}
+    times = {(name, w): [] for name in trees for w in WORKLOADS}
     for _ in range(RUNS):
-        for w in workloads:
+        for w in WORKLOADS:
             for name, root in trees.items():
                 proc = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(SEED),
@@ -127,7 +127,7 @@ def workload_rows(trees: dict[str, Path], workloads=WORKLOADS) -> list[dict]:
                 record = json.loads((root / ".perfbench" / f"{w}-{SEED}-trace0.json").read_text())
                 times[name, w] += [dt for _, dt, _ in record["latencies_s"]]
     return [_row("perfbench", f"{name}: {w} seed {SEED}", sweep_n(root) if w == "sweep" else None, times[name, w])
-            for w in workloads for name, root in trees.items()]
+            for w in WORKLOADS for name, root in trees.items()]
 
 
 def check_record(record: dict) -> None:
