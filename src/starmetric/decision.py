@@ -9,10 +9,10 @@ with extracted witnesses and are cross-checked in the test harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import le
+from typing import NamedTuple
 
 from .spaces import (
     FiniteSemimetricSpace,
@@ -64,8 +64,7 @@ KIND_X4 = "X4"
 KIND_Y4 = "Y4"
 
 
-@dataclass(frozen=True)
-class QuadrupleReport:
+class QuadrupleReport(NamedTuple):
     """Four-point obstruction witness.
 
     The cross distances d(x,y) = d(x,w) = d(z,y) = d(z,w) all equal
@@ -295,8 +294,7 @@ def four_point_tree_generable(s: FiniteSemimetricSpace) -> bool:
     return _four_point(r0[1], r0[2], r0[3], r1[2], r1[3], r2[3])[1]
 
 
-@dataclass(frozen=True)
-class UsCheckReport:
+class UsCheckReport(NamedTuple):
     """The three star-generability statements, evaluated independently.
 
     ``in_us``: the space itself is ultrametric and star-generated.

@@ -17,9 +17,9 @@ four points) and the one-point center-extension probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .decision import (
     KIND_X4,
@@ -36,6 +36,7 @@ from .decision import (
 )
 from .spaces import (
     FiniteSemimetricSpace,
+    _Frozen,
     _path_maxima,
     distance_spectrum,
     is_ultrametric,
@@ -57,8 +58,7 @@ class PreconditionFailed(ValueError):
     """Probe input must be ultrametric and free of four-point obstructions."""
 
 
-@dataclass(frozen=True)
-class RankedHierarchy:
+class RankedHierarchy(_Frozen):
     """Canonical encoding of a leveled merge tree.
 
     A node is either the empty tuple (a leaf) or ``(level, children)``
@@ -66,14 +66,16 @@ class RankedHierarchy:
     strictly below the parent level and the used levels form 1..k.
     Read left to right, the leaves form a chain: one explicit-stack pass
     validates every node in preorder and keeps the level between each
-    pair of adjacent leaves, so the hierarchy may be of any depth.
+    pair of adjacent leaves, so the hierarchy may be of any depth.  The
+    catalogue, which builds its encodings canonical and records their
+    gaps as it goes, hands both over through ``_trusted`` instead.
     """
 
-    root: tuple
+    _fields = ("root",)
 
-    def __post_init__(self):
+    def __init__(self, root: tuple):
         gaps: list[int] = []
-        stack: list[tuple] = [(self.root, None, False)]
+        stack: list[tuple] = [(root, None, False)]
         while stack:
             node, bound, boundary = stack.pop()
             if boundary:  # a later sibling: the parent's level separates it from the one before
@@ -91,7 +93,14 @@ class RankedHierarchy:
         levels = set(gaps)  # an internal node has two or more children, so its level is a gap
         if levels != set(range(1, len(levels) + 1)):
             raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
-        object.__setattr__(self, "_gaps", tuple(gaps))
+        vars(self).update(root=root, _gaps=tuple(gaps))
+
+    @classmethod
+    def _trusted(cls, root: tuple, gaps: tuple[int, ...]) -> RankedHierarchy:
+        """Hierarchy from a canonical encoding and its adjacent-leaf levels, unchecked."""
+        h = cls.__new__(cls)
+        vars(h).update(root=root, _gaps=gaps)
+        return h
 
     @property
     def leaf_count(self) -> int:
@@ -102,15 +111,27 @@ class RankedHierarchy:
         return _path_maxima(len(self._gaps) + 1, [(g, i, i + 1) for i, g in enumerate(self._gaps)])
 
     def to_space(self) -> FiniteSemimetricSpace:
-        """Representative space with the rank values as distances, one ``Fraction`` per level.
+        """Representative space with the rank values as distances.
 
         A valid hierarchy fixes the rank matrix and the ultrametric verdict,
         so the space starts with ``ranks`` and ``ultrametric_witness`` set.
+        Every hierarchy of one size shares its point names, and every one
+        with k levels its spectrum 0..k.
         """
         ranks = self.rank_matrix()
-        names = tuple([f"p{i + 1}" for i in range(len(ranks))])
-        values = tuple([Fraction(k) for k in range(max(self._gaps, default=0) + 1)])
-        return FiniteSemimetricSpace._ranked(names, values, ranks, ultrametric=True)
+        return FiniteSemimetricSpace._ranked(
+            _point_names(len(ranks)), _levels(max(self._gaps, default=0) + 1), ranks, ultrametric=True
+        )
+
+
+@lru_cache(maxsize=16)
+def _point_names(n: int) -> tuple[str, ...]:
+    return tuple([f"p{i}" for i in range(1, n + 1)])
+
+
+@lru_cache(maxsize=16)
+def _levels(k: int) -> tuple[Fraction, ...]:
+    return tuple([Fraction(i) for i in range(k)])
 
 
 def _set_partitions(items: tuple) -> Iterator[list[list]]:
@@ -124,19 +145,36 @@ def _set_partitions(items: tuple) -> Iterator[list[list]]:
             yield rest[:i] + [[first] + rest[i]] + rest[i + 1 :]
 
 
-def _merge_levels(n: int) -> Iterator[tuple]:
-    """Canonical encodings on n leaves: top level ascending, sorted within it.
+def _merge_levels(n: int) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """Canonical encodings on n leaves with their gaps: top level ascending, sorted within it.
 
     A state is the sorted tuple of blocks still unmerged.  Each level
     takes every set partition of a state that merges at least one group
     and turns each group of two or more blocks into one node at that
     level.  Sorting children and blocks makes relabelings of one state
-    equal, so the set keeps one copy of each.
+    equal, so the set keeps one copy of each.  A node's gaps, the levels
+    between its adjacent leaves, are its children's gaps joined by its
+    level; one dict keeps them for every node of a yielded encoding, so
+    subtrees shared between classes are joined once.
     """
+    gaps: dict[tuple, tuple[int, ...]] = {LEAF: ()}
+
+    def gaps_of(node: tuple) -> tuple[int, ...]:
+        known = gaps.get(node)
+        if known is None:
+            level, (first, *rest) = node
+            joined = list(gaps_of(first))
+            for child in rest:
+                joined.append(level)
+                joined += gaps_of(child)
+            known = gaps[node] = tuple(joined)
+        return known
+
     states = {(LEAF,) * n}
     level = 0
     while states:
-        yield from sorted(state[0] for state in states if len(state) == 1)
+        for root in sorted(state[0] for state in states if len(state) == 1):
+            yield root, gaps_of(root)
         level += 1
         states = {
             tuple(sorted(g[0] if len(g) == 1 else (level, tuple(sorted(g))) for g in groups))
@@ -151,8 +189,8 @@ def enumerate_hierarchies(n: int) -> Iterator[RankedHierarchy]:
     """All ranked hierarchies on n leaves, canonical order, one per class."""
     if not 1 <= n <= MAX_POINTS:
         raise BoundExceeded(f"supported point counts are 1..{MAX_POINTS}, got {n}")
-    for enc in _merge_levels(n):
-        yield RankedHierarchy(enc)
+    for root, gaps in _merge_levels(n):
+        yield RankedHierarchy._trusted(root, gaps)
 
 
 def enumerate_classes(n: int) -> Iterator[FiniteSemimetricSpace]:
@@ -181,8 +219,7 @@ def map_classes(fn: Callable, n: int, jobs: int = 1) -> Iterator[tuple[FiniteSem
     yield from zip(spaces, results)
 
 
-@dataclass(frozen=True)
-class ClassDiscrepancy:
+class ClassDiscrepancy(NamedTuple):
     space: FiniteSemimetricSpace
     details: str
 
@@ -190,8 +227,7 @@ class ClassDiscrepancy:
         return {"space": space_to_json(self.space), "details": self.details}
 
 
-@dataclass(frozen=True)
-class ObstructionSweepReport:
+class ObstructionSweepReport(NamedTuple):
     """Per-class results of the star-generability vs obstruction sweep."""
 
     n: int
@@ -318,8 +354,7 @@ def small_tree_generable(s: FiniteSemimetricSpace) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class FivePointWitness:
+class FivePointWitness(NamedTuple):
     """A tree-generated five-point space that is not star-generated."""
 
     space: FiniteSemimetricSpace
@@ -336,8 +371,7 @@ class FivePointWitness:
         }
 
 
-@dataclass(frozen=True)
-class TreeEquivalenceReport:
+class TreeEquivalenceReport(NamedTuple):
     """Star-generability vs tree-generability over every class with n <= 4."""
 
     classes_checked: int
@@ -395,8 +429,7 @@ def verify_tree_equivalence() -> TreeEquivalenceReport:
     )
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Outcome of the one-point center-extension attempt.
 
     Exploratory only: a failure is reported, never treated as a

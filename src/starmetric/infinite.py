@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO
+from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _Frozen, _pick
 from .trees import LabeledTree, NotGenerating, generate_ultrametric
 
 # Bounds on the work a short presentation can demand.  No tail label past
@@ -82,18 +81,16 @@ class TailLaw:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class HarmonicTail(TailLaw):
+class HarmonicTail(TailLaw, _Frozen):
     """label(n) = c / n."""
 
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", rat(self.c))
-        if self.c <= 0:
-            raise MalformedPresentation(f"harmonic coefficient must be positive, got {self.c}")
-
+    _fields = ("c",)
     decreasing_to_zero = True
+
+    def __init__(self, c: Fraction):
+        vars(self)["c"] = c = rat(c)
+        if c <= 0:
+            raise MalformedPresentation(f"harmonic coefficient must be positive, got {c}")
 
     def label(self, n: int) -> Fraction:
         return self.c / n
@@ -107,22 +104,19 @@ class HarmonicTail(TailLaw):
         return {"kind": "harmonic", "c": str(self.c)}
 
 
-@dataclass(frozen=True)
-class GeometricTail(TailLaw):
+class GeometricTail(TailLaw, _Frozen):
     """label(n) = a * r**n with 0 < r < 1."""
 
-    a: Fraction
-    r: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "r", rat(self.r))
-        if self.a <= 0:
-            raise MalformedPresentation(f"geometric scale must be positive, got {self.a}")
-        if not (0 < self.r < 1):
-            raise MalformedPresentation(f"geometric ratio must satisfy 0 < r < 1, got {self.r}")
-
+    _fields = ("a", "r")
     decreasing_to_zero = True
+
+    def __init__(self, a: Fraction, r: Fraction):
+        a, r = rat(a), rat(r)
+        vars(self).update(a=a, r=r)
+        if a <= 0:
+            raise MalformedPresentation(f"geometric scale must be positive, got {a}")
+        if not (0 < r < 1):
+            raise MalformedPresentation(f"geometric ratio must satisfy 0 < r < 1, got {r}")
 
     def label(self, n: int) -> Fraction:
         self._check_size(n)
@@ -160,17 +154,16 @@ class GeometricTail(TailLaw):
         return {"kind": "geometric", "a": str(self.a), "r": str(self.r)}
 
 
-@dataclass(frozen=True)
-class ConstantTail(TailLaw):
+class ConstantTail(TailLaw, _Frozen):
     """label(n) = q for every n."""
 
-    q: Fraction
+    _fields = ("q",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", rat(self.q))
-        if self.q < 0:
-            raise NegativeInput(f"constant label must be nonnegative, got {self.q}")
-        object.__setattr__(self, "positive_limit", self.q)
+    def __init__(self, q: Fraction):
+        vars(self)["q"] = q = rat(q)
+        if q < 0:
+            raise NegativeInput(f"constant label must be nonnegative, got {q}")
+        vars(self)["positive_limit"] = q
 
     def label(self, n: int) -> Fraction:
         return self.q
@@ -184,8 +177,7 @@ class ConstantTail(TailLaw):
         return {"kind": "constant", "q": str(self.q)}
 
 
-@dataclass(frozen=True)
-class FiniteTail(TailLaw):
+class FiniteTail(TailLaw, _Frozen):
     """No labels beyond the explicit part."""
 
     finite = True
@@ -243,8 +235,7 @@ def _json_skip(obj: dict) -> int:
     return skip
 
 
-@dataclass(frozen=True)
-class StarSpec:
+class StarSpec(_Frozen):
     """Labeled star presented as center label + exceptional leaf labels + tail law.
 
     ``tail_skip`` consumes the first indices of the tail law, which keeps
@@ -252,26 +243,24 @@ class StarSpec:
     into the explicit prefix elsewhere.
     """
 
-    center_label: Fraction
-    exceptional: tuple[Fraction, ...] = ()
-    tail: TailLaw = FiniteTail()
-    tail_skip: int = 0
+    _fields = ("center_label", "exceptional", "tail", "tail_skip")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center_label", rat(self.center_label))
-        object.__setattr__(self, "exceptional", tuple(rat(x) for x in self.exceptional))
-        if self.center_label < 0:
-            raise NegativeInput(f"center label {self.center_label} < 0")
-        if any(x < 0 for x in self.exceptional):
+    def __init__(self, center_label: Fraction, exceptional: tuple[Fraction, ...] = (), tail: TailLaw = FiniteTail(),
+                 tail_skip: int = 0):
+        center_label, exceptional = rat(center_label), tuple(rat(x) for x in exceptional)
+        vars(self).update(center_label=center_label, exceptional=exceptional, tail=tail, tail_skip=tail_skip)
+        if center_label < 0:
+            raise NegativeInput(f"center label {center_label} < 0")
+        if any(x < 0 for x in exceptional):
             raise NegativeInput("leaf labels must be nonnegative")
-        if self.tail_skip < 0:
+        if tail_skip < 0:
             raise MalformedPresentation("tail_skip must be nonnegative")
-        if self.center_label == 0:
+        if center_label == 0:
             # every center-leaf edge needs a positively labeled endpoint
-            if any(x == 0 for x in self.exceptional):
+            if any(x == 0 for x in exceptional):
                 raise NotGenerating("center and some exceptional leaf are both labeled zero")
-            limit = self.tail.positive_limit
-            if not self.tail.finite and not self.tail.decreasing_to_zero and (limit is None or limit == 0):
+            limit = tail.positive_limit
+            if not tail.finite and not tail.decreasing_to_zero and (limit is None or limit == 0):
                 raise NotGenerating("center label zero with zero tail labels")
 
     @property
@@ -305,8 +294,7 @@ class StarSpec:
         )
 
 
-@dataclass(frozen=True)
-class CompactnessReport:
+class CompactnessReport(NamedTuple):
     """Outcome of the compactness decision with the failing reason, if any."""
 
     compact: bool
@@ -338,8 +326,7 @@ def is_compact_star(spec: StarSpec) -> CompactnessReport:
     return CompactnessReport(True, "compact")
 
 
-@dataclass(frozen=True)
-class RaySpec:
+class RaySpec(_Frozen):
     """One-way infinite path labels: explicit prefix plus tail law.
 
     With the ``decreasing`` flag the presentation is validated to be
@@ -348,31 +335,28 @@ class RaySpec:
     then fall back to the path maximum over the index range.
     """
 
-    prefix: tuple[Fraction, ...] = ()
-    tail: TailLaw = FiniteTail()
-    tail_skip: int = 0
-    decreasing: bool = False
+    _fields = ("prefix", "tail", "tail_skip", "decreasing")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(rat(x) for x in self.prefix))
-        if any(x < 0 for x in self.prefix):
+    def __init__(self, prefix: tuple[Fraction, ...] = (), tail: TailLaw = FiniteTail(), tail_skip: int = 0,
+                 decreasing: bool = False):
+        prefix = tuple(rat(x) for x in prefix)
+        vars(self).update(prefix=prefix, tail=tail, tail_skip=tail_skip, decreasing=decreasing)
+        if any(x < 0 for x in prefix):
             raise NegativeInput("ray labels must be nonnegative")
-        if self.tail_skip < 0:
+        if tail_skip < 0:
             raise MalformedPresentation("tail_skip must be nonnegative")
-        if self.decreasing:
-            if any(x <= 0 for x in self.prefix):
+        if decreasing:
+            if any(x <= 0 for x in prefix):
                 raise MalformedPresentation("a decreasing ray needs strictly positive labels")
-            for a, b in zip(self.prefix, self.prefix[1:]):
+            for a, b in zip(prefix, prefix[1:]):
                 if a < b:
                     raise MalformedPresentation(f"prefix not non-increasing: {a} < {b}")
-            if not self.tail.finite:
-                first = self.tail.label(self.tail_skip + 1)
+            if not tail.finite:
+                first = tail.label(tail_skip + 1)
                 if first <= 0:
                     raise MalformedPresentation("a decreasing ray needs strictly positive labels")
-                if self.prefix and self.prefix[-1] < first:
-                    raise MalformedPresentation(
-                        f"prefix/tail junction not non-increasing: {self.prefix[-1]} < {first}"
-                    )
+                if prefix and prefix[-1] < first:
+                    raise MalformedPresentation(f"prefix/tail junction not non-increasing: {prefix[-1]} < {first}")
 
     @property
     def finite(self) -> bool:
@@ -482,8 +466,7 @@ def ray_truncation_space(r: RaySpec, k: int) -> FiniteSemimetricSpace:
     return generate_ultrametric(ray_truncation_tree(r, k))
 
 
-@dataclass(frozen=True)
-class CompletionModel:
+class CompletionModel(NamedTuple):
     """Completion of a decreasing-to-zero ray: one added point closes the space.
 
     The added point sits at distance label(n) from vertex n, i.e. it is
@@ -507,11 +490,22 @@ class CompletionModel:
         return ray_distance(self.ray, m, n)
 
     def truncation_space(self, k: int) -> FiniteSemimetricSpace:
-        """Added point plus the first k ray vertices: the ray truncation bordered by the labels."""
-        labels = (ZERO, *self.ray.labels(k))
-        core = ray_truncation_space(self.ray, k) if k else FiniteSemimetricSpace((), ())
-        rows = [labels] + [(labels[i], *row) for i, row in enumerate(core.dist, start=1)]
-        return FiniteSemimetricSpace((self.added_point, *core.points), tuple(rows))
+        """Added point plus the first k ray vertices: the ray truncation's ranks bordered by the label ranks.
+
+        A label that is no distance of the truncation (such as the last
+        one of a decreasing ray) joins the spectrum, and the truncation's
+        ranks are renumbered around it.
+        """
+        if not k:
+            return FiniteSemimetricSpace._ranked((self.added_point,), (ZERO,), ((0,),))
+        core = ray_truncation_space(self.ray, k)
+        labels = tuple(self.ray.labels(k))
+        spectrum = tuple(sorted({*core.spectrum, *labels}, key=_exact_key))
+        rank = {v: i for i, v in enumerate(spectrum)}
+        border = [rank[v] for v in labels]
+        rows = _pick([rank[v] for v in core.spectrum], core.ranks)
+        ranks = ((0, *border), *[(b, *row) for b, row in zip(border, rows)])
+        return FiniteSemimetricSpace._ranked((self.added_point, *core.points), spectrum, ranks)
 
     def to_json(self) -> dict:
         return {
@@ -559,8 +553,7 @@ def dplus_space(values) -> FiniteSemimetricSpace:
     return FiniteSemimetricSpace(names, rows)
 
 
-@dataclass(frozen=True)
-class CompactSubsetReport:
+class CompactSubsetReport(NamedTuple):
     """Compactness verdict for a presented subset of the dplus line."""
 
     compact: bool

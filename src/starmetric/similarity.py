@@ -9,9 +9,8 @@ matrices up to point relabeling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, groupby
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .spaces import FiniteSemimetricSpace
 
@@ -100,8 +99,7 @@ def isometric(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> bool:
     return isometry_bijection(a, b) is not None
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Relabeling-invariant key: equal forms iff the spaces are weakly similar."""
 
     ranks: tuple[tuple[int, ...], ...]

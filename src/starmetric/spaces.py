@@ -7,12 +7,11 @@ return witnesses instead of mutating state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .rational import rat
 
@@ -55,8 +54,46 @@ class UnknownPoint(SpaceError):
     """A point identifier is not part of the space."""
 
 
-@dataclass(frozen=True)
-class TripleWitness:
+class _Frozen:
+    """Immutable value type: equality, hash and ``Name(field=value, ...)`` repr over ``_fields``.
+
+    ``__init__`` stores attributes through ``vars(self)``; assigning or
+    deleting one afterwards raises ``FrozenInstanceError``, an
+    ``AttributeError``.  Instances compare equal only to instances of
+    exactly the same class.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        _refuse("assign to", name)
+
+    def __delattr__(self, name: str) -> None:
+        _refuse("delete", name)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+def _refuse(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # loads inspect and ast: only this error path pays for it
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class TripleWitness(NamedTuple):
     """An ordered triple breaking the strong triangle inequality.
 
     ``lhs = d(x, y)`` strictly exceeds ``rhs = max(d(x, z), d(z, y))``.
@@ -78,8 +115,7 @@ class TripleWitness:
         }
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class FiniteSemimetricSpace:
+class FiniteSemimetricSpace(_Frozen):
     """Named points over an exact, symmetric, positive off-diagonal distance matrix.
 
     A space stores ``points``, its ``spectrum`` (the sorted distinct
@@ -94,6 +130,8 @@ class FiniteSemimetricSpace:
     ranks compare them without building ``dist``.  Attributes cannot be
     assigned.
     """
+
+    _fields = ("points", "dist")
 
     def __init__(self, points: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> None:
         vars(self).update(points=points, dist=dist)
@@ -119,11 +157,7 @@ class FiniteSemimetricSpace:
             return self.spectrum == other.spectrum and self.ranks == other.ranks
         return self.dist == other.dist
 
-    def __hash__(self) -> int:
-        return hash((self.points, self.dist))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(points={self.points!r}, dist={self.dist!r})"
+    __hash__ = _Frozen.__hash__
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -428,11 +462,13 @@ def restrict(s: FiniteSemimetricSpace, subset: Iterable[str]) -> FiniteSemimetri
 
 
 def space_to_json(s: FiniteSemimetricSpace) -> dict:
-    """JSON form with distances as exact rational strings."""
-    return {
-        "points": list(s.points),
-        "dist": [[str(v) for v in row] for row in s.dist],
-    }
+    """JSON form with distances as exact rational strings.
+
+    Each spectrum value is formatted once and every row is mapped through
+    the rank matrix, so no ``Fraction`` matrix is built.
+    """
+    text = [str(v) for v in s.spectrum]
+    return {"points": list(s.points), "dist": [list(map(text.__getitem__, row)) for row in s.ranks]}
 
 
 def space_from_json(obj) -> FiniteSemimetricSpace:

@@ -12,13 +12,12 @@ meets every edge: one validation, one adjacency, and the same functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _path_maxima
+from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _Frozen, _path_maxima
 
 
 class TreeError(ValueError):
@@ -45,8 +44,7 @@ class TreeFormatError(TreeError):
     """Tree text input could not be parsed."""
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(_Frozen):
     """Tree with a nonnegative rational label on every vertex.
 
     Edges are normalized at construction (endpoints ordered by vertex
@@ -54,26 +52,25 @@ class LabeledTree:
     keeps each vertex's neighbour indices for every walk over the tree.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    labels: tuple[Fraction, ...]
+    _fields = ("vertices", "edges", "labels")
 
-    def __post_init__(self):
-        names = self.vertices
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...], labels: tuple[Fraction, ...]):
+        vars(self).update(vertices=vertices, edges=edges, labels=labels)
+        names = vertices
         n = len(names)
         if not names:
             raise NotATree("a tree needs at least one vertex")
         if len(set(names)) != n:
             raise NotATree(f"duplicate vertex names in {names!r}")
-        if len(self.labels) != n:
+        if len(labels) != n:
             raise NotATree("one label per vertex required")
-        for v, lab in zip(names, self.labels):
+        for v, lab in zip(names, labels):
             if lab < 0:
                 raise NegativeLabel(f"label of {v!r} is {lab} < 0")
         index = {v: i for i, v in enumerate(names)}
         seen = set()
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             if u not in index:
                 raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
             if v not in index:
@@ -86,8 +83,7 @@ class LabeledTree:
             seen.add((a, b))
             adj[a].append(b)
             adj[b].append(a)
-        object.__setattr__(self, "edges", tuple([(names[a], names[b]) for a, b in sorted(seen)]))
-        object.__setattr__(self, "_adj", adj)
+        vars(self).update(edges=tuple([(names[a], names[b]) for a, b in sorted(seen)]), _adj=adj)
         if len(seen) != n - 1:
             raise NotATree(f"{n} vertices need {n - 1} edges, got {len(seen)}")
         # |E| = |V| - 1 plus connectivity rules out cycles
@@ -121,7 +117,6 @@ class LabeledTree:
         )
 
 
-@dataclass(frozen=True)
 class LabeledStarGraph(LabeledTree):
     """Star: a tree whose first vertex, the center, meets every edge.
 
@@ -129,8 +124,8 @@ class LabeledStarGraph(LabeledTree):
     labels, are read off ``vertices`` and ``labels``.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...], labels: tuple[Fraction, ...]):
+        super().__init__(vertices, edges, labels)
         for u, v in self.edges:
             if u != self.vertices[0]:
                 raise NotATree(f"edge {u} -- {v} misses the center {self.vertices[0]!r}")

@@ -16,7 +16,10 @@ ranking by Fraction comparisons, nearest-neighbor ranks from row slices
 and the four-point statements on 4x4 submatrices are kept as references
 for the exact sort key and the six-rank four-point checks.  The parse
 through per-row codes, with its eager ``dist``, is kept as the reference
-for the parse straight to spectrum and ranks.
+for the parse straight to spectrum and ranks.  The per-cell
+``space_to_json`` and the completion truncation bordered on its
+``Fraction`` matrix are kept as references for the rank-mapped JSON
+form and the rank-bordered truncation.
 """
 
 from __future__ import annotations
@@ -627,6 +630,24 @@ def per_entry_truncation_space(model, k: int) -> FiniteSemimetricSpace:
     names = (model.added_point,) + tuple(f"x{i}" for i in range(1, k + 1))
     rows = tuple(tuple(model.distance(i, j) for j in range(k + 1)) for i in range(k + 1))
     return FiniteSemimetricSpace(names, rows)
+
+
+def dist_bordered_truncation_space(model, k: int) -> FiniteSemimetricSpace:
+    """The earlier ``CompletionModel.truncation_space``: the ray truncation's ``dist`` bordered by the labels."""
+    from starmetric import ray_truncation_space
+
+    labels = (ZERO, *model.ray.labels(k))
+    core = ray_truncation_space(model.ray, k) if k else FiniteSemimetricSpace((), ())
+    rows = [labels] + [(labels[i], *row) for i, row in enumerate(core.dist, start=1)]
+    return FiniteSemimetricSpace((model.added_point, *core.points), tuple(rows))
+
+
+def per_cell_space_to_json(s: FiniteSemimetricSpace) -> dict:
+    """The earlier ``space_to_json``: ``str`` of every cell of the ``Fraction`` matrix."""
+    return {
+        "points": list(s.points),
+        "dist": [[str(v) for v in row] for row in s.dist],
+    }
 
 
 def fraction_rank_codes(values: list[Fraction], codes: list[list[int]]) -> tuple[tuple[int, ...], ...]:

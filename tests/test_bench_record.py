@@ -49,6 +49,23 @@ def test_rank_first_record_holds_every_workload_and_cli_case():
             assert ("cli", f"{tree}: " + " ".join([verb, *extra]), n) in rows
 
 
+def test_plain_records_record_holds_every_workload_and_cli_case():
+    record = json.loads((ROOT / "BENCH_plain_records.json").read_text())
+    rows = {(row["layer"], row["case"], row["n"]) for row in record["rows"]}
+    assert bench_record.STARTUP_CASES == (("check", 1, ("--json",)),)
+    for tree in ("parent", "change"):
+        for w in bench_record.WORKLOADS:
+            n = bench_record.sweep_n() if w == "sweep" else None
+            assert ("perfbench", f"{tree}: {w} seed {bench_record.SEED}", n) in rows
+        for verb, n, extra in bench_record.CLI_CASES + bench_record.STARTUP_CASES:
+            assert ("cli", f"{tree}: " + " ".join([verb, *extra]), n) in rows
+
+
+def test_startup_case_checks_a_one_point_space():
+    rows = bench_record.cli_rows({"here": ROOT}, reps=2, cases=bench_record.STARTUP_CASES)
+    assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [("cli", "here: check --json", 1, 2)]
+
+
 def test_recorded_cli_rows_follow_the_schema():
     rows = bench_record.cli_rows({"here": ROOT}, reps=2, cases=(("enumerate", 3, ("--json",)),))
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [("cli", "here: enumerate --json", 3, 2)]

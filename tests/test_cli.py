@@ -1,7 +1,6 @@
 """CLI verbs end to end: exit codes, JSON determinism, file round trips."""
 
 import concurrent.futures
-import dataclasses
 import json
 import os
 
@@ -210,7 +209,7 @@ def test_verify_reports_an_invalid_oracle_quadruple(monkeypatch, capsys):
 
     def swapped(space):
         rep = scan(space)
-        return None if rep is None else dataclasses.replace(rep, y=rep.z, z=rep.y)
+        return None if rep is None else rep._replace(y=rep.z, z=rep.y)
 
     monkeypatch.setattr(harness, "exhaustive_quadruple_scan", swapped)
     assert run(["verify", "--theorem", "4.3", "--n", "5", "--json"]) == 1

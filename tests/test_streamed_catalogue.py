@@ -4,7 +4,6 @@
 ``verify_obstruction_equivalence`` keeps only its discrepancies.
 """
 
-import dataclasses
 import json
 import os
 import weakref
@@ -70,7 +69,7 @@ def test_bad_quadruple_is_a_discrepancy_under_streaming(monkeypatch):
 
     def swapped(space):
         rep = find(space)
-        return None if rep is None else dataclasses.replace(rep, y=rep.z, z=rep.y)
+        return None if rep is None else rep._replace(y=rep.z, z=rep.y)
 
     monkeypatch.setattr(harness, "find_forbidden_quadruple", swapped)
     rep = verify_obstruction_equivalence(6)

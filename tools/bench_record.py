@@ -10,7 +10,9 @@ every repetition, so a slow phase of a shared host falls on all of them:
 
 * every CLI case runs ``REPS`` times in a fresh ``python -m starmetric``
   on that tree's ``src/``; exit code and stdout must be the same on every
-  tree and every repetition;
+  tree and every repetition.  ``CLI_CASES`` are the sweeps; the
+  ``STARTUP_CASES`` run ``check --json`` on a one-point space, which pays
+  the interpreter and the imports and almost nothing else;
 * each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
   --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
@@ -23,7 +25,8 @@ Writes ``BENCH_<label>.json`` in the repository root:
      rows: [{layer, case, n, reps, min_s, median_s}]}
 
 ``layer`` is ``cli`` or ``perfbench``; ``case`` is ``NAME: command``;
-``n`` is the point count of a sweep (null for an in-process workload);
+``n`` is the point count of a sweep or of the checked space (null for an
+in-process workload);
 ``src_lines`` counts the non-blank lines of this checkout's
 ``src/starmetric``.  No timing gate is applied anywhere.
 """
@@ -38,6 +41,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,6 +53,7 @@ CLI_CASES = (
     ("enumerate", 8, ()),
     ("enumerate", 8, ("--json",)),
 )
+STARTUP_CASES = (("check", 1, ("--json",)),)
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
 RUNS = 3  # perfbench runs per workload and tree
@@ -82,25 +87,33 @@ def _row(layer: str, case: str, n, times: list[float]) -> dict:
             "median_s": statistics.median(times)}
 
 
-def _cli_argv(verb: str, n: int, extra: tuple) -> list[str]:
-    return [*verb.split(), "--n", str(n), *extra]
+def _cli_argv(verb: str, n: int, extra: tuple, workdir: Path) -> list[str]:
+    """A sweep verb runs at ``--n n``; ``check`` reads a space of n points, all at distance 1, from ``workdir``."""
+    if verb != "check":
+        return [*verb.split(), "--n", str(n), *extra]
+    path = workdir / f"space{n}.json"
+    rows = [["0" if i == j else "1" for j in range(n)] for i in range(n)]
+    path.write_text(json.dumps({"points": [f"p{i}" for i in range(1, n + 1)], "dist": rows}))
+    return [verb, *extra, str(path)]
 
 
-def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES) -> list[dict]:
+def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES + STARTUP_CASES) -> list[dict]:
     """One row per tree and CLI case: wall seconds of a fresh interpreter, best and median of ``reps``."""
     times = {(name, i): [] for name in trees for i in range(len(cases))}
     outputs: dict[int, tuple] = {}
-    for _ in range(reps):
-        for i, (verb, n, extra) in enumerate(cases):
-            for name, root in trees.items():
-                env = dict(os.environ, PYTHONPATH=str(root / "src"))
-                t0 = time.perf_counter()
-                proc = subprocess.run([sys.executable, "-m", "starmetric", *_cli_argv(verb, n, extra)],
-                                      capture_output=True, env=env, timeout=600)
-                times[name, i].append(time.perf_counter() - t0)
-                got = (proc.returncode, proc.stdout)
-                if outputs.setdefault(i, got) != got:
-                    raise SystemExit(f"{name}: {' '.join(_cli_argv(verb, n, extra))} printed other output")
+    with tempfile.TemporaryDirectory() as workdir:
+        argvs = [_cli_argv(verb, n, extra, Path(workdir)) for verb, n, extra in cases]
+        for _ in range(reps):
+            for i, argv in enumerate(argvs):
+                for name, root in trees.items():
+                    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+                    t0 = time.perf_counter()
+                    proc = subprocess.run([sys.executable, "-m", "starmetric", *argv],
+                                          capture_output=True, env=env, timeout=600)
+                    times[name, i].append(time.perf_counter() - t0)
+                    got = (proc.returncode, proc.stdout)
+                    if outputs.setdefault(i, got) != got:
+                        raise SystemExit(f"{name}: {' '.join(argv)} printed other output")
     return [
         _row("cli", f"{name}: " + " ".join([verb, *extra]), n, times[name, i])
         for i, (verb, n, extra) in enumerate(cases)
