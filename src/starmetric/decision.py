@@ -151,7 +151,14 @@ def _row_minima(r: tuple[tuple[int, ...], ...]) -> list[int]:
     return [min(filter(None, row), default=0) for row in r]
 
 
-def _is_center(row: tuple[int, ...], mins: list[int]) -> bool:
+def _nearest(s: FiniteSemimetricSpace) -> tuple[int, ...]:
+    """``_row_minima(s.ranks)``, computed once per space and kept on it, as ``s.ultrametric_witness`` is."""
+    if "_nearest" not in vars(s):
+        vars(s)["_nearest"] = tuple(_row_minima(s.ranks))
+    return vars(s)["_nearest"]
+
+
+def _is_center(row: tuple[int, ...], mins: tuple[int, ...]) -> bool:
     # row[j] >= mins[j] always holds off the diagonal, and row[i] = 0 on it
     return all(map(le, row, mins))
 
@@ -163,7 +170,7 @@ def find_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
     distance.  Returned in input order; may be empty.
     """
     _require_ultrametric(s)
-    mins = _row_minima(s.ranks)
+    mins = _nearest(s)
     return tuple(p for p, row in zip(s.points, s.ranks) if _is_center(row, mins))
 
 
@@ -175,14 +182,18 @@ def is_us(s: FiniteSemimetricSpace) -> bool:
 def build_star(s: FiniteSemimetricSpace, x0: str) -> LabeledStarGraph:
     """Star with center x0 and leaf labels d(x, x0); regenerates ``s`` exactly."""
     _require_ultrametric(s)
-    if x0 not in s.points or not _is_center(s.ranks[s.index(x0)], _row_minima(s.ranks)):
-        raise NotACenter(f"{x0!r} does not satisfy the center criterion (centers: {list(find_centers(s))})")
-    i0 = s.index(x0)
+    i0 = s.index(x0)  # UnknownPoint for a name outside the space
     row, values = s.ranks[i0], s.spectrum
-    return LabeledStarGraph.of(
-        x0,
-        ZERO,
-        [(p, values[row[j]]) for j, p in enumerate(s.points) if j != i0],
+    if not _is_center(row, _nearest(s)):
+        raise NotACenter(f"{x0!r} does not satisfy the center criterion (centers: {list(find_centers(s))})")
+    # the center is vertex 0 and meets every edge, in leaf order, so
+    # the constructor's checks and edge normalization would change nothing
+    leaves = s.points[:i0] + s.points[i0 + 1 :]
+    return LabeledStarGraph._trusted(
+        vertices=(x0, *leaves),
+        edges=tuple([(x0, p) for p in leaves]),
+        labels=(ZERO, *[values[k] for k in row[:i0] + row[i0 + 1 :]]),
+        _adj=[list(range(1, len(row))), *[[0] for _ in leaves]],
     )
 
 
@@ -239,14 +250,21 @@ def find_forbidden_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None
     the first pair d(x,y) > max(l(x), l(y)) and extract the two closer
     partners z, w.  Should the extraction ever degenerate the exhaustive
     scan takes over, and a disagreement between the two routes raises
-    InternalInconsistency.
+    InternalInconsistency.  The result, None included, is computed once
+    per space and kept on it.
     """
     _require_ultrametric(s)
+    if "_obstruction" not in vars(s):
+        vars(s)["_obstruction"] = _constructive_quadruple(s)
+    return vars(s)["_obstruction"]
+
+
+def _constructive_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None:
     r = s.ranks
     n = len(r)
     if n < 4:
         return None
-    mins = _row_minima(r)
+    mins = _nearest(s)
     for i in range(n):
         ri, mi = r[i], mins[i]
         for j in range(i + 1, n):

@@ -25,7 +25,7 @@ from .decision import (
     KIND_X4,
     KIND_Y4,
     QuadrupleReport,
-    _row_minima,
+    _nearest,
     exhaustive_quadruple_scan,
     find_centers,
     find_forbidden_quadruple,
@@ -94,13 +94,6 @@ class RankedHierarchy(_Frozen):
         if levels != set(range(1, len(levels) + 1)):
             raise ValueError(f"levels must be exactly 1..k, got {sorted(levels)}")
         vars(self).update(root=root, _gaps=tuple(gaps))
-
-    @classmethod
-    def _trusted(cls, root: tuple, gaps: tuple[int, ...]) -> RankedHierarchy:
-        """Hierarchy from a canonical encoding and its adjacent-leaf levels, unchecked."""
-        h = cls.__new__(cls)
-        vars(h).update(root=root, _gaps=gaps)
-        return h
 
     @property
     def leaf_count(self) -> int:
@@ -190,7 +183,7 @@ def enumerate_hierarchies(n: int) -> Iterator[RankedHierarchy]:
     if not 1 <= n <= MAX_POINTS:
         raise BoundExceeded(f"supported point counts are 1..{MAX_POINTS}, got {n}")
     for root, gaps in _merge_levels(n):
-        yield RankedHierarchy._trusted(root, gaps)
+        yield RankedHierarchy._trusted(root=root, _gaps=gaps)
 
 
 def enumerate_classes(n: int) -> Iterator[FiniteSemimetricSpace]:
@@ -475,9 +468,9 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     # spectrum stays; one point gets the new value 1 at rank 1
     r, spectrum = s.ranks, s.spectrum
     if len(r) == 1:
-        spectrum, mins = (*spectrum, Fraction(1)), [1]
+        spectrum, mins = (*spectrum, Fraction(1)), (1,)
     else:
-        mins = _row_minima(r)
+        mins = _nearest(s)
     ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
     extension = FiniteSemimetricSpace._ranked(s.points + (name,), spectrum, ranks)
     ext_ultra = is_ultrametric(extension)

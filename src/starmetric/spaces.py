@@ -72,6 +72,13 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         _refuse("delete", name)
 
+    @classmethod
+    def _trusted(cls, **fields):
+        """Instance holding ``fields`` as given, for values that already meet every check of ``__init__``."""
+        obj = cls.__new__(cls)
+        vars(obj).update(fields)
+        return obj
+
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
 
@@ -142,11 +149,8 @@ class FiniteSemimetricSpace(_Frozen):
         *, ultrametric: bool = False,
     ) -> FiniteSemimetricSpace:
         """Space from its points, sorted distinct values and rank matrix; ``ultrametric`` hands over the verdict."""
-        space = cls.__new__(cls)
-        vars(space).update(points=points, spectrum=spectrum, ranks=ranks)
-        if ultrametric:
-            vars(space)["ultrametric_witness"] = None
-        return space
+        verdict = {"ultrametric_witness": None} if ultrametric else {}
+        return cls._trusted(points=points, spectrum=spectrum, ranks=ranks, **verdict)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

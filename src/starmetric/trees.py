@@ -170,13 +170,11 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
 
     A generating tree gives an ultrametric, and the path maxima are its
     rank matrix, so the space starts with ``ranks`` and
-    ``ultrametric_witness`` set.
+    ``ultrametric_witness`` set.  An edge whose labels are both 0 has
+    rank 0; only then does ``generating_violation`` run, to name one.
     """
-    bad = generating_violation(t)
-    if bad is not None:
-        raise NotGenerating(f"edge {bad[0]} -- {bad[1]} has both endpoint labels zero")
     # path maxima compare label ranks, so equal labels come out as one
-    # object; rank 0 is the diagonal, and every edge has a positive rank
+    # object; rank 0 is the label 0 and the diagonal
     values, rank_of = [ZERO], {}
     for lab in sorted({id(lab): lab for lab in t.labels}.values(), key=_exact_key):
         if lab != values[-1]:
@@ -188,6 +186,9 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     # plus 0, numbered densely: a label on no edge's larger end (such as a
     # leaf label below the center label) is no distance
     used = sorted({e[0] for e in edges})
+    if used and not used[0]:
+        u, v = generating_violation(t)
+        raise NotGenerating(f"edge {u} -- {v} has both endpoint labels zero")
     dense = [0] * len(values)
     for r, k in enumerate(used, 1):
         dense[k] = r

@@ -19,7 +19,9 @@ through per-row codes, with its eager ``dist``, is kept as the reference
 for the parse straight to spectrum and ranks.  The per-cell
 ``space_to_json`` and the completion truncation bordered on its
 ``Fraction`` matrix are kept as references for the rank-mapped JSON
-form and the rank-bordered truncation.
+form and the rank-bordered truncation.  The star built through the
+validating ``LabeledStarGraph.of`` is kept as the reference for
+``build_star``'s trusted star.
 """
 
 from __future__ import annotations
@@ -655,6 +657,16 @@ def fraction_rank_codes(values: list[Fraction], codes: list[list[int]]) -> tuple
     distinct = {(v.numerator, v.denominator): v for v in values}
     rank = {k: r for r, k in enumerate(sorted(distinct, key=distinct.__getitem__))}
     return tuple(tuple(rank[values[c].numerator, values[c].denominator] for c in row) for row in codes)
+
+
+def validated_build_star(s: FiniteSemimetricSpace, x0: str) -> LabeledStarGraph:
+    """The earlier ``build_star``: the star goes through ``LabeledStarGraph.of`` and all its checks.
+
+    ``x0`` must be a center of the ultrametric space ``s``.
+    """
+    i0 = s.index(x0)
+    row, values = s.ranks[i0], s.spectrum
+    return LabeledStarGraph.of(x0, ZERO, [(p, values[row[j]]) for j, p in enumerate(s.points) if j != i0])
 
 
 def sliced_row_minima(r: tuple[tuple[int, ...], ...]) -> list[int]:

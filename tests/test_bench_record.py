@@ -49,16 +49,24 @@ def test_rank_first_record_holds_every_workload_and_cli_case():
             assert ("cli", f"{tree}: " + " ".join([verb, *extra]), n) in rows
 
 
-def test_plain_records_record_holds_every_workload_and_cli_case():
-    record = json.loads((ROOT / "BENCH_plain_records.json").read_text())
+def _assert_every_workload_and_cli_case(name: str) -> None:
+    record = json.loads((ROOT / name).read_text())
     rows = {(row["layer"], row["case"], row["n"]) for row in record["rows"]}
-    assert bench_record.STARTUP_CASES == (("check", 1, ("--json",)),)
     for tree in ("parent", "change"):
         for w in bench_record.WORKLOADS:
             n = bench_record.sweep_n() if w == "sweep" else None
             assert ("perfbench", f"{tree}: {w} seed {bench_record.SEED}", n) in rows
         for verb, n, extra in bench_record.CLI_CASES + bench_record.STARTUP_CASES:
             assert ("cli", f"{tree}: " + " ".join([verb, *extra]), n) in rows
+
+
+def test_plain_records_record_holds_every_workload_and_cli_case():
+    assert bench_record.STARTUP_CASES == (("check", 1, ("--json",)),)
+    _assert_every_workload_and_cli_case("BENCH_plain_records.json")
+
+
+def test_once_per_space_record_holds_every_workload_and_cli_case():
+    _assert_every_workload_and_cli_case("BENCH_once_per_space.json")
 
 
 def test_startup_case_checks_a_one_point_space():

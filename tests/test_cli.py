@@ -110,6 +110,17 @@ def test_star_verb_with_dot(x4_file, star_tree_file, tmp_path, capsys):
     assert run(["star", str(space_path), "--center", "u"]) == 1
 
 
+def test_star_verb_rejects_a_center_outside_the_space(star_tree_file, tmp_path, capsys):
+    # a name that is no point is an input error (status 2), not a failed center criterion (status 1)
+    assert run(["gen", star_tree_file]) == 0
+    space_path = tmp_path / "space.json"
+    space_path.write_text(capsys.readouterr().out)
+    assert run(["star", str(space_path), "--center", "zz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown point 'zz'\n"
+
+
 def test_ray_and_truncate(harmonic_star_file, capsys):
     assert run(["ray", harmonic_star_file]) == 0
     assert "1/2" in capsys.readouterr().out
