@@ -473,6 +473,8 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
         mins = _nearest(s)
     ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
     extension = FiniteSemimetricSpace._ranked(s.points + (name,), spectrum, ranks)
+    # each old point keeps its nearest rank, and the added point's is the least of them
+    vars(extension)["_nearest"] = (*mins, min(mins))
     ext_ultra = is_ultrametric(extension)
     added_center = ext_ultra and name in find_centers(extension)
     success = ext_ultra and added_center

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _Frozen, _pick
+from .spaces import FiniteSemimetricSpace, ZERO, _Frozen, _pick, _ranked_values
 from .trees import LabeledTree, NotGenerating, generate_ultrametric
 
 # Bounds on the work a short presentation can demand.  No tail label past
@@ -500,8 +500,7 @@ class CompletionModel(NamedTuple):
             return FiniteSemimetricSpace._ranked((self.added_point,), (ZERO,), ((0,),))
         core = ray_truncation_space(self.ray, k)
         labels = tuple(self.ray.labels(k))
-        spectrum = tuple(sorted({*core.spectrum, *labels}, key=_exact_key))
-        rank = {v: i for i, v in enumerate(spectrum)}
+        spectrum, rank = _ranked_values({v: v for v in (*core.spectrum, *labels)})
         border = [rank[v] for v in labels]
         rows = _pick([rank[v] for v in core.spectrum], core.ranks)
         ranks = ((0, *border), *[(b, *row) for b, row in zip(border, rows)])

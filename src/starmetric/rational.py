@@ -34,6 +34,11 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         if len(value) > MAX_RATIONAL_CHARS:
             raise RationalTooLarge(f"rational string of {len(value)} characters exceeds {MAX_RATIONAL_CHARS}")
+        # plain ASCII "p" and "p/q" skip both regexes; every other spelling,
+        # and q = 0, takes Fraction's own parser and its errors
+        p, slash, q = value.partition("/")
+        if value.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0")):
+            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
         exp = _EXPONENT.search(value)
         if exp is not None and abs(int(exp.group(1).replace("_", "") or 0)) > MAX_DECIMAL_EXPONENT:
             raise RationalTooLarge(f"decimal exponent in {value!r} exceeds {MAX_DECIMAL_EXPONENT}")

@@ -114,10 +114,10 @@ def _twin_classes(rm: Sequence[Sequence[int]], n: int) -> list[int]:
     # matrix: identical ranks to every third point
     cls = list(range(n))
     for u in range(n):
+        ru = rm[u]
         for v in range(u + 1, n):
-            if cls[v] != v:
-                continue
-            if all(rm[u][w] == rm[v][w] for w in range(n) if w != u and w != v):
+            rv = rm[v]
+            if cls[v] == v and ru[:u] == rv[:u] and ru[u + 1 : v] == rv[u + 1 : v] and ru[v + 1 :] == rv[v + 1 :]:
                 cls[v] = cls[u]
     return cls
 

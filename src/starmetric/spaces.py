@@ -285,27 +285,27 @@ def _rats_in_order(rows: Sequence[Sequence], n: int) -> list[list[Fraction]]:
     return out
 
 
-def _exact_key(v: Fraction) -> tuple[int, Fraction]:
-    """Exact sort key for rationals that mostly compares one int, not two Fractions.
+def _ranked_values(value_of: dict) -> tuple[tuple[Fraction, ...], dict]:
+    """Sorted distinct values of a dict of rationals, and the rank of each key's value among them.
 
-    ``(p << 64) // q``, the floor of the value times 2**64, orders values
-    more than 2**-64 apart; closer values tie on it and fall through to
-    the exact ``Fraction`` comparison, a Python-level call per comparison.
+    Each value's (numerator, denominator) is read once: it is unique in
+    lowest terms and hashes far faster than a Fraction.  The distinct
+    values are sorted on the exact key ``((p << 64) // q, value)``: the
+    floor of the value times 2**64 orders values more than 2**-64 apart
+    with one int comparison; closer values tie on it and fall through to
+    the exact ``Fraction`` comparison, a Python-level call.
     """
-    return (v.numerator << 64) // v.denominator, v
+    pair = {k: (v.numerator, v.denominator) for k, v in value_of.items()}
+    distinct = dict(zip(pair.values(), value_of.values()))
+    order = sorted([((p << 64) // q, v, (p, q)) for (p, q), v in distinct.items()])
+    rank = {pq: r for r, (_, _, pq) in enumerate(order)}
+    return tuple([v for _, v, _ in order]), {k: rank[pq] for k, pq in pair.items()}
 
 
 def _rank_cells(value_of: dict, rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
-    """Spectrum and rank matrix of a matrix of cells, given each distinct cell's value.
-
-    Distinct values are sorted once by ``_exact_key``, and looked up by
-    (numerator, denominator), which hashes far faster than a Fraction
-    and is unique in lowest terms.
-    """
-    distinct = {(v.numerator, v.denominator): v for v in value_of.values()}
-    spectrum = tuple(sorted(distinct.values(), key=_exact_key))
-    rank = {(v.numerator, v.denominator): r for r, v in enumerate(spectrum)}
-    return spectrum, _pick({c: rank[v.numerator, v.denominator] for c, v in value_of.items()}, rows)
+    """Spectrum and rank matrix of a matrix of cells, given each distinct cell's value."""
+    spectrum, rank = _ranked_values(value_of)
+    return spectrum, _pick(rank, rows)
 
 
 def _pick(items: Sequence | dict, codes: Sequence[Sequence]) -> tuple[tuple, ...]:
@@ -443,10 +443,15 @@ def reorder(s: FiniteSemimetricSpace, order: Iterable[str]) -> FiniteSemimetricS
         raise EmptySubset("need at least one point")
     if len(set(names)) != len(names):
         raise DuplicateName(f"duplicate point in {names!r}")
-    idx = [s.index(p) for p in names]
+    try:
+        idx = itemgetter(*names)(s._index)
+    except KeyError:
+        idx = [s.index(p) for p in names]  # raises UnknownPoint for the first unknown name
+    if len(names) == 1:  # itemgetter returned the one index itself
+        return FiniteSemimetricSpace._ranked(names, s.spectrum[:1], ((0,),))
     r = s.ranks
     pick = itemgetter(*idx)
-    ranks = tuple([pick(r[a]) for a in idx]) if len(idx) > 1 else ((0,),)
+    ranks = tuple([pick(r[a]) for a in idx])
     if len(idx) == len(r):
         return FiniteSemimetricSpace._ranked(names, s.spectrum, ranks)
     used = sorted(set().union(*ranks))

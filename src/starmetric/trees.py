@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _exact_key, _Frozen, _path_maxima
+from .spaces import FiniteSemimetricSpace, ZERO, _Frozen, _path_maxima, _ranked_values
 
 
 class TreeError(ValueError):
@@ -175,11 +175,7 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     """
     # path maxima compare label ranks, so equal labels come out as one
     # object; rank 0 is the label 0 and the diagonal
-    values, rank_of = [ZERO], {}
-    for lab in sorted({id(lab): lab for lab in t.labels}.values(), key=_exact_key):
-        if lab != values[-1]:
-            values.append(lab)
-        rank_of[id(lab)] = len(values) - 1
+    values, rank_of = _ranked_values({None: ZERO, **{id(lab): lab for lab in t.labels}})
     ranks = [rank_of[id(lab)] for lab in t.labels]
     edges = [(max(ranks[u], ranks[v]), u, v) for u, adj in enumerate(t._adj) for v in adj if u < v]
     # a path maximum is an edge's rank, so the distances are the edge ranks

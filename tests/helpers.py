@@ -21,7 +21,9 @@ for the parse straight to spectrum and ranks.  The per-cell
 ``Fraction`` matrix are kept as references for the rank-mapped JSON
 form and the rank-bordered truncation.  The star built through the
 validating ``LabeledStarGraph.of`` is kept as the reference for
-``build_star``'s trusted star.
+``build_star``'s trusted star.  Tree generation that dedupes sorted
+labels with ``!=``, and twin classes compared entry by entry, are kept
+as references for the shared ranking kernel and the sliced twin test.
 """
 
 from __future__ import annotations
@@ -54,11 +56,12 @@ from starmetric.spaces import (
     NonzeroDiagonal,
     ZERO,
     ZeroOffDiagonal,
+    _path_maxima,
     _pick,
     _raise_first_axiom_violation,
 )
 from starmetric.trees import NotGenerating, generating_violation
-from starmetric.similarity import CanonicalForm, _form, _twin_classes, rank_matrix
+from starmetric.similarity import CanonicalForm, _form, rank_matrix
 
 
 def rand_pos_frac(rng: Random, top: int = 12) -> Fraction:
@@ -308,7 +311,7 @@ def dfs_canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
     n = len(rm)
     if n == 1:
         return _form(((0,),))
-    twins = _twin_classes(rm, n)
+    twins = elementwise_twin_classes(rm, n)
     best: list[tuple[int, ...] | None] = [None]
     perm: list[int] = []
     in_perm = [False] * n
@@ -709,3 +712,38 @@ def submatrix_semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:
     if n == 3:
         raise CardinalityThree(report)
     return report
+
+
+def elementwise_twin_classes(rm, n: int) -> list[int]:
+    """The earlier ``similarity._twin_classes``: rows compared entry by entry, skipping both twins."""
+    cls = list(range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if cls[v] != v:
+                continue
+            if all(rm[u][w] == rm[v][w] for w in range(n) if w != u and w != v):
+                cls[v] = cls[u]
+    return cls
+
+
+def deduped_generate_ultrametric(t) -> FiniteSemimetricSpace:
+    """The earlier ``generate_ultrametric``: sorted labels deduped by ``!=`` before the path maxima.
+
+    The reference for generation through ``spaces._ranked_values``.
+    """
+    values, rank_of = [ZERO], {}
+    for lab in sorted({id(lab): lab for lab in t.labels}.values()):  # as the exact key orders them
+        if lab != values[-1]:
+            values.append(lab)
+        rank_of[id(lab)] = len(values) - 1
+    ranks = [rank_of[id(lab)] for lab in t.labels]
+    edges = [(max(ranks[u], ranks[v]), u, v) for u, adj in enumerate(t._adj) for v in adj if u < v]
+    used = sorted({e[0] for e in edges})
+    if used and not used[0]:
+        u, v = generating_violation(t)
+        raise NotGenerating(f"edge {u} -- {v} has both endpoint labels zero")
+    dense = [0] * len(values)
+    for r, k in enumerate(used, 1):
+        dense[k] = r
+    maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
+    return FiniteSemimetricSpace._ranked(t.vertices, (ZERO, *[values[k] for k in used]), maxima, ultrametric=True)

@@ -69,6 +69,10 @@ def test_once_per_space_record_holds_every_workload_and_cli_case():
     _assert_every_workload_and_cli_case("BENCH_once_per_space.json")
 
 
+def test_int_values_record_holds_every_workload_and_cli_case():
+    _assert_every_workload_and_cli_case("BENCH_int_values.json")
+
+
 def test_startup_case_checks_a_one_point_space():
     rows = bench_record.cli_rows({"here": ROOT}, reps=2, cases=bench_record.STARTUP_CASES)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [("cli", "here: check --json", 1, 2)]

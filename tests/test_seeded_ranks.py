@@ -28,7 +28,7 @@ from starmetric import (
     validate_semimetric,
 )
 from starmetric.decision import _four_point, _row_minima
-from starmetric.spaces import _exact_key, _rank_cells
+from starmetric.spaces import _rank_cells, _ranked_values
 from helpers import (
     fraction_rank_codes,
     rand_pos_frac,
@@ -105,7 +105,9 @@ def test_exact_key_orders_like_sorted(values):
     rng = Random(len(values))
     for _ in range(5):
         rng.shuffle(values)
-        assert sorted(values, key=_exact_key) == sorted(values)
+        spectrum, rank = _ranked_values(dict(enumerate(values)))
+        assert list(spectrum) == sorted(set(values))
+        assert [spectrum[rank[i]] for i in range(len(values))] == values
     fractions = [Fraction(v) for v in values]
     codes = [[rng.randrange(len(fractions)) for _ in range(4)] for _ in range(4)]
     assert _rank_cells(dict(enumerate(fractions)), codes)[1] == fraction_rank_codes(fractions, codes)
