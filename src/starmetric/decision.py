@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .spaces import (
     FiniteSemimetricSpace,
     ZERO,
+    _record_json,
     is_ultrametric,
     ultrametric_violation,
     validate_semimetric,
@@ -82,17 +83,7 @@ class QuadrupleReport(NamedTuple):
     small2: Fraction
     kind: str
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "w": self.w,
-            "big": str(self.big),
-            "small1": str(self.small1),
-            "small2": str(self.small2),
-            "kind": self.kind,
-        }
+    to_json = _record_json
 
 
 def x4_space() -> FiniteSemimetricSpace:
@@ -331,13 +322,7 @@ class UsCheckReport(NamedTuple):
     def agree(self) -> bool:
         return self.in_us == self.every4_us == self.every4_tree
 
-    def to_json(self) -> dict:
-        return {
-            "in_us": self.in_us,
-            "every4_us": self.every4_us,
-            "every4_tree": self.every4_tree,
-            "cardinality_ok": self.cardinality_ok,
-        }
+    to_json = _record_json
 
 
 def semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:

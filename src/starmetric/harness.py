@@ -38,9 +38,9 @@ from .spaces import (
     FiniteSemimetricSpace,
     _Frozen,
     _path_maxima,
+    _record_json,
     distance_spectrum,
     is_ultrametric,
-    space_to_json,
     ultrametric_violation,
 )
 from .trees import generate_ultrametric
@@ -112,8 +112,9 @@ class RankedHierarchy(_Frozen):
         with k levels its spectrum 0..k.
         """
         ranks = self.rank_matrix()
-        return FiniteSemimetricSpace._ranked(
-            _point_names(len(ranks)), _levels(max(self._gaps, default=0) + 1), ranks, ultrametric=True
+        spectrum = _levels(max(self._gaps, default=0) + 1)
+        return FiniteSemimetricSpace._trusted(
+            points=_point_names(len(ranks)), spectrum=spectrum, ranks=ranks, ultrametric_witness=None
         )
 
 
@@ -216,8 +217,7 @@ class ClassDiscrepancy(NamedTuple):
     space: FiniteSemimetricSpace
     details: str
 
-    def to_json(self) -> dict:
-        return {"space": space_to_json(self.space), "details": self.details}
+    to_json = _record_json
 
 
 class ObstructionSweepReport(NamedTuple):
@@ -235,15 +235,7 @@ class ObstructionSweepReport(NamedTuple):
         return not self.discrepancies
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "classes": self.classes,
-            "us_classes": self.us_classes,
-            "obstructed_classes": self.obstructed_classes,
-            "kind_counts": dict(self.kind_counts),
-            "discrepancies": [d.to_json() for d in self.discrepancies],
-            "ok": self.ok,
-        }
+        return {**_record_json(self), "kind_counts": dict(self.kind_counts), "ok": self.ok}
 
 
 def _is_obstruction(s: FiniteSemimetricSpace, rep: QuadrupleReport) -> bool:
@@ -355,13 +347,7 @@ class FivePointWitness(NamedTuple):
     star_generated: bool
     obstruction_kind: Optional[str]
 
-    def to_json(self) -> dict:
-        return {
-            "space": space_to_json(self.space),
-            "tree_generated": self.tree_generated,
-            "star_generated": self.star_generated,
-            "obstruction_kind": self.obstruction_kind,
-        }
+    to_json = _record_json
 
 
 class TreeEquivalenceReport(NamedTuple):
@@ -378,12 +364,7 @@ class TreeEquivalenceReport(NamedTuple):
         )
 
     def to_json(self) -> dict:
-        return {
-            "classes_checked": self.classes_checked,
-            "discrepancies": [d.to_json() for d in self.discrepancies],
-            "five_point_witnesses": [w.to_json() for w in self.five_point_witnesses],
-            "ok": self.ok,
-        }
+        return {**_record_json(self), "ok": self.ok}
 
 
 def verify_tree_equivalence() -> TreeEquivalenceReport:
@@ -436,15 +417,7 @@ class ProbeReport(NamedTuple):
     added_is_center: bool
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "success": self.success,
-            "added_point": self.added_point,
-            "extension": space_to_json(self.extension),
-            "extension_ultrametric": self.extension_ultrametric,
-            "added_is_center": self.added_is_center,
-            "note": self.note,
-        }
+    to_json = _record_json
 
 
 def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
@@ -472,9 +445,10 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     else:
         mins = _nearest(s)
     ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
-    extension = FiniteSemimetricSpace._ranked(s.points + (name,), spectrum, ranks)
     # each old point keeps its nearest rank, and the added point's is the least of them
-    vars(extension)["_nearest"] = (*mins, min(mins))
+    extension = FiniteSemimetricSpace._trusted(
+        points=s.points + (name,), spectrum=spectrum, ranks=ranks, _nearest=(*mins, min(mins))
+    )
     ext_ultra = is_ultrametric(extension)
     added_center = ext_ultra and name in find_centers(extension)
     success = ext_ultra and added_center

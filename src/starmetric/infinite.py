@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _Frozen, _pick, _ranked_values
+from .spaces import FiniteSemimetricSpace, ZERO, _Frozen, _pick, _ranked_values, _record_json
 from .trees import LabeledTree, NotGenerating, generate_ultrametric
 
 # Bounds on the work a short presentation can demand.  No tail label past
@@ -61,9 +61,11 @@ class TailLaw:
     Each law answers membership counts for superlevel sets exactly, which
     is what keeps compactness decidable without sampling.  The algebra is
     deliberately small (harmonic, geometric, constant, none); extend by
-    subclassing with the same four members.
+    subclassing with the same four members and a ``kind``, the law's JSON
+    name; ``tail_from_json`` reads back each rational in ``_fields``.
     """
 
+    kind: str
     finite = False
     # strictly decreasing with limit 0
     decreasing_to_zero = False
@@ -78,12 +80,13 @@ class TailLaw:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **_record_json(self)}
 
 
 class HarmonicTail(TailLaw, _Frozen):
     """label(n) = c / n."""
 
+    kind = "harmonic"
     _fields = ("c",)
     decreasing_to_zero = True
 
@@ -100,13 +103,11 @@ class HarmonicTail(TailLaw, _Frozen):
             return None
         return math.floor(self.c / eps)
 
-    def to_json(self) -> dict:
-        return {"kind": "harmonic", "c": str(self.c)}
-
 
 class GeometricTail(TailLaw, _Frozen):
     """label(n) = a * r**n with 0 < r < 1."""
 
+    kind = "geometric"
     _fields = ("a", "r")
     decreasing_to_zero = True
 
@@ -150,13 +151,11 @@ class GeometricTail(TailLaw, _Frozen):
             if bits * 30103 // 100_000 >= MAX_LABEL_DIGITS:
                 raise IndexOutOfRange(f"geometric label {n} would pass {MAX_LABEL_DIGITS} digits")
 
-    def to_json(self) -> dict:
-        return {"kind": "geometric", "a": str(self.a), "r": str(self.r)}
-
 
 class ConstantTail(TailLaw, _Frozen):
     """label(n) = q for every n."""
 
+    kind = "constant"
     _fields = ("q",)
 
     def __init__(self, q: Fraction):
@@ -173,13 +172,11 @@ class ConstantTail(TailLaw, _Frozen):
             return None
         return 0 if self.q < eps else None
 
-    def to_json(self) -> dict:
-        return {"kind": "constant", "q": str(self.q)}
-
 
 class FiniteTail(TailLaw, _Frozen):
     """No labels beyond the explicit part."""
 
+    kind = "finite"
     finite = True
 
     def label(self, n: int) -> Fraction:
@@ -187,9 +184,6 @@ class FiniteTail(TailLaw, _Frozen):
 
     def count_ge(self, eps: Fraction) -> Optional[int]:
         return 0
-
-    def to_json(self) -> dict:
-        return {"kind": "finite"}
 
 
 def _json_rat(obj: dict, key: str, where: str) -> Fraction:
@@ -215,15 +209,20 @@ def tail_from_json(obj) -> TailLaw:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedPresentation("tail JSON needs a 'kind' key")
     kind = obj["kind"]
-    if kind == "harmonic":
-        return HarmonicTail(_json_rat(obj, "c", "harmonic tail"))
-    if kind == "geometric":
-        return GeometricTail(_json_rat(obj, "a", "geometric tail"), _json_rat(obj, "r", "geometric tail"))
-    if kind == "constant":
-        return ConstantTail(_json_rat(obj, "q", "constant tail"))
-    if kind == "finite":
-        return FiniteTail()
+    # compared with ==, never looked up: a JSON kind may be unhashable
+    for law in (HarmonicTail, GeometricTail, ConstantTail, FiniteTail):
+        if kind == law.kind:
+            return law(*[_json_rat(obj, f, f"{kind} tail") for f in law._fields])
     raise MalformedPresentation(f"unknown tail kind {kind!r}")
+
+
+def _presentation_json(spec) -> dict:
+    # the JSON name of ``tail_skip`` is ``skip``, left out when 0
+    obj = _record_json(spec)
+    skip = obj.pop("tail_skip")
+    if skip:
+        obj["skip"] = skip
+    return obj
 
 
 def _json_skip(obj: dict) -> int:
@@ -272,15 +271,7 @@ class StarSpec(_Frozen):
         tail = () if self.tail.finite else map(self.tail.label, itertools.count(self.tail_skip + 1))
         return itertools.islice(itertools.chain(self.exceptional, tail), limit)
 
-    def to_json(self) -> dict:
-        obj = {
-            "center_label": str(self.center_label),
-            "exceptional": [str(x) for x in self.exceptional],
-            "tail": self.tail.to_json(),
-        }
-        if self.tail_skip:
-            obj["skip"] = self.tail_skip
-        return obj
+    to_json = _presentation_json
 
     @classmethod
     def from_json(cls, obj) -> "StarSpec":
@@ -302,9 +293,9 @@ class CompactnessReport(NamedTuple):
     epsilon: Optional[Fraction] = None
 
     def to_json(self) -> dict:
-        obj = {"compact": self.compact, "reason": self.reason}
-        if self.epsilon is not None:
-            obj["epsilon"] = str(self.epsilon)
+        obj = _record_json(self)
+        if self.epsilon is None:
+            del obj["epsilon"]
         return obj
 
 
@@ -379,15 +370,7 @@ class RaySpec(_Frozen):
         for n in range(1, limit + 1):
             yield self.label(n)
 
-    def to_json(self) -> dict:
-        obj = {
-            "prefix": [str(x) for x in self.prefix],
-            "tail": self.tail.to_json(),
-            "decreasing": self.decreasing,
-        }
-        if self.tail_skip:
-            obj["skip"] = self.tail_skip
-        return obj
+    to_json = _presentation_json
 
     @classmethod
     def from_json(cls, obj) -> "RaySpec":
@@ -497,21 +480,16 @@ class CompletionModel(NamedTuple):
         ranks are renumbered around it.
         """
         if not k:
-            return FiniteSemimetricSpace._ranked((self.added_point,), (ZERO,), ((0,),))
+            return FiniteSemimetricSpace._trusted(points=(self.added_point,), spectrum=(ZERO,), ranks=((0,),))
         core = ray_truncation_space(self.ray, k)
         labels = tuple(self.ray.labels(k))
         spectrum, rank = _ranked_values({v: v for v in (*core.spectrum, *labels)})
         border = [rank[v] for v in labels]
         rows = _pick([rank[v] for v in core.spectrum], core.ranks)
         ranks = ((0, *border), *[(b, *row) for b, row in zip(border, rows)])
-        return FiniteSemimetricSpace._ranked((self.added_point, *core.points), spectrum, ranks)
+        return FiniteSemimetricSpace._trusted(points=(self.added_point, *core.points), spectrum=spectrum, ranks=ranks)
 
-    def to_json(self) -> dict:
-        return {
-            "added_point": self.added_point,
-            "star": self.star.to_json(),
-            "ray": self.ray.to_json(),
-        }
+    to_json = _record_json
 
 
 def ray_to_completion(r: RaySpec) -> CompletionModel:
@@ -561,9 +539,9 @@ class CompactSubsetReport(NamedTuple):
     witness: tuple[Fraction, ...] = ()
 
     def to_json(self) -> dict:
-        obj = {"compact": self.compact, "finite": self.finite, "reason": self.reason}
-        if self.witness:
-            obj["witness"] = [str(x) for x in self.witness]
+        obj = _record_json(self)
+        if not self.witness:
+            del obj["witness"]
         return obj
 
 

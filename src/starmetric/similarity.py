@@ -12,7 +12,7 @@ import json
 from itertools import chain, groupby
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .spaces import FiniteSemimetricSpace
+from .spaces import FiniteSemimetricSpace, _record_json
 
 
 def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
@@ -105,8 +105,7 @@ class CanonicalForm(NamedTuple):
     ranks: tuple[tuple[int, ...], ...]
     digest: str
 
-    def to_json(self) -> dict:
-        return {"digest": self.digest, "ranks": [list(row) for row in self.ranks]}
+    to_json = _record_json
 
 
 def _twin_classes(rm: Sequence[Sequence[int]], n: int) -> list[int]:

@@ -100,6 +100,29 @@ def _refuse(verb: str, name: str):
     raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
+def _record_json(record) -> dict:
+    """JSON form of a record: each field in ``_fields`` by name.
+
+    A value with ``to_json`` gives its own JSON, a ``Fraction`` its exact
+    string, a space its ``space_to_json`` form, and a tuple the list of
+    its items, each written by the same rules; anything else is kept.
+    """
+    return {f: _json_value(getattr(record, f)) for f in record._fields}
+
+
+def _json_value(v):
+    # to_json before tuple: a NamedTuple record is a tuple
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, FiniteSemimetricSpace):
+        return space_to_json(v)
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
+
+
 class TripleWitness(NamedTuple):
     """An ordered triple breaking the strong triangle inequality.
 
@@ -112,14 +135,7 @@ class TripleWitness(NamedTuple):
     lhs: Fraction
     rhs: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
+    to_json = _record_json
 
 
 class FiniteSemimetricSpace(_Frozen):
@@ -127,68 +143,35 @@ class FiniteSemimetricSpace(_Frozen):
 
     A space stores ``points``, its ``spectrum`` (the sorted distinct
     distance values, starting at 0) and ``ranks`` (each entry's index in
-    the spectrum); ``dist``, the matrix of ``Fraction`` values, is built
-    from them the first time a caller reads it.  Parsing, generation,
-    ``reorder`` and the probe extension hand over all three through
-    ``_ranked``.  The
-    public ``FiniteSemimetricSpace(points, dist)`` stores ``dist`` instead
-    and derives the other two on first use.  Spaces are equal, and hash
-    equal, when their points and distances are; two spaces that both hold
-    ranks compare them without building ``dist``.  Attributes cannot be
-    assigned.
+    the spectrum: the diagonal has rank 0, and the off-diagonal ranks
+    cover 1..k with no gaps).  The public ``FiniteSemimetricSpace(points,
+    dist)`` ranks ``dist`` at once and keeps it.  Parsing, generation,
+    ``reorder`` and the probe extension hand over points, spectrum and
+    ranks through ``_trusted``; ``dist``, the matrix of ``Fraction``
+    values, is then built from them the first time a caller reads it.
+    Spaces are equal when their points, spectra and ranks are, and hash
+    over their points and distances.  Attributes cannot be assigned.
     """
 
     _fields = ("points", "dist")
 
     def __init__(self, points: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> None:
-        vars(self).update(points=points, dist=dist)
-
-    @classmethod
-    def _ranked(
-        cls, points: tuple[str, ...], spectrum: tuple[Fraction, ...], ranks: tuple[tuple[int, ...], ...],
-        *, ultrametric: bool = False,
-    ) -> FiniteSemimetricSpace:
-        """Space from its points, sorted distinct values and rank matrix; ``ultrametric`` hands over the verdict."""
-        verdict = {"ultrametric_witness": None} if ultrametric else {}
-        return cls._trusted(points=points, spectrum=spectrum, ranks=ranks, **verdict)
+        # spaces hold one object per distinct value, so entries are
+        # grouped by identity and each object is ranked once
+        objects = {id(v): v for row in dist for v in row}
+        spectrum, ranks = _rank_cells(objects, [list(map(id, row)) for row in dist])
+        vars(self).update(points=points, dist=dist, spectrum=spectrum, ranks=ranks)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.points != other.points:
-            return False
-        if "ranks" in vars(self) and "ranks" in vars(other):
-            return self.spectrum == other.spectrum and self.ranks == other.ranks
-        return self.dist == other.dist
+        return self.points == other.points and self.spectrum == other.spectrum and self.ranks == other.ranks
 
     __hash__ = _Frozen.__hash__
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
         return _pick(self.spectrum, self.ranks)
-
-    @cached_property
-    def spectrum(self) -> tuple[Fraction, ...]:
-        """Sorted distinct distance values; ``spectrum[0]`` is 0."""
-        return self._rank_core[0]
-
-    @cached_property
-    def ranks(self) -> tuple[tuple[int, ...], ...]:
-        """Distance matrix with each value replaced by its index in ``spectrum``.
-
-        The diagonal maps to rank 0; off-diagonal ranks cover 1..k with no
-        gaps because every spectrum value occurs in the matrix.  Parsed and
-        generated spaces store it; a space built from ``dist`` derives it
-        once, with its spectrum.
-        """
-        return self._rank_core[1]
-
-    @cached_property
-    def _rank_core(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
-        # spaces hold one object per distinct value, so entries are
-        # grouped by identity and each object is ranked once
-        objects = {id(v): v for row in self.dist for v in row}
-        return _rank_cells(objects, [list(map(id, row)) for row in self.dist])
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -268,7 +251,7 @@ def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> Fini
     spectrum, ranks = _rank_cells(value_of, rows)
     if not _is_semimetric(spectrum, ranks):
         _raise_first_axiom_violation(names, _pick(spectrum, ranks))
-    return FiniteSemimetricSpace._ranked(names, spectrum, ranks)
+    return FiniteSemimetricSpace._trusted(points=names, spectrum=spectrum, ranks=ranks)
 
 
 def _rats_in_order(rows: Sequence[Sequence], n: int) -> list[list[Fraction]]:
@@ -448,15 +431,16 @@ def reorder(s: FiniteSemimetricSpace, order: Iterable[str]) -> FiniteSemimetricS
     except KeyError:
         idx = [s.index(p) for p in names]  # raises UnknownPoint for the first unknown name
     if len(names) == 1:  # itemgetter returned the one index itself
-        return FiniteSemimetricSpace._ranked(names, s.spectrum[:1], ((0,),))
+        return FiniteSemimetricSpace._trusted(points=names, spectrum=s.spectrum[:1], ranks=((0,),))
     r = s.ranks
     pick = itemgetter(*idx)
     ranks = tuple([pick(r[a]) for a in idx])
     if len(idx) == len(r):
-        return FiniteSemimetricSpace._ranked(names, s.spectrum, ranks)
+        return FiniteSemimetricSpace._trusted(points=names, spectrum=s.spectrum, ranks=ranks)
     used = sorted(set().union(*ranks))
     dense = {k: i for i, k in enumerate(used)}
-    return FiniteSemimetricSpace._ranked(names, tuple([s.spectrum[k] for k in used]), _pick(dense, ranks))
+    spectrum = tuple([s.spectrum[k] for k in used])
+    return FiniteSemimetricSpace._trusted(points=names, spectrum=spectrum, ranks=_pick(dense, ranks))
 
 
 def restrict(s: FiniteSemimetricSpace, subset: Iterable[str]) -> FiniteSemimetricSpace:

@@ -189,7 +189,9 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     for r, k in enumerate(used, 1):
         dense[k] = r
     maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
-    return FiniteSemimetricSpace._ranked(t.vertices, (ZERO, *[values[k] for k in used]), maxima, ultrametric=True)
+    return FiniteSemimetricSpace._trusted(
+        points=t.vertices, spectrum=(ZERO, *[values[k] for k in used]), ranks=maxima, ultrametric_witness=None
+    )
 
 
 def star_distance(s: LabeledStarGraph, u: str, v: str) -> Fraction:

@@ -24,6 +24,11 @@ validating ``LabeledStarGraph.of`` is kept as the reference for
 ``build_star``'s trusted star.  Tree generation that dedupes sorted
 labels with ``!=``, and twin classes compared entry by entry, are kept
 as references for the shared ranking kernel and the sliced twin test.
+The hand-written ``to_json`` body of every record, tail law and
+presentation is kept as the reference for the one field encoder.  Class
+counts come from a memoised sum over multiset partitions of block
+multiplicities, which enumerates no class: the oracle for the catalogue's
+size.
 """
 
 from __future__ import annotations
@@ -746,4 +751,195 @@ def deduped_generate_ultrametric(t) -> FiniteSemimetricSpace:
     for r, k in enumerate(used, 1):
         dense[k] = r
     maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
-    return FiniteSemimetricSpace._ranked(t.vertices, (ZERO, *[values[k] for k in used]), maxima, ultrametric=True)
+    return FiniteSemimetricSpace._trusted(
+        points=t.vertices, spectrum=(ZERO, *[values[k] for k in used]), ranks=maxima, ultrametric_witness=None
+    )
+
+
+def hand_written_json(record) -> dict:
+    """The earlier hand-written ``to_json`` of every record, tail law and presentation.
+
+    The reference for the one encoder, ``spaces._record_json``: each type
+    wrote its own fields, and nested records, tails and spaces go through
+    these same bodies.
+    """
+    return _HAND_WRITTEN[type(record).__name__](record)
+
+
+def _witness_json(w) -> dict:
+    return {"x": w.x, "y": w.y, "z": w.z, "lhs": str(w.lhs), "rhs": str(w.rhs)}
+
+
+def _quadruple_json(q) -> dict:
+    return {
+        "x": q.x,
+        "y": q.y,
+        "z": q.z,
+        "w": q.w,
+        "big": str(q.big),
+        "small1": str(q.small1),
+        "small2": str(q.small2),
+        "kind": q.kind,
+    }
+
+
+def _us_check_json(r) -> dict:
+    return {
+        "in_us": r.in_us,
+        "every4_us": r.every4_us,
+        "every4_tree": r.every4_tree,
+        "cardinality_ok": r.cardinality_ok,
+    }
+
+
+def _discrepancy_json(d) -> dict:
+    return {"space": per_cell_space_to_json(d.space), "details": d.details}
+
+
+def _sweep_json(r) -> dict:
+    return {
+        "n": r.n,
+        "classes": r.classes,
+        "us_classes": r.us_classes,
+        "obstructed_classes": r.obstructed_classes,
+        "kind_counts": dict(r.kind_counts),
+        "discrepancies": [hand_written_json(d) for d in r.discrepancies],
+        "ok": r.ok,
+    }
+
+
+def _five_point_json(w) -> dict:
+    return {
+        "space": per_cell_space_to_json(w.space),
+        "tree_generated": w.tree_generated,
+        "star_generated": w.star_generated,
+        "obstruction_kind": w.obstruction_kind,
+    }
+
+
+def _tree_report_json(r) -> dict:
+    return {
+        "classes_checked": r.classes_checked,
+        "discrepancies": [hand_written_json(d) for d in r.discrepancies],
+        "five_point_witnesses": [hand_written_json(w) for w in r.five_point_witnesses],
+        "ok": r.ok,
+    }
+
+
+def _probe_json(r) -> dict:
+    return {
+        "success": r.success,
+        "added_point": r.added_point,
+        "extension": per_cell_space_to_json(r.extension),
+        "extension_ultrametric": r.extension_ultrametric,
+        "added_is_center": r.added_is_center,
+        "note": r.note,
+    }
+
+
+def _canonical_json(f) -> dict:
+    return {"digest": f.digest, "ranks": [list(row) for row in f.ranks]}
+
+
+def _star_spec_json(spec) -> dict:
+    obj = {
+        "center_label": str(spec.center_label),
+        "exceptional": [str(x) for x in spec.exceptional],
+        "tail": hand_written_json(spec.tail),
+    }
+    if spec.tail_skip:
+        obj["skip"] = spec.tail_skip
+    return obj
+
+
+def _compactness_json(r) -> dict:
+    obj = {"compact": r.compact, "reason": r.reason}
+    if r.epsilon is not None:
+        obj["epsilon"] = str(r.epsilon)
+    return obj
+
+
+def _ray_spec_json(ray) -> dict:
+    obj = {
+        "prefix": [str(x) for x in ray.prefix],
+        "tail": hand_written_json(ray.tail),
+        "decreasing": ray.decreasing,
+    }
+    if ray.tail_skip:
+        obj["skip"] = ray.tail_skip
+    return obj
+
+
+def _completion_json(m) -> dict:
+    return {"added_point": m.added_point, "star": hand_written_json(m.star), "ray": hand_written_json(m.ray)}
+
+
+def _compact_subset_json(r) -> dict:
+    obj = {"compact": r.compact, "finite": r.finite, "reason": r.reason}
+    if r.witness:
+        obj["witness"] = [str(x) for x in r.witness]
+    return obj
+
+
+_HAND_WRITTEN = {
+    "TripleWitness": _witness_json,
+    "QuadrupleReport": _quadruple_json,
+    "UsCheckReport": _us_check_json,
+    "ClassDiscrepancy": _discrepancy_json,
+    "ObstructionSweepReport": _sweep_json,
+    "FivePointWitness": _five_point_json,
+    "TreeEquivalenceReport": _tree_report_json,
+    "ProbeReport": _probe_json,
+    "CanonicalForm": _canonical_json,
+    "HarmonicTail": lambda t: {"kind": "harmonic", "c": str(t.c)},
+    "GeometricTail": lambda t: {"kind": "geometric", "a": str(t.a), "r": str(t.r)},
+    "ConstantTail": lambda t: {"kind": "constant", "q": str(t.q)},
+    "FiniteTail": lambda t: {"kind": "finite"},
+    "StarSpec": _star_spec_json,
+    "CompactnessReport": _compactness_json,
+    "RaySpec": _ray_spec_json,
+    "CompletionModel": _completion_json,
+    "CompactSubsetReport": _compact_subset_json,
+}
+
+
+def class_count(n: int) -> int:
+    """Number of weak-similarity classes of n-point ultrametrics, counted without enumerating them.
+
+    The catalogue merges blocks level by level, and only which blocks are
+    equal matters for the merges still to come.  So a state's number of
+    descendant classes depends only on the multiplicities of its equal
+    blocks: one block is one class, and otherwise it is the sum over the
+    state's children, the multiset partitions of its blocks that merge at
+    least one group.  In a child, each old block left alone keeps its
+    kind, and each group of two or more becomes a new node, equal to the
+    nodes of the equal groups and to no old block, whose level is lower.
+    """
+    return _descendant_classes((n,))
+
+
+@lru_cache(maxsize=None)
+def _descendant_classes(mults: tuple[int, ...]) -> int:
+    if sum(mults) == 1:
+        return 1
+    total = 0
+    for parts in _multiset_partitions(mults, mults):
+        if len(parts) == sum(mults):  # every block alone: nothing merges
+            continue
+        kinds: dict[tuple[int, ...], int] = {}  # a lone block of kind i is the unit vector of i
+        for part in parts:
+            kinds[part] = kinds.get(part, 0) + 1
+        total += _descendant_classes(tuple(sorted(kinds.values())))
+    return total
+
+
+def _multiset_partitions(counts: tuple[int, ...], bound: tuple[int, ...]):
+    """Partitions of the multiset with these kind counts, as lists of parts in non-increasing order, each <= bound."""
+    if not any(counts):
+        yield []
+        return
+    for part in product(*[range(c, -1, -1) for c in counts]):
+        if part <= bound and any(part):
+            rest = tuple([c - p for c, p in zip(counts, part)])
+            for parts in _multiset_partitions(rest, part):
+                yield [part, *parts]

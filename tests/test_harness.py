@@ -27,6 +27,7 @@ from starmetric import (
 from helpers import (
     brute_rank_class_reps,
     brute_tree_generable_4,
+    class_count,
     pool_hierarchy_roots,
     random_star,
     random_ultrametric,
@@ -62,6 +63,15 @@ def test_class_counts():
     # two orbit splittings); n = 6..8 golden from the first verified runs
     counts = [sum(1 for _ in enumerate_classes(n)) for n in range(1, 9)]
     assert counts == [1, 1, 2, 6, 20, 90, 468, 2910]
+
+
+def test_class_counts_without_enumeration():
+    # the count over multiset partitions is the catalogue's oracle; beyond
+    # MAX_POINTS it meets the recorded anchors (n = 9 and 10 from sweeps
+    # run with MAX_POINTS raised, n = 11 from a depth-first enumeration)
+    for n in range(1, 9):
+        assert class_count(n) == len(list(enumerate_classes(n)))
+    assert [class_count(n) for n in range(9, 13)] == [20_644, 165_874, 1_484_344, 14_653_890]
 
 
 def test_merge_generator_matches_pool_reference():

@@ -182,7 +182,8 @@ def test_parsed_and_public_spaces_are_equal_and_hash_equal(seed):
     rng = Random(seed)
     s = _parsed(random_semimetric(rng, 6) if seed % 2 else random_ultrametric(rng, 6))
     t = FiniteSemimetricSpace(s.points, s.dist)
-    assert "ranks" not in vars(t)
+    assert vars(t)["spectrum"] == s.spectrum and vars(t)["ranks"] == s.ranks  # ranked at construction
+    assert t.dist is s.dist
     assert s == t and t == s
     assert hash(s) == hash(t) and hash(t) == hash(s)
     other = FiniteSemimetricSpace(s.points, monotone_transform(rng, s).dist)
@@ -199,7 +200,7 @@ def test_reorder_keeps_or_renumbers_the_spectrum():
         fresh = FiniteSemimetricSpace(tuple(order), tuple(tuple(s.dist[a][b] for b in idx) for a in idx))
         assert sub.ranks == fresh.ranks and sub.spectrum == fresh.spectrum
         assert "dist" not in vars(sub)
-        assert sub == fresh  # fresh holds no ranks, so this compares distances
+        assert sub == fresh  # fresh ranked its distances when built, so this compares points, spectra and ranks
 
 
 def test_attributes_cannot_be_assigned():

@@ -18,8 +18,13 @@ same three kinds at n = 128 and 256, ``check`` and ``us`` on two
 256-point matrices whose only fault is in the last row, ``compact`` and
 ``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
 seeded star presentations (harmonic and geometric tails with
-exceptional labels, and one non-compact constant tail), ``complete`` on seeded ray presentations (decreasing, unflagged
-and finite), ``gen`` on seeded tree texts (random trees of at most 12
+exceptional labels, one non-compact constant tail, and one star with
+``skip`` 2), ``complete`` on seeded ray presentations (decreasing,
+unflagged and finite), all four of those verbs on malformed
+presentations (tail kinds that are a list, an object, a number or an
+unknown name; each missing tail key; a float and a null value; ``skip``
+as ``true``, -1 and 10,001; ``decreasing`` as ``"yes"``; ``exceptional``
+as a string), ``gen`` on seeded tree texts (random trees of at most 12
 vertices, stars, one tree with a zero-zero edge, random trees of 128 and
 256 vertices and a 300-vertex path, all three with labels tied to a
 pool of six values, a 256-leaf star, and stars whose center label
@@ -155,7 +160,17 @@ def _write_presentations(folder: Path, seed: int) -> tuple[list[str], list[str]]
         decreasing = [str(Fraction(x) + 1) for x in prefix]
         rays.append({"prefix": decreasing, "tail": star["tail"], "decreasing": True, "skip": rng.randint(0, 3)})
         rays.append({"prefix": star["exceptional"], "tail": star["tail"]})
-    return _dump(folder, "star", stars), _dump(folder, "ray", rays)
+    stars.append({"center_label": "0", "exceptional": ["1/2"], "tail": {"kind": "harmonic", "c": "1"}, "skip": 2})
+    # a star and a ray in one object, each field broken in turn; both verbs read it
+    both = {"center_label": "0", "exceptional": ["1/2"], "prefix": ["2"], "decreasing": True}
+    tails = [{"kind": kind, "c": "1"} for kind in (["harmonic"], {}, 7, "nope")]
+    tails += [{"kind": "harmonic"}, {"kind": "geometric", "r": "1/2"}, {"kind": "geometric", "a": "1"}]
+    tails += [{"kind": "constant"}, {"kind": "harmonic", "c": 0.5}, {"kind": "harmonic", "c": None}]
+    broken = [{**both, "tail": tail} for tail in tails]
+    fields = [("skip", True), ("skip", -1), ("skip", 10_001), ("decreasing", "yes"), ("exceptional", "1/2")]
+    broken += [{**both, "tail": {"kind": "harmonic", "c": "1"}, key: value} for key, value in fields]
+    broken = _dump(folder, "broken", broken)
+    return _dump(folder, "star", stars) + broken, _dump(folder, "ray", rays) + broken
 
 
 def _dump(folder: Path, tag: str, objs: list[dict]) -> list[str]:
