@@ -3,13 +3,17 @@
 Two finite spaces are weakly similar when a point bijection composed with
 a strictly increasing bijection of the distance value sets carries one
 onto the other; for finite spaces that is exactly equality of rank
-matrices up to point relabeling.
+matrices up to point relabeling.  The canonical form, the lex-min
+row-major rank matrix, decides it without a bijection: an ultrametric's
+is read off the hierarchy its ultrametric check walked, and any other
+semimetric's comes from an ordered-partition search.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .spaces import FiniteSemimetricSpace, _record_json
@@ -124,15 +128,68 @@ def _twin_classes(rm: Sequence[Sequence[int]], n: int) -> list[int]:
 def canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
     """Lexicographically minimal row-major rank matrix over all point orders.
 
-    Places one point per position, from an explicit stack.  The unplaced
-    points form an ordered partition, split by rank to each placed point in
-    turn: a minimal order keeps them in that order, or a swap would lower an
-    earlier row.  So the next point comes from the first cell, one per twin
-    class (a twin swap is an automorphism), and its row is then fixed; a
-    branch is cut once its rows exceed the best.  Still exponential in the
-    number of interchangeable blocks that are not twins (m pairs: m! leaves).
+    An ultrametric's form is read off its hierarchy (``s.hierarchy``) in
+    O(n^2) with no search; any other semimetric's comes from the ordered
+    partition search, exponential in the number of interchangeable blocks
+    that are not twins (m pairs: m! leaves).
     """
-    rm = rank_matrix(s)
+    return _chain_form(s) if s.hierarchy is not None else _search_form(s)
+
+
+def _chain_form(s: FiniteSemimetricSpace) -> CanonicalForm:
+    # One pass over the Prim chain builds the hierarchy bottom-up, from an
+    # explicit stack of open nodes whose ranks fall toward the top: a node
+    # closes once a larger join rank (or the chain's end) follows it, and
+    # equal join ranks add children to one node.  A closed subtree carries
+    # its key, the join ranks along its minimal leaf order followed by the
+    # sentinel len(spectrum), above every rank, and that leaf order.  A
+    # node sorts its children by key, so a leaf or any shorter key sorts
+    # after its extensions and the first row climbs as slowly as it can;
+    # equal keys are isomorphic subtrees.  The minimal matrix is the ranks
+    # permuted by the root's leaf order.
+    order, join = s.hierarchy
+    top = len(s.spectrum)
+
+    def close(rank: int, children: list, last: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+        # last: the subtree that ends the node.  The first child's lists
+        # grow in place, so a caterpillar costs O(n)
+        children.append(last)
+        children.sort(key=itemgetter(0))
+        key, leaves = children[0]
+        for child_key, child_leaves in children[1:]:
+            key[-1] = rank
+            key += child_key
+            leaves += child_leaves
+        return key, leaves
+
+    open_nodes: list[tuple[int, list]] = []
+    last = ([top], [order[0]])
+    for v in order[1:]:
+        rank = join[v]
+        while open_nodes and open_nodes[-1][0] < rank:
+            last = close(*open_nodes.pop(), last)
+        if open_nodes and open_nodes[-1][0] == rank:
+            open_nodes[-1][1].append(last)
+        else:
+            open_nodes.append((rank, [last]))
+        last = ([top], [v])
+    while open_nodes:
+        last = close(*open_nodes.pop(), last)
+    leaves = last[1]
+    if len(leaves) == 1:
+        return _form(((0,),))
+    pick = itemgetter(*leaves)
+    return _form(tuple([pick(s.ranks[v]) for v in leaves]))
+
+
+def _search_form(s: FiniteSemimetricSpace) -> CanonicalForm:
+    # Places one point per position, from an explicit stack.  The unplaced
+    # points form an ordered partition, split by rank to each placed point
+    # in turn: a minimal order keeps them in that order, or a swap would
+    # lower an earlier row.  So the next point comes from the first cell,
+    # one per twin class (a twin swap is an automorphism), and its row is
+    # then fixed; a branch is cut once its rows exceed the best.
+    rm = s.ranks
     n = len(rm)
     twins = _twin_classes(rm, n)
 

@@ -190,16 +190,29 @@ class FiniteSemimetricSpace(_Frozen):
         return self.spectrum[self.ranks[self.index(u)][self.index(v)]]
 
     @cached_property
-    def ultrametric_witness(self) -> TripleWitness | None:
-        """First triple breaking the strong triangle inequality, or None.
+    def hierarchy(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The ultrametric's hierarchy as a chain ``(order, join)``, or None if the space is not ultrametric.
 
         Decided in O(n^2) on ``ranks`` by Prim's algorithm: a space is
         ultrametric iff it equals its subdominant ultrametric, the minimax
         path distance over a minimum spanning tree (Gower & Ross, Applied
-        Statistics 18, 1969).  Only when that check fails does the ordered
-        O(n^3) scan run to pick the witness.
+        Statistics 18, 1969).  ``order`` lists the points in the order the
+        tree reached them and ``join[v]`` is the rank at which v joined
+        (0 for the first point).  Read along ``order``, the rank between
+        two points is the largest join rank after the first up to the
+        second: every cluster is a run of the chain, and a cluster at
+        rank k is a maximal run between joins at k or above.
         """
-        if _equals_subdominant(self.ranks):
+        return _equals_subdominant(self.ranks)
+
+    @cached_property
+    def ultrametric_witness(self) -> TripleWitness | None:
+        """First triple breaking the strong triangle inequality, or None.
+
+        None exactly when ``hierarchy`` is not; only when that O(n^2)
+        check fails does the ordered O(n^3) scan run to pick the witness.
+        """
+        if self.hierarchy is not None:
             return None
         return _first_violation(self)
 
@@ -352,11 +365,13 @@ def _path_maxima(n: int, edges: Iterable[tuple[int, int, int]]) -> tuple[tuple[i
     return tuple([tuple(row) for row in rows])
 
 
-def _equals_subdominant(r: tuple[tuple[int, ...], ...]) -> bool:
+def _equals_subdominant(r: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     # Grow a minimum spanning tree from point 0.  When v joins through its
     # nearest tree point p, the minimax path rank from v to every tree
     # point u is max(r[v][p], minimax(p, u)); by induction minimax(p, u)
-    # already equals r[p][u], so every pair is checked exactly once.
+    # already equals r[p][u], so every pair is checked exactly once.  On
+    # success the visit order and each point's join rank are the chain
+    # of FiniteSemimetricSpace.hierarchy; on the first mismatch, None.
     n = len(r)
     best = list(r[0])
     parent = [0] * n
@@ -369,13 +384,14 @@ def _equals_subdominant(r: tuple[tuple[int, ...], ...]) -> bool:
         rv, rp = r[v], r[parent[v]]
         for u in tree:
             if rv[u] != (w if w >= rp[u] else rp[u]):
-                return False
+                return None
         tree.append(v)
         for u in outside:
             if rv[u] < best[u]:
                 best[u] = rv[u]
                 parent[u] = v
-    return True
+    # a point's best rank is never lowered once it is in the tree
+    return tuple(tree), tuple(best)
 
 
 def _first_violation(s: FiniteSemimetricSpace) -> TripleWitness | None:

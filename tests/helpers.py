@@ -620,6 +620,26 @@ def caterpillar_root(n: int) -> tuple:
     return node
 
 
+def caterpillar_blocks(m: int) -> FiniteSemimetricSpace:
+    """m three-point caterpillar blocks under one root: a cherry at 1, its third point at 2, blocks 3 apart.
+
+    The blocks are interchangeable and no two points of different blocks
+    are twins, so a search over point orders meets m! equivalent branches.
+    Listed block by block, cherry first, the points are already in their
+    minimal order.
+    """
+    n = 3 * m
+
+    def d(i: int, j: int) -> str:
+        if i == j:
+            return "0"
+        if i // 3 != j // 3:
+            return "3"
+        return "2" if 2 in (i % 3, j % 3) else "1"
+
+    return validate_semimetric([f"p{i + 1}" for i in range(n)], [[d(i, j) for j in range(n)] for i in range(n)])
+
+
 def fraction_ray_truncation_space(r, k: int) -> FiniteSemimetricSpace:
     """The earlier ``ray_truncation_space``: Fraction running maxima along each row."""
     if k < 1:

@@ -73,6 +73,25 @@ def test_int_values_record_holds_every_workload_and_cli_case():
     _assert_every_workload_and_cli_case("BENCH_int_values.json")
 
 
+def test_ultra_canon_record_holds_the_in_process_cases():
+    assert bench_record.INPROCESS_CASES == (("blocks", 21), ("star", 1050))
+    _assert_every_workload_and_cli_case("BENCH_ultra_canon.json")
+    record = json.loads((ROOT / "BENCH_ultra_canon.json").read_text())
+    rows = {(row["layer"], row["case"], row["n"]) for row in record["rows"]}
+    for tree in ("parent", "change"):
+        for kind, n in bench_record.INPROCESS_CASES:
+            assert ("inprocess", f"{tree}: canonical_form {kind}", n) in rows
+
+
+def test_recorded_inprocess_rows_follow_the_schema():
+    rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=(("blocks", 6), ("star", 5)))
+    assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
+        ("inprocess", "here: canonical_form blocks", 6, 2),
+        ("inprocess", "here: canonical_form star", 5, 2),
+    ]
+    bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
+
+
 def test_startup_case_checks_a_one_point_space():
     rows = bench_record.cli_rows({"here": ROOT}, reps=2, cases=bench_record.STARTUP_CASES)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [("cli", "here: check --json", 1, 2)]

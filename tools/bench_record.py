@@ -13,6 +13,12 @@ every repetition, so a slow phase of a shared host falls on all of them:
   tree and every repetition.  ``CLI_CASES`` are the sweeps; the
   ``STARTUP_CASES`` run ``check --json`` on a one-point space, which pays
   the interpreter and the imports and almost nothing else;
+* every in-process case runs ``INPROCESS_REPS`` times in a fresh
+  interpreter on that tree's ``src/``, which builds one space untimed and
+  times one ``canonical_form`` call on it; the form's digest must be the
+  same on every tree and every repetition.  ``INPROCESS_CASES`` are the
+  cases that grow fastest with n: m three-point caterpillar blocks under
+  one root (n = 3m) and the n-point star space;
 * each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
   --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
@@ -24,9 +30,9 @@ Writes ``BENCH_<label>.json`` in the repository root:
     {python, cpu_count, src_lines,
      rows: [{layer, case, n, reps, min_s, median_s}]}
 
-``layer`` is ``cli`` or ``perfbench``; ``case`` is ``NAME: command``;
-``n`` is the point count of a sweep or of the checked space (null for an
-in-process workload);
+``layer`` is ``cli``, ``inprocess`` or ``perfbench``; ``case`` is
+``NAME: command``; ``n`` is the point count of a sweep, of the checked
+space or of the in-process case's space (null for a perfbench workload);
 ``src_lines`` counts the non-blank lines of this checkout's
 ``src/starmetric``.  No timing gate is applied anywhere.
 """
@@ -54,8 +60,10 @@ CLI_CASES = (
     ("enumerate", 8, ("--json",)),
 )
 STARTUP_CASES = (("check", 1, ("--json",)),)
+INPROCESS_CASES = (("blocks", 21), ("star", 1050))
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
+INPROCESS_REPS = 5  # fresh-interpreter runs per in-process case and tree
 RUNS = 3  # perfbench runs per workload and tree
 SECONDS = 15  # length of each perfbench run
 SEED = 1
@@ -121,6 +129,48 @@ def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES + STARTUP
     ]
 
 
+# argv: kind, n.  Builds the space through the public constructor, then
+# prints the seconds of one canonical_form call and the form's digest.
+_INPROCESS_CHILD = """
+import sys, time
+from fractions import Fraction
+from starmetric import FiniteSemimetricSpace, canonical_form
+kind, n = sys.argv[1], int(sys.argv[2])
+def rank(i, j):
+    if i == j:
+        return 0
+    if kind == "star":  # center label 0, leaf labels 2..n
+        return max(i, j) + 1
+    if i // 3 != j // 3:  # blocks: a cherry at 1, its third point at 2, blocks 3 apart
+        return 3
+    return 2 if 2 in (i % 3, j % 3) else 1
+values = [Fraction(v) for v in range(n + 1)]
+dist = tuple(tuple(values[rank(i, j)] for j in range(n)) for i in range(n))
+s = FiniteSemimetricSpace(tuple(f"p{i + 1}" for i in range(n)), dist)
+t0 = time.perf_counter()
+form = canonical_form(s)
+print(time.perf_counter() - t0, form.digest)
+"""
+
+
+def inprocess_rows(trees: dict[str, Path], reps: int = INPROCESS_REPS, cases=INPROCESS_CASES) -> list[dict]:
+    """One row per tree and in-process case: seconds of the one timed call, best and median of ``reps``."""
+    times = {(name, i): [] for name in trees for i in range(len(cases))}
+    digests: dict[int, str] = {}
+    for _ in range(reps):
+        for i, (kind, n) in enumerate(cases):
+            for name, root in trees.items():
+                env = dict(os.environ, PYTHONPATH=str(root / "src"))
+                proc = subprocess.run([sys.executable, "-c", _INPROCESS_CHILD, kind, str(n)],
+                                      capture_output=True, text=True, env=env, timeout=600, check=True)
+                seconds, digest = proc.stdout.split()
+                times[name, i].append(float(seconds))
+                if digests.setdefault(i, digest) != digest:
+                    raise SystemExit(f"{name}: canonical_form {kind} {n} gave another form")
+    return [_row("inprocess", f"{name}: canonical_form {kind}", n, times[name, i])
+            for i, (kind, n) in enumerate(cases) for name in trees]
+
+
 def workload_rows(trees: dict[str, Path]) -> list[dict]:
     """One row per tree and workload: raw per-op seconds over ``RUNS`` runs of ``perfbench/run.py``.
 
@@ -179,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not (Path(root) / "src" / "starmetric").is_dir():
             parser.error(f"{item!r} is not NAME=ROOT with a ROOT/src/starmetric")
         trees[name] = Path(root).resolve()
-    rows = cli_rows(trees) + workload_rows(trees)
+    rows = cli_rows(trees) + inprocess_rows(trees) + workload_rows(trees)
     record = {"python": platform.python_version(), "cpu_count": os.cpu_count(), "src_lines": src_lines(),
               "rows": rows}
     check_record(record)
