@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import le
+from operator import ge, le
 from typing import NamedTuple
 
 from .spaces import (
@@ -278,20 +278,18 @@ def _constructive_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None:
     return None
 
 
-def _four_point(ab: int, ac: int, ad: int, bc: int, bd: int, cd: int) -> tuple[bool, bool]:
-    """Whether four points a, b, c, d have a center, and a diameter point, from their six pair ranks.
+def _caterpillar(s: FiniteSemimetricSpace) -> bool:
+    """Whether every 4-subset of the ultrametric ``s`` has a center, and a diameter point.
 
-    A center realizes each other point's nearest-neighbor rank; a
-    diameter point has the diameter as its own nearest-neighbor rank.
+    Four points lack both exactly when they are two pairs, each closer
+    than their cross rank.  Along ``s.hierarchy`` such pairs exist iff the
+    join rank at a chain position m tops those at p and q, 0 < p < m < q
+    (take positions p - 1, p, q - 1, q): the ranks must fall, then rise.
     """
-    ma, mb, mc, md = min(ab, ac, ad), min(ab, bc, bd), min(ac, bc, cd), min(ad, bd, cd)
-    center = (
-        (ab <= mb and ac <= mc and ad <= md)
-        or (ab <= ma and bc <= mc and bd <= md)
-        or (ac <= ma and bc <= mb and cd <= md)
-        or (ad <= ma and bd <= mb and cd <= mc)
-    )
-    return center, max(ab, ac, ad, bc, bd, cd) in (ma, mb, mc, md)
+    order, join = s.hierarchy
+    j = [join[v] for v in order[1:]]
+    k = j.index(min(j)) if j else 0
+    return all(map(ge, j[:k], j[1 : k + 1])) and all(map(le, j[k:], j[k + 1 :]))
 
 
 def four_point_tree_generable(s: FiniteSemimetricSpace) -> bool:
@@ -299,8 +297,8 @@ def four_point_tree_generable(s: FiniteSemimetricSpace) -> bool:
     if len(s.points) != 4:
         raise NotFourPoints(f"need exactly 4 points, got {len(s.points)}")
     _require_ultrametric(s)
-    r0, r1, r2 = s.ranks[:3]
-    return _four_point(r0[1], r0[2], r0[3], r1[2], r1[3], r2[3])[1]
+    # a diameter point's nearest rank is the diameter, the top rank
+    return len(s.spectrum) - 1 in _nearest(s)
 
 
 class UsCheckReport(NamedTuple):
@@ -329,24 +327,16 @@ def semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:
     """Evaluate the three statements on an arbitrary finite semimetric space.
 
     Star generation forces ultrametricity, so statement (in_us) is decided
-    as is_ultrametric plus the center criterion.  For card X = 3 a
-    CardinalityThree error carrying the report is raised.
+    as is_ultrametric plus the center criterion, and the every-4 ones in
+    O(n) off the hierarchy's shape.  For card X = 3 a CardinalityThree
+    error carrying the report is raised.
     """
     n = len(s.points)
     ultra = is_ultrametric(s)
     in_us = ultra and bool(find_centers(s))
     # for n >= 4 every 4-subset is ultrametric exactly when the space is:
     # each violating triple extends to a 4-subset
-    every4_us = every4_tree = ultra or n < 4
-    if n >= 4 and ultra:
-        r = s.ranks
-        for a, b, c, d in combinations(range(n), 4):
-            ra, rb = r[a], r[b]
-            center, diameter_point = _four_point(ra[b], ra[c], ra[d], rb[c], rb[d], r[c][d])
-            every4_us = every4_us and center
-            every4_tree = every4_tree and diameter_point
-            if not every4_us and not every4_tree:
-                break
+    every4_us = every4_tree = _caterpillar(s) if ultra else n < 4
     report = UsCheckReport(in_us, every4_us, every4_tree, cardinality_ok=(n != 3))
     if n == 3:
         raise CardinalityThree(report)

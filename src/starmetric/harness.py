@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .decision import (
     KIND_X4,
     KIND_Y4,
     QuadrupleReport,
+    _caterpillar,
     _nearest,
     exhaustive_quadruple_scan,
     find_centers,
@@ -39,7 +41,6 @@ from .spaces import (
     _Frozen,
     _path_maxima,
     _record_json,
-    distance_spectrum,
     is_ultrametric,
     ultrametric_violation,
 )
@@ -101,21 +102,21 @@ class RankedHierarchy(_Frozen):
 
     def rank_matrix(self) -> tuple[tuple[int, ...], ...]:
         """rank(x, y) = level of the least common ancestor, the largest adjacent level from x to y; 0 if x = y."""
-        return _path_maxima(len(self._gaps) + 1, [(g, i, i + 1) for i, g in enumerate(self._gaps)])
+        return _path_maxima(len(self._gaps) + 1, [(g, i, i + 1) for i, g in enumerate(self._gaps)])[0]
 
     def to_space(self) -> FiniteSemimetricSpace:
         """Representative space with the rank values as distances.
 
-        A valid hierarchy fixes the rank matrix and the ultrametric verdict,
-        so the space starts with ``ranks`` and ``ultrametric_witness`` set.
-        Every hierarchy of one size shares its point names, and every one
-        with k levels its spectrum 0..k.
+        A valid hierarchy fixes the rank matrix and is its own chain, so the
+        space starts with ``ranks`` and ``hierarchy`` set.  Every hierarchy
+        of one size shares its point names, and every one with k levels its
+        spectrum 0..k.
         """
         ranks = self.rank_matrix()
+        n = len(ranks)
         spectrum = _levels(max(self._gaps, default=0) + 1)
-        return FiniteSemimetricSpace._trusted(
-            points=_point_names(len(ranks)), spectrum=spectrum, ranks=ranks, ultrametric_witness=None
-        )
+        chain = (tuple(range(n)), (0, *self._gaps))  # each leaf joins at the gap before it
+        return FiniteSemimetricSpace._trusted(points=_point_names(n), spectrum=spectrum, ranks=ranks, hierarchy=chain)
 
 
 @lru_cache(maxsize=16)
@@ -255,11 +256,13 @@ def _is_obstruction(s: FiniteSemimetricSpace, rep: QuadrupleReport) -> bool:
 
 
 def _obstruction_row(space: FiniteSemimetricSpace) -> tuple[bool, Optional[str], tuple[str, ...]]:
-    """is_us, the constructive obstruction kind, and what is wrong with the two quadruple routes."""
+    """is_us, the constructive obstruction kind, and what is wrong with the quadruple routes or hierarchy shape."""
     us = is_us(space)
     quad = find_forbidden_quadruple(space)
     oracle = exhaustive_quadruple_scan(space)
     faults = () if (quad is None) == (oracle is None) else ("constructive and exhaustive quadruple routes disagree",)
+    if us != _caterpillar(space):
+        faults += ("center criterion and hierarchy shape disagree",)
     for route, rep in (("constructive", quad), ("exhaustive", oracle)):
         if rep is not None and not _is_obstruction(space, rep):
             faults += (f"{route} route returned no obstruction: {(rep.x, rep.y, rep.z, rep.w)}",)
@@ -270,9 +273,9 @@ def verify_obstruction_equivalence(n: int, jobs: int = 1) -> ObstructionSweepRep
     """Check is_us <=> no four-point obstruction over every class of size n.
 
     Also cross-checks the constructive quadruple search against the
-    exhaustive scan, and checks each returned quadruple against the rank
-    matrix; any disagreement or invalid witness lands in the discrepancy
-    list.
+    exhaustive scan and the centers against the hierarchy's shape, and
+    checks each returned quadruple against the rank matrix; any
+    disagreement or invalid witness lands in the discrepancy list.
     """
     classes = us_classes = obstructed = 0
     kinds: dict[str, int] = {KIND_X4: 0, KIND_Y4: 0}
@@ -306,37 +309,23 @@ def small_tree_generable(s: FiniteSemimetricSpace) -> bool:
     search over tree shapes, label assignments drawn from the distance
     spectrum, and vertex bijections.  (Any generating labeling can be
     rewritten with labels from the spectrum, so the search is complete.)
+    Labels and distances are compared by their spectrum ranks, which
+    order them as the values do.
     """
     n = len(s.points)
     if n > 4:
         raise BoundExceeded("tree generability is only decided for n <= 4")
     if n == 4:
         return four_point_tree_generable(s)
-    if n == 1:
-        return True
-    values = distance_spectrum(s)
-    if n == 2:
-        # a single edge with both labels equal to the distance
-        return True
-    # n == 3: path a - b - c over every bijection and label assignment
-    pts = s.points
-    orders = [
-        (pts[0], pts[1], pts[2]),
-        (pts[0], pts[2], pts[1]),
-        (pts[1], pts[0], pts[2]),
-    ]
-    for order in orders:
-        for la in values:
-            for lb in values:
-                for lc in values:
-                    a, b, c = order
-                    if (
-                        max(la, lb) == s.d(a, b)
-                        and max(lb, lc) == s.d(b, c)
-                        and max(la, lb, lc) == s.d(a, c)
-                    ):
-                        return True
-    return False
+    if n < 3:
+        return True  # one vertex, or one edge with both labels equal to the distance
+    # n == 3: a path a - b - c for each middle point b, every label assignment
+    r = s.ranks
+    return any(
+        max(la, lb) == r[a][b] and max(lb, lc) == r[b][c] and max(la, lb, lc) == r[a][c]
+        for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 0, 2))
+        for la, lb, lc in product(range(len(s.spectrum)), repeat=3)
+    )
 
 
 class FivePointWitness(NamedTuple):

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .rational import rat
 
 ZERO = Fraction(0)
+_Chain = tuple[tuple[int, ...], tuple[int, ...]]  # a hierarchy as (order, join): see FiniteSemimetricSpace.hierarchy
 
 
 class SpaceError(ValueError):
@@ -190,7 +191,7 @@ class FiniteSemimetricSpace(_Frozen):
         return self.spectrum[self.ranks[self.index(u)][self.index(v)]]
 
     @cached_property
-    def hierarchy(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    def hierarchy(self) -> _Chain | None:
         """The ultrametric's hierarchy as a chain ``(order, join)``, or None if the space is not ultrametric.
 
         Decided in O(n^2) on ``ranks`` by Prim's algorithm: a space is
@@ -343,29 +344,33 @@ def _raise_first_axiom_violation(names: tuple[str, ...], mat: tuple[tuple[Fracti
                 raise ZeroOffDiagonal(f"d({names[i]}, {names[j]}) = 0 for distinct points")
 
 
-def _path_maxima(n: int, edges: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Largest rank on the path joining each pair, for the ``(rank, u, v)`` edges of a tree on 0..n-1.
+def _path_maxima(n: int, edges: Iterable[tuple[int, int, int]]) -> tuple[tuple[tuple[int, ...], ...], _Chain]:
+    """Largest rank on the path joining each pair, for the ``(rank, u, v)`` edges of a tree on 0..n-1, and their chain.
 
     Single linkage (Gower & Ross, Applied Statistics 18, 1969): in rank
-    order each edge joins its two components, the smaller member list
-    into the larger, and its rank goes to every pair across them.
+    order each edge appends the smaller member list of its two components
+    to the larger, and its rank goes to every pair across them and is the
+    join rank of the smaller list's first member.  The final list and the
+    join ranks are the chain ``FiniteSemimetricSpace.hierarchy`` keeps.
     """
     rows = [[0] * n for _ in range(n)]
     members = [[v] for v in range(n)]
+    join = [0] * n
     for rank, u, v in sorted(edges):
         big, small = members[u], members[v]
         if len(big) < len(small):
             big, small = small, big
+        join[small[0]] = rank
         for x in small:
             row = rows[x]
             for y in big:
                 row[y] = rows[y][x] = rank
             members[x] = big
         big.extend(small)
-    return tuple([tuple(row) for row in rows])
+    return tuple([tuple(row) for row in rows]), (tuple(members[0]), tuple(join))
 
 
-def _equals_subdominant(r: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _equals_subdominant(r: tuple[tuple[int, ...], ...]) -> _Chain | None:
     # Grow a minimum spanning tree from point 0.  When v joins through its
     # nearest tree point p, the minimax path rank from v to every tree
     # point u is max(r[v][p], minimax(p, u)); by induction minimax(p, u)

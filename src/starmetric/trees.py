@@ -169,9 +169,9 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     """Space on the vertices with d(u,v) = max label along the u-v path.
 
     A generating tree gives an ultrametric, and the path maxima are its
-    rank matrix, so the space starts with ``ranks`` and
-    ``ultrametric_witness`` set.  An edge whose labels are both 0 has
-    rank 0; only then does ``generating_violation`` run, to name one.
+    rank matrix and hierarchy, so the space starts with ``ranks`` and
+    ``hierarchy`` set.  An edge whose labels are both 0 has rank 0; only
+    then does ``generating_violation`` run, to name one.
     """
     # path maxima compare label ranks, so equal labels come out as one
     # object; rank 0 is the label 0 and the diagonal
@@ -188,10 +188,9 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
     dense = [0] * len(values)
     for r, k in enumerate(used, 1):
         dense[k] = r
-    maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
-    return FiniteSemimetricSpace._trusted(
-        points=t.vertices, spectrum=(ZERO, *[values[k] for k in used]), ranks=maxima, ultrametric_witness=None
-    )
+    maxima, chain = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
+    spectrum = (ZERO, *[values[k] for k in used])
+    return FiniteSemimetricSpace._trusted(points=t.vertices, spectrum=spectrum, ranks=maxima, hierarchy=chain)
 
 
 def star_distance(s: LabeledStarGraph, u: str, v: str) -> Fraction:

@@ -14,9 +14,10 @@ completion truncations with Fraction running maxima or one distance
 call per entry, are kept as references for the chain kernel.  Value
 ranking by Fraction comparisons, nearest-neighbor ranks from row slices
 and the four-point statements on 4x4 submatrices are kept as references
-for the exact sort key and the six-rank four-point checks.  The parse
-through per-row codes, with its eager ``dist``, is kept as the reference
-for the parse straight to spectrum and ranks.  The per-cell
+for the exact sort key, the unsliced row minima and the every-4
+statements read off the hierarchy.  The parse through per-row codes,
+with its eager ``dist``, is kept as the reference for the parse
+straight to spectrum and ranks.  The per-cell
 ``space_to_json`` and the completion truncation bordered on its
 ``Fraction`` matrix are kept as references for the rank-mapped JSON
 form and the rank-bordered truncation.  The star built through the
@@ -770,7 +771,7 @@ def deduped_generate_ultrametric(t) -> FiniteSemimetricSpace:
     dense = [0] * len(values)
     for r, k in enumerate(used, 1):
         dense[k] = r
-    maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])
+    maxima = _path_maxima(len(ranks), [(dense[k], u, v) for k, u, v in edges])[0]
     return FiniteSemimetricSpace._trusted(
         points=t.vertices, spectrum=(ZERO, *[values[k] for k in used]), ranks=maxima, ultrametric_witness=None
     )

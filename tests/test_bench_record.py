@@ -73,21 +73,39 @@ def test_int_values_record_holds_every_workload_and_cli_case():
     _assert_every_workload_and_cli_case("BENCH_int_values.json")
 
 
-def test_ultra_canon_record_holds_the_in_process_cases():
-    assert bench_record.INPROCESS_CASES == (("blocks", 21), ("star", 1050))
-    _assert_every_workload_and_cli_case("BENCH_ultra_canon.json")
-    record = json.loads((ROOT / "BENCH_ultra_canon.json").read_text())
+def _assert_in_process_cases(name: str, cases) -> None:
+    record = json.loads((ROOT / name).read_text())
     rows = {(row["layer"], row["case"], row["n"]) for row in record["rows"]}
     for tree in ("parent", "change"):
-        for kind, n in bench_record.INPROCESS_CASES:
-            assert ("inprocess", f"{tree}: canonical_form {kind}", n) in rows
+        for fn, kind, n in cases:
+            assert ("inprocess", f"{tree}: {fn} {kind}", n) in rows
+
+
+def test_in_process_cases_are_pinned():
+    assert bench_record.INPROCESS_CASES == (
+        ("canonical_form", "blocks", 21),
+        ("canonical_form", "star", 1050),
+        ("semimetric_us_check", "star", 80),
+    )
+
+
+def test_ultra_canon_record_holds_the_in_process_cases():
+    _assert_every_workload_and_cli_case("BENCH_ultra_canon.json")
+    _assert_in_process_cases("BENCH_ultra_canon.json", bench_record.INPROCESS_CASES[:2])
+
+
+def test_every4_record_holds_every_case():
+    _assert_every_workload_and_cli_case("BENCH_every4.json")
+    _assert_in_process_cases("BENCH_every4.json", bench_record.INPROCESS_CASES)
 
 
 def test_recorded_inprocess_rows_follow_the_schema():
-    rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=(("blocks", 6), ("star", 5)))
+    cases = (("canonical_form", "blocks", 6), ("canonical_form", "star", 5), ("semimetric_us_check", "star", 6))
+    rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=cases)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
         ("inprocess", "here: canonical_form blocks", 6, 2),
         ("inprocess", "here: canonical_form star", 5, 2),
+        ("inprocess", "here: semimetric_us_check star", 6, 2),
     ]
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 

@@ -1,11 +1,14 @@
 """The path-maximum kernel and its callers.
 
 ``spaces._path_maxima`` joins the two components of each tree edge in
-rank order and writes the rank into every pair across them.  A ranked
+rank order and writes the rank into every pair across them; the joined
+member lists, with the rank at which each list's first member joined,
+form the chain of the ultrametric the maxima make.  A ranked
 hierarchy is its leaf order plus the merge level between adjacent
 leaves, so its rank matrix is the kernel on that chain; a ray truncation
 is the space its labeled path generates.  These tests compare the kernel
-with a per-pair path walk on random trees, pin its callers to the earlier
+with a per-pair path walk on random trees, check that its chain yields
+the same maxima, pin its callers to the earlier
 recursive walk, Fraction running maxima and per-entry distance calls
 kept in ``helpers``, and check that hierarchies of any depth build.
 """
@@ -73,8 +76,11 @@ def test_path_maxima_matches_a_walk_on_random_trees():
         edges = [(rng.randint(1, 5), ids[rng.randint(0, i - 1)], ids[i]) for i in range(1, n)]
         edges = [(rank, v, u) if rng.random() < 0.5 else (rank, u, v) for rank, u, v in edges]
         rng.shuffle(edges)
-        got = _path_maxima(n, edges)
+        got, (order, join) = _path_maxima(n, edges)
         assert [list(row) for row in got] == _walked_path_maxima(n, edges)
+        assert sorted(order) == list(range(n)) and join[order[0]] == 0
+        # read along the chain, the largest join rank between two points is their path maximum
+        assert _path_maxima(n, [(join[v], u, v) for u, v in zip(order, order[1:])])[0] == got
 
 
 def test_rank_matrix_matches_recursive_walk_on_every_class():

@@ -7,15 +7,27 @@ row-major rank matrix from that chain with no search; the ordered
 partition search, ``similarity._search_form``, still serves every other
 semimetric.  These tests pin the chain route to that search, called
 directly, and to the recursive DFS kept in ``helpers``; check that the
-chain's path maxima are the rank matrix; and cover the m-block family on
-which the search meets m! equivalent branches.
+chain's path maxima are the rank matrix; check that generated and
+catalogue spaces are built with their chain, so that no Prim pass runs
+on them; and cover the m-block family on which the search meets m!
+equivalent branches.
 """
 
 from random import Random
 
 import pytest
 
-from starmetric import canonical_form, enumerate_classes, generate_ultrametric, validate_semimetric
+from starmetric import (
+    CardinalityThree,
+    canonical_form,
+    enumerate_classes,
+    enumerate_hierarchies,
+    generate_ultrametric,
+    is_us,
+    semimetric_us_check,
+    validate_semimetric,
+)
+from starmetric import spaces
 from starmetric.similarity import _chain_form, _matrix_bijection, _search_form
 from starmetric.spaces import _path_maxima
 from helpers import (
@@ -25,13 +37,14 @@ from helpers import (
     monotone_transform,
     permuted_copy,
     random_star,
+    random_tree,
     random_ultrametric,
 )
 
 
 def _chain_maxima(s):
     order, join = s.hierarchy
-    return _path_maxima(len(order), [(join[v], u, v) for u, v in zip(order, order[1:])])
+    return _path_maxima(len(order), [(join[v], u, v) for u, v in zip(order, order[1:])])[0]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -67,6 +80,40 @@ def test_chain_path_maxima_are_the_ranks(n):
         order, join = q.hierarchy
         assert sorted(order) == list(range(n)) and order[0] == 0 and join[0] == 0
         assert _chain_maxima(q) == q.ranks
+
+
+def _no_prim_pass(r):
+    raise AssertionError("a space built with its chain ran the Prim pass")
+
+
+def _born_with_chain(s) -> None:
+    assert "hierarchy" in vars(s) and "ultrametric_witness" not in vars(s)
+    assert s.ultrametric_witness is None
+    assert _chain_maxima(s) == s.ranks
+    assert _chain_form(s) == _search_form(s)  # as built, without relabeling
+    # with the Prim pass patched out, these can only read the chain handed over
+    canonical_form(s)
+    is_us(s)
+    try:
+        semimetric_us_check(s)
+    except CardinalityThree:
+        pass
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_spaces_are_born_with_their_chain(n, monkeypatch):
+    monkeypatch.setattr(spaces, "_equals_subdominant", _no_prim_pass)
+    for h in enumerate_hierarchies(n):
+        _born_with_chain(h.to_space())
+
+
+def test_generated_spaces_are_born_with_their_chain(monkeypatch):
+    monkeypatch.setattr(spaces, "_equals_subdominant", _no_prim_pass)
+    rng = Random(233)
+    for t in range(1500):
+        n = rng.randint(1, 16)
+        tree = random_star(rng, max_leaves=15) if t % 2 else random_tree(rng, n)
+        _born_with_chain(generate_ultrametric(tree))
 
 
 def _few_valued_semimetric(rng: Random, n: int):

@@ -230,6 +230,21 @@ def test_verify_reports_an_invalid_oracle_quadruple(monkeypatch, capsys):
     assert details and all(d.startswith("exhaustive route returned no obstruction") for d in details)
 
 
+def test_verify_reports_a_wrong_hierarchy_shape(monkeypatch, capsys):
+    def only_rising(space):
+        # forgets that the join ranks of a caterpillar may fall before they rise
+        order, join = space.hierarchy
+        j = [join[v] for v in order[1:]]
+        return j == sorted(j)
+
+    monkeypatch.setattr(harness, "_caterpillar", only_rising)
+    assert run(["verify", "--theorem", "4.3", "--n", "5", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert not report["ok"] and report["us_classes"] == 8
+    details = [d["details"] for d in report["discrepancies"]]
+    assert details and set(details) == {"center criterion and hierarchy shape disagree"}
+
+
 def test_verify_requires_n(capsys):
     assert run(["verify", "--theorem", "4.3"]) == 2
 

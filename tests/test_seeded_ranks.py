@@ -2,10 +2,11 @@
 
 Distinct values are ranked by the exact key ``((p << 64) // q, value)``;
 ``generate_ultrametric`` and ``center_extension_probe`` hand their rank
-matrices (and, for generated spaces, the ultrametric verdict) to the
-space they build; ``semimetric_us_check`` decides each 4-subset from its
-six pair ranks.  These tests pin each to the earlier code kept in
-``helpers`` or to a fresh recompute on the same points and distances.
+matrices (and, for generated spaces, the hierarchy) to the space they
+build; ``semimetric_us_check`` reads its every-4 statements off the
+shape of the hierarchy.  These tests pin each to the earlier code kept
+in ``helpers`` (the every-4 statements to each 4-subset's 4x4 rank
+submatrix) or to a fresh recompute on the same points and distances.
 """
 
 from fractions import Fraction
@@ -27,17 +28,17 @@ from starmetric import (
     semimetric_us_check,
     validate_semimetric,
 )
-from starmetric.decision import _four_point, _row_minima
+from starmetric.decision import _row_minima
 from starmetric.spaces import _rank_cells, _ranked_values
 from helpers import (
     fraction_rank_codes,
+    permuted_copy,
     rand_pos_frac,
     random_semimetric,
     random_star,
     random_tree,
     random_ultrametric,
     sliced_row_minima,
-    submatrix_center_indices,
     submatrix_has_diameter_point,
     submatrix_semimetric_us_check,
 )
@@ -54,37 +55,61 @@ def _pinned_us_check(s) -> None:
     assert _report(semimetric_us_check, s) == _report(submatrix_semimetric_us_check, s)
 
 
-def test_six_ranks_match_submatrix_reference():
-    # every pattern of six pair ranks over three values, ultrametric or not
+def test_four_point_tree_generable_matches_submatrix_reference():
+    # every ultrametric pattern of six pair ranks over three values
+    checked = 0
     for ab, ac, ad, bc, bd, cd in product((1, 2, 3), repeat=6):
-        sub = ((0, ab, ac, ad), (ab, 0, bc, bd), (ac, bc, 0, cd), (ad, bd, cd, 0))
-        expected = (bool(submatrix_center_indices(sub)), submatrix_has_diameter_point(sub))
-        assert _four_point(ab, ac, ad, bc, bd, cd) == expected
+        rows = ((0, ab, ac, ad), (ab, 0, bc, bd), (ac, bc, 0, cd), (ad, bd, cd, 0))
+        s = validate_semimetric(["a", "b", "c", "d"], rows)
+        if s.hierarchy is not None:
+            assert four_point_tree_generable(s) == submatrix_has_diameter_point(s.ranks)
+            checked += 1
+    assert checked == 60
 
 
 def test_us_check_matches_submatrix_reference_on_catalogue():
+    rng = Random(30)
     count = 0
-    for n in range(1, 8):
+    for n in range(1, 9):
         for s in enumerate_classes(n):
             _pinned_us_check(s)
+            _pinned_us_check(permuted_copy(rng, s))
             count += 1
-    assert count == 588
+    assert count == 3498
 
 
 def test_us_check_matches_submatrix_reference_on_seeded_spaces():
     rng = Random(20)
-    for i in range(240):
-        n = rng.randint(1, 10)
+    shapes = [0, 0]  # ultrametrics of four or more points, without and with every 4-subset in US
+    for i in range(600):
+        n = rng.randint(1, 16)
         if i % 3 == 0:
             s = random_semimetric(rng, n)
         elif i % 3 == 1:
             s = random_ultrametric(rng, n)
         else:
-            s = generate_ultrametric(random_star(rng, max_leaves=9))
+            s = generate_ultrametric(random_star(rng, max_leaves=n))
         _pinned_us_check(s)
+        if len(s) >= 4 and s.hierarchy is not None:
+            shapes[semimetric_us_check(s).every4_us] += 1
         assert _row_minima(s.ranks) == sliced_row_minima(s.ranks)
         if len(s) == 4 and i % 3:
             assert four_point_tree_generable(s) == submatrix_has_diameter_point(s.ranks)
+    assert min(shapes) > 50
+
+
+def test_close_pairs_at_the_chain_ends_break_every_four():
+    # {p1, p2} at 1 and {q1, q2} at 2, every other pair at 3: the chain
+    # starts and ends with the two pairs, and its join ranks are 1, 3, 3, 3, 2,
+    # so no join rank is larger than both its neighbours
+    names = ["p1", "p2", "m1", "m2", "q1", "q2"]
+    close = {frozenset(("p1", "p2")): 1, frozenset(("q1", "q2")): 2}
+    s = validate_semimetric(names, [[0 if a == b else close.get(frozenset((a, b)), 3) for b in names] for a in names])
+    order, join = s.hierarchy
+    assert order == (0, 1, 2, 3, 4, 5)
+    assert [join[v] for v in order[1:]] == [1, 3, 3, 3, 2]
+    assert semimetric_us_check(s) == (False, False, False, True)
+    _pinned_us_check(s)
 
 
 TINY = Fraction(1, 2**70)
@@ -153,7 +178,9 @@ def test_generated_spaces_hand_over_ranks_and_verdict():
     for t in trees:
         g = generate_ultrametric(t)
         fresh = _pinned_to_fresh(g)
-        assert vars(g)["ultrametric_witness"] is None
+        # the verdict comes from the hierarchy handed over, not from a Prim pass
+        assert vars(g)["hierarchy"] is not None and "ultrametric_witness" not in vars(g)
+        assert g.ultrametric_witness is None
         assert fresh.ultrametric_witness is None
         absent += len({lab for lab in t.labels if lab} - set(distance_spectrum(g))) > 0
     assert absent > 10

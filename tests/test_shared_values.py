@@ -267,8 +267,9 @@ def test_class_spaces_rank_as_their_hierarchy():
     for n in range(1, 9):
         for h in enumerate_hierarchies(n):
             s = h.to_space()
-            # to_space fills both caches; a fresh space derives them from the distances
-            assert {"ranks", "ultrametric_witness"} <= vars(s).keys()
+            # to_space hands over the ranks and the chain; a fresh space derives them from the distances
+            assert {"ranks", "hierarchy"} <= vars(s).keys() and "ultrametric_witness" not in vars(s)
+            assert s.hierarchy == (tuple(range(n)), (0, *h._gaps))
             fresh = FiniteSemimetricSpace(s.points, s.dist)
             assert s.ranks == fresh.ranks
             assert s.ultrametric_witness is None and fresh.ultrametric_witness is None

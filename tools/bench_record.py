@@ -13,12 +13,14 @@ every repetition, so a slow phase of a shared host falls on all of them:
   tree and every repetition.  ``CLI_CASES`` are the sweeps; the
   ``STARTUP_CASES`` run ``check --json`` on a one-point space, which pays
   the interpreter and the imports and almost nothing else;
-* every in-process case runs ``INPROCESS_REPS`` times in a fresh
-  interpreter on that tree's ``src/``, which builds one space untimed and
-  times one ``canonical_form`` call on it; the form's digest must be the
-  same on every tree and every repetition.  ``INPROCESS_CASES`` are the
-  cases that grow fastest with n: m three-point caterpillar blocks under
-  one root (n = 3m) and the n-point star space;
+* every in-process case ``(function, kind, n)`` runs ``INPROCESS_REPS``
+  times in a fresh interpreter on that tree's ``src/``, which builds one
+  space untimed and times one call of the named public function on it;
+  the result (a form's digest, any other result's JSON) must be the same
+  on every tree and every repetition.  ``INPROCESS_CASES`` are the cases
+  that grow fastest with n: ``canonical_form`` on m three-point
+  caterpillar blocks under one root (n = 3m) and on the n-point star
+  space, and ``semimetric_us_check`` on the n-point star space;
 * each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
   --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
@@ -31,8 +33,9 @@ Writes ``BENCH_<label>.json`` in the repository root:
      rows: [{layer, case, n, reps, min_s, median_s}]}
 
 ``layer`` is ``cli``, ``inprocess`` or ``perfbench``; ``case`` is
-``NAME: command``; ``n`` is the point count of a sweep, of the checked
-space or of the in-process case's space (null for a perfbench workload);
+``NAME: command`` (``NAME: function kind`` in process); ``n`` is the
+point count of a sweep, of the checked space or of the in-process
+case's space (null for a perfbench workload);
 ``src_lines`` counts the non-blank lines of this checkout's
 ``src/starmetric``.  No timing gate is applied anywhere.
 """
@@ -60,7 +63,11 @@ CLI_CASES = (
     ("enumerate", 8, ("--json",)),
 )
 STARTUP_CASES = (("check", 1, ("--json",)),)
-INPROCESS_CASES = (("blocks", 21), ("star", 1050))
+INPROCESS_CASES = (
+    ("canonical_form", "blocks", 21),
+    ("canonical_form", "star", 1050),
+    ("semimetric_us_check", "star", 80),
+)
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
 INPROCESS_REPS = 5  # fresh-interpreter runs per in-process case and tree
@@ -129,13 +136,15 @@ def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES + STARTUP
     ]
 
 
-# argv: kind, n.  Builds the space through the public constructor, then
-# prints the seconds of one canonical_form call and the form's digest.
+# argv: function, kind, n.  Builds the space through the public
+# constructor, then prints the seconds of one call of the function and
+# the result: a digest when it has one, else its JSON.
 _INPROCESS_CHILD = """
-import sys, time
+import json, sys, time
 from fractions import Fraction
-from starmetric import FiniteSemimetricSpace, canonical_form
-kind, n = sys.argv[1], int(sys.argv[2])
+import starmetric
+from starmetric import FiniteSemimetricSpace
+fn, kind, n = getattr(starmetric, sys.argv[1]), sys.argv[2], int(sys.argv[3])
 def rank(i, j):
     if i == j:
         return 0
@@ -148,27 +157,28 @@ values = [Fraction(v) for v in range(n + 1)]
 dist = tuple(tuple(values[rank(i, j)] for j in range(n)) for i in range(n))
 s = FiniteSemimetricSpace(tuple(f"p{i + 1}" for i in range(n)), dist)
 t0 = time.perf_counter()
-form = canonical_form(s)
-print(time.perf_counter() - t0, form.digest)
+result = fn(s)
+seconds = time.perf_counter() - t0
+print(seconds, getattr(result, "digest", None) or json.dumps(result.to_json(), separators=(",", ":")))
 """
 
 
 def inprocess_rows(trees: dict[str, Path], reps: int = INPROCESS_REPS, cases=INPROCESS_CASES) -> list[dict]:
     """One row per tree and in-process case: seconds of the one timed call, best and median of ``reps``."""
     times = {(name, i): [] for name in trees for i in range(len(cases))}
-    digests: dict[int, str] = {}
+    results: dict[int, str] = {}
     for _ in range(reps):
-        for i, (kind, n) in enumerate(cases):
+        for i, (fn, kind, n) in enumerate(cases):
             for name, root in trees.items():
                 env = dict(os.environ, PYTHONPATH=str(root / "src"))
-                proc = subprocess.run([sys.executable, "-c", _INPROCESS_CHILD, kind, str(n)],
+                proc = subprocess.run([sys.executable, "-c", _INPROCESS_CHILD, fn, kind, str(n)],
                                       capture_output=True, text=True, env=env, timeout=600, check=True)
-                seconds, digest = proc.stdout.split()
+                seconds, result = proc.stdout.split()
                 times[name, i].append(float(seconds))
-                if digests.setdefault(i, digest) != digest:
-                    raise SystemExit(f"{name}: canonical_form {kind} {n} gave another form")
-    return [_row("inprocess", f"{name}: canonical_form {kind}", n, times[name, i])
-            for i, (kind, n) in enumerate(cases) for name in trees]
+                if results.setdefault(i, result) != result:
+                    raise SystemExit(f"{name}: {fn} {kind} {n} gave another result")
+    return [_row("inprocess", f"{name}: {fn} {kind}", n, times[name, i])
+            for i, (fn, kind, n) in enumerate(cases) for name in trees]
 
 
 def workload_rows(trees: dict[str, Path]) -> list[dict]:
