@@ -1,10 +1,14 @@
 """Deciding whether an ultrametric space is generated by a labeled star graph.
 
-Membership is decided two independent ways: by searching for a center
-point whose distances realize every other point's nearest-neighbor
-distance, and by searching for the four-point obstruction pattern (two
-pairs strictly closer than the common cross distance).  Both routes come
-with extracted witnesses and are cross-checked in the test harness.
+Membership is read off the ultrametric's hierarchy, the verified Prim
+chain ``s.hierarchy``: the space is star-generated exactly when the
+chain is a caterpillar (its join ranks fall, then rise), its centers are
+the leaves of the bottom spine node, and each point's nearest-neighbor
+rank is the lesser join rank beside it on the chain.  Three routes on
+the rank matrix stay as cross-checks: the rank scan (every row against
+the row minima) for the centers, and the constructive and exhaustive
+searches for the four-point obstruction (two pairs strictly closer than
+the common cross distance), each with an extracted witness.
 """
 
 from __future__ import annotations
@@ -142,10 +146,30 @@ def _row_minima(r: tuple[tuple[int, ...], ...]) -> list[int]:
     return [min(filter(None, row), default=0) for row in r]
 
 
+def _chain_minima(order: tuple[int, ...], join: tuple[int, ...]) -> tuple[int, ...]:
+    """Nearest-neighbor rank of every point, read off a chain ``(order, join)`` (0 for one point).
+
+    Along the chain the rank between two points is the largest join rank
+    between them, so a point's nearest neighbor sits next to it: the point
+    at chain position p has the lesser of the join ranks at p and p + 1.
+    """
+    if len(order) == 1:
+        return (0,)
+    # the join rank at each chain position, the first and last point
+    # padded with their only neighbor's
+    j = list(map(join.__getitem__, order))
+    j[0] = j[1]
+    j.append(j[-1])
+    mins = [0] * len(order)
+    for v, a, b in zip(order, j, j[1:]):
+        mins[v] = a if a < b else b
+    return tuple(mins)
+
+
 def _nearest(s: FiniteSemimetricSpace) -> tuple[int, ...]:
-    """``_row_minima(s.ranks)``, computed once per space and kept on it, as ``s.ultrametric_witness`` is."""
+    """``_chain_minima`` of the ultrametric ``s``, computed once per space and kept on it, as ``s.hierarchy`` is."""
     if "_nearest" not in vars(s):
-        vars(s)["_nearest"] = tuple(_row_minima(s.ranks))
+        vars(s)["_nearest"] = _chain_minima(*s.hierarchy)
     return vars(s)["_nearest"]
 
 
@@ -154,15 +178,47 @@ def _is_center(row: tuple[int, ...], mins: tuple[int, ...]) -> bool:
     return all(map(le, row, mins))
 
 
+def _scan_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
+    """Centers of the ultrametric ``s`` by the rank scan, every row against the row minima: ``find_centers``'s cross-check."""
+    mins = _row_minima(s.ranks)
+    return tuple([p for p, row in zip(s.points, s.ranks) if _is_center(row, mins)])
+
+
+def _bottom_run(order: tuple[int, ...], join: tuple[int, ...]) -> tuple[int, int] | None:
+    """Chain positions ``lo:hi`` of the leaves of the bottom spine node, or None when the chain is no caterpillar.
+
+    A four-point ultrametric lacks a center, and lacks a diameter point,
+    exactly when it is two pairs, each closer than their cross rank.
+    Along the chain such pairs exist iff the join rank at a position m
+    tops those at p and q, 0 < p < m < q (take positions p - 1, p, q - 1,
+    q).  So the hierarchy is a caterpillar, and the space star-generated,
+    iff the join ranks after the first point fall, then rise.  The bottom
+    spine node then holds the run of least join ranks and the point just
+    before it; these leaves realize every point's nearest rank.
+    """
+    j = [join[v] for v in order[1:]]
+    if not j:
+        return 0, 1
+    least = min(j)
+    k = j.index(least)
+    if not (all(map(ge, j[:k], j[1 : k + 1])) and all(map(le, j[k:], j[k + 1 :]))):
+        return None
+    return k, k + 1 + j.count(least)
+
+
 def find_centers(s: FiniteSemimetricSpace) -> tuple[str, ...]:
     """Points x0 with d(x0, x) <= d(y, x) for all x != x0, y != x.
 
     Equivalently: x0 realizes every other point's nearest-neighbor
-    distance.  Returned in input order; may be empty.
+    distance.  Read off ``s.hierarchy`` in O(n): the leaves of the bottom
+    spine node when the hierarchy is a caterpillar, else none.  Returned
+    in input order; may be empty.  The rank scan over every row
+    (``_scan_centers``) is the cross-check route.
     """
     _require_ultrametric(s)
-    mins = _nearest(s)
-    return tuple(p for p, row in zip(s.points, s.ranks) if _is_center(row, mins))
+    order, join = s.hierarchy
+    run = _bottom_run(order, join)
+    return () if run is None else tuple([s.points[i] for i in sorted(order[run[0] : run[1]])])
 
 
 def is_us(s: FiniteSemimetricSpace) -> bool:
@@ -278,20 +334,6 @@ def _constructive_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None:
     return None
 
 
-def _caterpillar(s: FiniteSemimetricSpace) -> bool:
-    """Whether every 4-subset of the ultrametric ``s`` has a center, and a diameter point.
-
-    Four points lack both exactly when they are two pairs, each closer
-    than their cross rank.  Along ``s.hierarchy`` such pairs exist iff the
-    join rank at a chain position m tops those at p and q, 0 < p < m < q
-    (take positions p - 1, p, q - 1, q): the ranks must fall, then rise.
-    """
-    order, join = s.hierarchy
-    j = [join[v] for v in order[1:]]
-    k = j.index(min(j)) if j else 0
-    return all(map(ge, j[:k], j[1 : k + 1])) and all(map(le, j[k:], j[k + 1 :]))
-
-
 def four_point_tree_generable(s: FiniteSemimetricSpace) -> bool:
     """True iff some point sits at diameter distance from the three others."""
     if len(s.points) != 4:
@@ -327,16 +369,16 @@ def semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:
     """Evaluate the three statements on an arbitrary finite semimetric space.
 
     Star generation forces ultrametricity, so statement (in_us) is decided
-    as is_ultrametric plus the center criterion, and the every-4 ones in
-    O(n) off the hierarchy's shape.  For card X = 3 a CardinalityThree
-    error carrying the report is raised.
+    as is_ultrametric plus the center criterion by the rank scan, and the
+    every-4 ones in O(n) off the hierarchy's shape (see ``_bottom_run``).
+    For card X = 3 a CardinalityThree error carrying the report is raised.
     """
     n = len(s.points)
     ultra = is_ultrametric(s)
-    in_us = ultra and bool(find_centers(s))
+    in_us = ultra and bool(_scan_centers(s))
     # for n >= 4 every 4-subset is ultrametric exactly when the space is:
     # each violating triple extends to a 4-subset
-    every4_us = every4_tree = _caterpillar(s) if ultra else n < 4
+    every4_us = every4_tree = is_us(s) if ultra else n < 4
     report = UsCheckReport(in_us, every4_us, every4_tree, cardinality_ok=(n != 3))
     if n == 3:
         raise CardinalityThree(report)

@@ -26,8 +26,9 @@ from .decision import (
     KIND_X4,
     KIND_Y4,
     QuadrupleReport,
-    _caterpillar,
+    _bottom_run,
     _nearest,
+    _scan_centers,
     exhaustive_quadruple_scan,
     find_centers,
     find_forbidden_quadruple,
@@ -256,12 +257,13 @@ def _is_obstruction(s: FiniteSemimetricSpace, rep: QuadrupleReport) -> bool:
 
 
 def _obstruction_row(space: FiniteSemimetricSpace) -> tuple[bool, Optional[str], tuple[str, ...]]:
-    """is_us, the constructive obstruction kind, and what is wrong with the quadruple routes or hierarchy shape."""
-    us = is_us(space)
+    """is_us, the constructive obstruction kind, and what is wrong with the quadruple routes or the centers."""
+    centers = find_centers(space)
+    us = bool(centers)
     quad = find_forbidden_quadruple(space)
     oracle = exhaustive_quadruple_scan(space)
     faults = () if (quad is None) == (oracle is None) else ("constructive and exhaustive quadruple routes disagree",)
-    if us != _caterpillar(space):
+    if _scan_centers(space) != centers:
         faults += ("center criterion and hierarchy shape disagree",)
     for route, rep in (("constructive", quad), ("exhaustive", oracle)):
         if rep is not None and not _is_obstruction(space, rep):
@@ -273,7 +275,8 @@ def verify_obstruction_equivalence(n: int, jobs: int = 1) -> ObstructionSweepRep
     """Check is_us <=> no four-point obstruction over every class of size n.
 
     Also cross-checks the constructive quadruple search against the
-    exhaustive scan and the centers against the hierarchy's shape, and
+    exhaustive scan and the centers read off the hierarchy against the
+    rank scan, and
     checks each returned quadruple against the rank matrix; any
     disagreement or invalid witness lands in the discrepancy list.
     """
@@ -414,7 +417,9 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
 
     Requires an ultrametric space without four-point obstructions.  When
     the extension is ultrametric with the new point a center, the input
-    embeds into a star-generated space.
+    embeds into a star-generated space.  The extension is handed the
+    input's chain grown by the added point when ``_extension_chain``
+    accepts it; otherwise its own check decides.
     """
     w = ultrametric_violation(s)
     if w is not None:
@@ -435,9 +440,11 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
         mins = _nearest(s)
     ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
     # each old point keeps its nearest rank, and the added point's is the least of them
-    extension = FiniteSemimetricSpace._trusted(
-        points=s.points + (name,), spectrum=spectrum, ranks=ranks, _nearest=(*mins, min(mins))
-    )
+    fields = dict(points=s.points + (name,), spectrum=spectrum, ranks=ranks, _nearest=(*mins, min(mins)))
+    chain = _extension_chain(s, ranks[-1])
+    if chain is not None:
+        fields["hierarchy"] = chain
+    extension = FiniteSemimetricSpace._trusted(**fields)
     ext_ultra = is_ultrametric(extension)
     added_center = ext_ultra and name in find_centers(extension)
     success = ext_ultra and added_center
@@ -454,3 +461,25 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
         added_is_center=added_center,
         note=note,
     )
+
+
+def _extension_chain(s: FiniteSemimetricSpace, row: tuple[int, ...]) -> tuple | None:
+    """``s.hierarchy`` with a point n in its bottom spine node, if ``row`` is that point's rank row along it; else None.
+
+    Point n joins right after the node's last leaf c, at the least rank of
+    ``row``, so along the grown chain its ranks are c's, with that least
+    rank to c.  Once ``row`` equals them, that rank is at most every rank
+    of c, so no old pair's largest join rank between them changes: those
+    pairs were checked with ``s.hierarchy``, and this O(n) check makes the
+    extension ultrametric with the grown chain.
+    """
+    order, join = s.hierarchy
+    run = _bottom_run(order, join)
+    if run is None:
+        return None
+    at = run[1]
+    c, least = order[at - 1], min(row[:-1])
+    rc = s.ranks[c]
+    if row != (*rc[:c], least, *rc[c + 1 :], 0):
+        return None
+    return (*order[:at], len(order), *order[at:]), (*join, least)

@@ -86,6 +86,7 @@ def test_in_process_cases_are_pinned():
         ("canonical_form", "blocks", 21),
         ("canonical_form", "star", 1050),
         ("semimetric_us_check", "star", 80),
+        ("center_extension_probe", "star", 500),
     )
 
 
@@ -96,16 +97,27 @@ def test_ultra_canon_record_holds_the_in_process_cases():
 
 def test_every4_record_holds_every_case():
     _assert_every_workload_and_cli_case("BENCH_every4.json")
-    _assert_in_process_cases("BENCH_every4.json", bench_record.INPROCESS_CASES)
+    _assert_in_process_cases("BENCH_every4.json", bench_record.INPROCESS_CASES[:3])
+
+
+def test_chain_reads_record_holds_every_case():
+    _assert_every_workload_and_cli_case("BENCH_chain_reads.json")
+    _assert_in_process_cases("BENCH_chain_reads.json", bench_record.INPROCESS_CASES)
 
 
 def test_recorded_inprocess_rows_follow_the_schema():
-    cases = (("canonical_form", "blocks", 6), ("canonical_form", "star", 5), ("semimetric_us_check", "star", 6))
+    cases = (
+        ("canonical_form", "blocks", 6),
+        ("canonical_form", "star", 5),
+        ("semimetric_us_check", "star", 6),
+        ("center_extension_probe", "star", 6),
+    )
     rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=cases)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
         ("inprocess", "here: canonical_form blocks", 6, 2),
         ("inprocess", "here: canonical_form star", 5, 2),
         ("inprocess", "here: semimetric_us_check star", 6, 2),
+        ("inprocess", "here: center_extension_probe star", 6, 2),
     ]
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 

@@ -231,13 +231,15 @@ def test_verify_reports_an_invalid_oracle_quadruple(monkeypatch, capsys):
 
 
 def test_verify_reports_a_wrong_hierarchy_shape(monkeypatch, capsys):
-    def only_rising(space):
-        # forgets that the join ranks of a caterpillar may fall before they rise
-        order, join = space.hierarchy
-        j = [join[v] for v in order[1:]]
-        return j == sorted(j)
+    # the centers read off the hierarchy and the rank scan's must agree;
+    # a stand-in scan that stops at the first center makes them differ on
+    # every star-generated class, whose bottom spine node has two leaves or more
+    scan = harness._scan_centers
 
-    monkeypatch.setattr(harness, "_caterpillar", only_rising)
+    def first_only(space):
+        return scan(space)[:1]
+
+    monkeypatch.setattr(harness, "_scan_centers", first_only)
     assert run(["verify", "--theorem", "4.3", "--n", "5", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)["report"]
     assert not report["ok"] and report["us_classes"] == 8

@@ -1,8 +1,9 @@
 """Each space's decisions are computed once, and stars are built without re-validation.
 
-The nearest-neighbour ranks (``decision._row_minima``) and the
-constructive obstruction are kept on the immutable space after their
-first use, as ``ultrametric_witness`` is; the ultrametric precondition
+The nearest-neighbour ranks (the row minima, read off the chain by
+``decision._chain_minima``) and the constructive obstruction are kept on
+the immutable space after their first use, as ``ultrametric_witness``
+is; the ultrametric precondition
 is still checked on every call.  ``build_star`` hands its star over
 through ``_trusted``; these tests pin it to the star built
 through the validating constructor, kept in ``helpers``.
@@ -75,16 +76,16 @@ def _decide(text: str):
 @pytest.mark.parametrize("space", _spaces(), ids=lambda s: f"n{len(s)}")
 def test_row_minima_run_once_per_space_through_a_decide_sequence(space, monkeypatch):
     seen = []
-    kernel = decision._row_minima
+    kernel = decision._chain_minima
 
-    def counted(r):
-        seen.append(r)
-        return kernel(r)
+    def counted(order, join):
+        seen.append(order)
+        return kernel(order, join)
 
-    monkeypatch.setattr(decision, "_row_minima", counted)
+    monkeypatch.setattr(decision, "_chain_minima", counted)
     s, _ = _decide(json.dumps(space_to_json(space)))
     # the space itself; the probe hands its one-point extension the nearest ranks
-    assert [r is s.ranks for r in seen] == [True]
+    assert [order is s.hierarchy[0] for order in seen] == [True]
 
 
 @pytest.mark.parametrize("space", _spaces(), ids=lambda s: f"n{len(s)}")

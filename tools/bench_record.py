@@ -20,7 +20,8 @@ every repetition, so a slow phase of a shared host falls on all of them:
   on every tree and every repetition.  ``INPROCESS_CASES`` are the cases
   that grow fastest with n: ``canonical_form`` on m three-point
   caterpillar blocks under one root (n = 3m) and on the n-point star
-  space, and ``semimetric_us_check`` on the n-point star space;
+  space, ``semimetric_us_check`` on the n-point star space, and
+  ``center_extension_probe`` on the n-point star space;
 * each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
   --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
@@ -67,6 +68,7 @@ INPROCESS_CASES = (
     ("canonical_form", "blocks", 21),
     ("canonical_form", "star", 1050),
     ("semimetric_us_check", "star", 80),
+    ("center_extension_probe", "star", 500),
 )
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
@@ -173,7 +175,7 @@ def inprocess_rows(trees: dict[str, Path], reps: int = INPROCESS_REPS, cases=INP
                 env = dict(os.environ, PYTHONPATH=str(root / "src"))
                 proc = subprocess.run([sys.executable, "-c", _INPROCESS_CHILD, fn, kind, str(n)],
                                       capture_output=True, text=True, env=env, timeout=600, check=True)
-                seconds, result = proc.stdout.split()
+                seconds, result = proc.stdout.split(maxsplit=1)  # a result's JSON may hold spaces
                 times[name, i].append(float(seconds))
                 if results.setdefault(i, result) != result:
                     raise SystemExit(f"{name}: {fn} {kind} {n} gave another result")

@@ -13,8 +13,8 @@ on every file, ``star`` on every star-generated file again with
 ``--dot FILE`` (the DOT file's bytes are compared too), with
 ``--center`` at its second center when it has two or more, and with
 ``--center`` at a point that is no center (exit 1, centers listed),
-``check``, ``us`` and ``weaksim`` on seeded spaces of the
-same three kinds at n = 128 and 256, ``check`` and ``us`` on two
+``check``, ``us``, ``weaksim``, ``probe`` and ``star`` on seeded
+spaces of the same three kinds at n = 128 and 256, ``check`` and ``us`` on two
 256-point matrices whose only fault is in the last row, ``compact`` and
 ``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
 seeded star presentations (harmonic and geometric tails with
@@ -280,6 +280,7 @@ def _commands(
     for i in range(0, len(spaces), 2):
         path, twin = spaces[i], spaces[i + 1]
         cmds += [["check", path], ["us", path], ["weaksim", path, twin], ["weaksim", path, spaces[(i + 2) % len(spaces)]]]
+        cmds += [["probe", path], ["star", path]]
     for path in faulty:
         cmds += [["check", path], ["us", path]]
     return [c + extra for c in cmds for extra in ([], ["--json"])]
