@@ -1,7 +1,8 @@
 """Deciding whether an ultrametric space is generated by a labeled star graph.
 
-Membership is read off the ultrametric's hierarchy, the verified Prim
-chain ``s.hierarchy``: the space is star-generated exactly when the
+Membership is read off the ultrametric's hierarchy, the chain
+``s.hierarchy`` that its ultrametric check verified or its construction
+handed over: the space is star-generated exactly when the
 chain is a caterpillar (its join ranks fall, then rise), its centers are
 the leaves of the bottom spine node, and each point's nearest-neighbor
 rank is the lesser join rank beside it on the chain.  Three routes on
