@@ -47,10 +47,11 @@ class NotFourPoints(DecisionError):
 
 
 class InternalInconsistency(DecisionError):
-    """The constructive search and the exhaustive oracle disagreed.
+    """The constructive search and the exhaustive oracle disagreed, or the
+    probe's grown chain did not give its added point's ranks.
 
-    This should be unreachable for valid ultrametric input; raising loudly
-    here is a built-in theorem check, not dead code.
+    Both should be unreachable for valid input; raising loudly here is a
+    built-in theorem check, not dead code.
     """
 
 
@@ -156,14 +157,11 @@ def _chain_minima(order: tuple[int, ...], join: tuple[int, ...]) -> tuple[int, .
     """
     if len(order) == 1:
         return (0,)
-    # the join rank at each chain position, the first and last point
-    # padded with their only neighbor's
-    j = list(map(join.__getitem__, order))
-    j[0] = j[1]
-    j.append(j[-1])
+    j = [join[v] for v in order[1:]]
     mins = [0] * len(order)
-    for v, a, b in zip(order, j, j[1:]):
-        mins[v] = a if a < b else b
+    # the first and last point have one neighbor each
+    for v, m in zip(order, map(min, [j[0], *j], [*j, j[-1]])):
+        mins[v] = m
     return tuple(mins)
 
 

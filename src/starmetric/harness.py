@@ -25,6 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .decision import (
     KIND_X4,
     KIND_Y4,
+    InternalInconsistency,
     QuadrupleReport,
     _bottom_run,
     _nearest,
@@ -418,8 +419,8 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     Requires an ultrametric space without four-point obstructions.  When
     the extension is ultrametric with the new point a center, the input
     embeds into a star-generated space.  The extension is handed the
-    input's chain grown by the added point when ``_extension_chain``
-    accepts it; otherwise its own check decides.
+    input's chain grown by the added point (``_extension_chain``), so no
+    Prim pass runs on it.
     """
     w = ultrametric_violation(s)
     if w is not None:
@@ -440,11 +441,10 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
         mins = _nearest(s)
     ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
     # each old point keeps its nearest rank, and the added point's is the least of them
-    fields = dict(points=s.points + (name,), spectrum=spectrum, ranks=ranks, _nearest=(*mins, min(mins)))
-    chain = _extension_chain(s, ranks[-1])
-    if chain is not None:
-        fields["hierarchy"] = chain
-    extension = FiniteSemimetricSpace._trusted(**fields)
+    extension = FiniteSemimetricSpace._trusted(
+        points=s.points + (name,), spectrum=spectrum, ranks=ranks, _nearest=(*mins, min(mins)),
+        hierarchy=_extension_chain(s, mins),
+    )
     ext_ultra = is_ultrametric(extension)
     added_center = ext_ultra and name in find_centers(extension)
     success = ext_ultra and added_center
@@ -463,23 +463,25 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     )
 
 
-def _extension_chain(s: FiniteSemimetricSpace, row: tuple[int, ...]) -> tuple | None:
-    """``s.hierarchy`` with a point n in its bottom spine node, if ``row`` is that point's rank row along it; else None.
+def _extension_chain(s: FiniteSemimetricSpace, mins: tuple[int, ...]) -> tuple:
+    """``s.hierarchy`` grown by a point n whose rank to each point is that point's nearest rank ``mins``.
 
-    Point n joins right after the node's last leaf c, at the least rank of
-    ``row``, so along the grown chain its ranks are c's, with that least
-    rank to c.  Once ``row`` equals them, that rank is at most every rank
-    of c, so no old pair's largest join rank between them changes: those
-    pairs were checked with ``s.hierarchy``, and this O(n) check makes the
-    extension ultrametric with the grown chain.
+    ``s`` has no four-point obstruction, so its chain is a caterpillar and
+    the last leaf c of its bottom spine node is a center: c's rank to
+    every other point is that point's nearest rank, and c's own is the
+    least of ``mins``.  Point n joins right after c at that least rank, so
+    along the grown chain n's ranks are c's with the least rank to c,
+    which is ``mins``.  That rank is at most every rank of c, so no old
+    pair's largest join rank between them changes: those pairs were
+    checked with ``s.hierarchy``, and this O(n) comparison of c's row
+    checks n's, raising InternalInconsistency if it fails.
     """
     order, join = s.hierarchy
     run = _bottom_run(order, join)
-    if run is None:
-        return None
-    at = run[1]
-    c, least = order[at - 1], min(row[:-1])
-    rc = s.ranks[c]
-    if row != (*rc[:c], least, *rc[c + 1 :], 0):
-        return None
-    return (*order[:at], len(order), *order[at:]), (*join, least)
+    if run is not None:
+        at, least = run[1], min(mins)
+        c = order[at - 1]
+        rc = s.ranks[c]
+        if mins == (*rc[:c], least, *rc[c + 1 :]):
+            return (*order[:at], len(order), *order[at:]), (*join, least)
+    raise InternalInconsistency("the grown chain does not give the added point's nearest ranks")

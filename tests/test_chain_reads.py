@@ -6,8 +6,8 @@ reads the leaves of the bottom spine node of a caterpillar hierarchy, and
 ``center_extension_probe`` hands its one-point extension the input's
 chain with the added point in that node.  These tests pin each read to
 the rank-matrix route it stands beside: ``_row_minima``, the rank scan
-``_scan_centers``, and the extension's own Prim check
-``_equals_subdominant``.  Inputs carry three kinds of chain: the one a
+``_scan_centers``, and the Prim check ``_equals_subdominant``, which
+no longer runs on the extension.  Inputs carry three kinds of chain: the one a
 catalogue class or a generated space is built with, the Prim chain of a
 parsed, relabeled copy, and either read backwards.  ``is_ultrametric`` needs no witness scan.
 """
@@ -21,6 +21,7 @@ from starmetric import (
     FiniteSemimetricSpace,
     GeometricTail,
     HarmonicTail,
+    InternalInconsistency,
     LabeledStarGraph,
     RaySpec,
     center_extension_probe,
@@ -139,24 +140,18 @@ def test_probe_chain_rebuilds_the_extension(kind):
     assert probed > 10
 
 
-def test_probe_falls_back_to_prim_on_a_tampered_bottom_node(monkeypatch):
+def test_probe_raises_on_a_tampered_bottom_node(monkeypatch):
     rng = Random(1903)
     cases = [s for s in SPACES["seeded"] if len(s) >= 3 and find_forbidden_quadruple(s) is None]
     cases += [permuted_copy(rng, generate_ultrametric(random_star(rng, 12))) for _ in range(10)]
-    assert all(s.hierarchy for s in cases)  # each input's own check runs before counting
-    seen = []
-    check, bottom = spaces._equals_subdominant, harness._bottom_run
-    monkeypatch.setattr(spaces, "_equals_subdominant", lambda r: seen.append(r) or check(r))
+    bottom = harness._bottom_run
     for s in cases:
-        expected = center_extension_probe(s)
-        assert not seen  # the chain was handed over
         lo, hi = bottom(*s.hierarchy)
         # inserted after chain position at - 1, the added point is in the bottom node only for lo < at <= hi
         for tampered in [None] + [(at - 1, at) for at in range(1, len(s) + 1) if not lo < at <= hi]:
             monkeypatch.setattr(harness, "_bottom_run", lambda order, join: tampered)
-            report = center_extension_probe(s)
-            assert report == expected
-            assert len(seen) == 1 and seen.pop() is report.extension.ranks
+            with pytest.raises(InternalInconsistency, match="grown chain"):
+                center_extension_probe(s)
         monkeypatch.setattr(harness, "_bottom_run", bottom)
 
 

@@ -16,12 +16,13 @@ every repetition, so a slow phase of a shared host falls on all of them:
 * every in-process case ``(function, kind, n)`` runs ``INPROCESS_REPS``
   times in a fresh interpreter on that tree's ``src/``, which builds one
   space untimed and times one call of the named public function on it;
-  the result (a form's digest, any other result's JSON) must be the same
-  on every tree and every repetition.  ``INPROCESS_CASES`` are the cases
-  that grow fastest with n: ``canonical_form`` on m three-point
-  caterpillar blocks under one root (n = 3m) and on the n-point star
-  space, ``semimetric_us_check`` on the n-point star space, and
-  ``center_extension_probe`` on the n-point star space;
+  the result (a form's digest, the sha256 of any other result's JSON)
+  must be the same on every tree and every repetition.
+  ``INPROCESS_CASES`` are the cases that grow fastest with n:
+  ``canonical_form`` on m three-point caterpillar blocks under one root
+  (n = 3m) and on the n-point star space, ``semimetric_us_check`` on the
+  n-point star space, and ``center_extension_probe`` on the n-point star
+  space;
 * each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
   --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
@@ -142,7 +143,7 @@ def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES + STARTUP
 # constructor, then prints the seconds of one call of the function and
 # the result: a digest when it has one, else its JSON.
 _INPROCESS_CHILD = """
-import json, sys, time
+import hashlib, json, sys, time
 from fractions import Fraction
 import starmetric
 from starmetric import FiniteSemimetricSpace
@@ -161,7 +162,8 @@ s = FiniteSemimetricSpace(tuple(f"p{i + 1}" for i in range(n)), dist)
 t0 = time.perf_counter()
 result = fn(s)
 seconds = time.perf_counter() - t0
-print(seconds, getattr(result, "digest", None) or json.dumps(result.to_json(), separators=(",", ":")))
+print(seconds, getattr(result, "digest", None)
+      or hashlib.sha256(json.dumps(result.to_json(), separators=(",", ":")).encode()).hexdigest())
 """
 
 
@@ -175,7 +177,7 @@ def inprocess_rows(trees: dict[str, Path], reps: int = INPROCESS_REPS, cases=INP
                 env = dict(os.environ, PYTHONPATH=str(root / "src"))
                 proc = subprocess.run([sys.executable, "-c", _INPROCESS_CHILD, fn, kind, str(n)],
                                       capture_output=True, text=True, env=env, timeout=600, check=True)
-                seconds, result = proc.stdout.split(maxsplit=1)  # a result's JSON may hold spaces
+                seconds, result = proc.stdout.split()
                 times[name, i].append(float(seconds))
                 if results.setdefault(i, result) != result:
                     raise SystemExit(f"{name}: {fn} {kind} {n} gave another result")
