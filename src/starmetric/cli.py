@@ -166,8 +166,11 @@ def _cmd_star(args) -> int:
         _emit(args, {"error": str(exc), "centers": list(centers)}, str(exc))
         return FAIL
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(star))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(to_dot(star))
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.dot}: {exc}") from exc
     payload = {
         "center": star.center,
         "labels": {star.center: str(star.center_label)}

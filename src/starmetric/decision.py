@@ -232,14 +232,16 @@ def build_star(s: FiniteSemimetricSpace, x0: str) -> LabeledStarGraph:
     row, values = s.ranks[i0], s.spectrum
     if not _is_center(row, _nearest(s)):
         raise NotACenter(f"{x0!r} does not satisfy the center criterion (centers: {list(find_centers(s))})")
-    # the center is vertex 0 and meets every edge, in leaf order, so
-    # the constructor's checks and edge normalization would change nothing
+    # vertex 0, the center, meets every edge in leaf order, and the row holds the
+    # label ranks: checks, edge normalization and label ranking would change nothing
     leaves = s.points[:i0] + s.points[i0 + 1 :]
+    ranks = (0, *row[:i0], *row[i0 + 1 :])
     return LabeledStarGraph._trusted(
         vertices=(x0, *leaves),
         edges=tuple([(x0, p) for p in leaves]),
-        labels=(ZERO, *[values[k] for k in row[:i0] + row[i0 + 1 :]]),
+        labels=(ZERO, *[values[k] for k in ranks[1:]]),
         _adj=[list(range(1, len(row))), *[[0] for _ in leaves]],
+        _label_ranks=(values, ranks),
     )
 
 

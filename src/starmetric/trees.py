@@ -98,6 +98,12 @@ class LabeledTree(_Frozen):
             raise NotATree("edge set is not connected")
 
     @cached_property
+    def _label_ranks(self) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        # sorted distinct values (0 at rank 0, and every label) and each vertex's label rank
+        values, rank_of = _ranked_values({None: ZERO, **{id(lab): lab for lab in self.labels}})
+        return values, tuple([rank_of[id(lab)] for lab in self.labels])
+
+    @cached_property
     def _label_of(self) -> dict[str, Fraction]:
         return dict(zip(self.vertices, self.labels))
 
@@ -170,13 +176,12 @@ def generate_ultrametric(t: LabeledTree) -> FiniteSemimetricSpace:
 
     A generating tree gives an ultrametric, and the path maxima are its
     rank matrix and hierarchy, so the space starts with ``ranks`` and
-    ``hierarchy`` set.  An edge whose labels are both 0 has rank 0; only
-    then does ``generating_violation`` run, to name one.
+    ``hierarchy`` set.  Path maxima compare label ranks, which a star
+    from ``build_star`` carries from its space and any other tree ranks
+    once.  An edge whose labels are both 0 has rank 0; only then does
+    ``generating_violation`` run, to name one.
     """
-    # path maxima compare label ranks, so equal labels come out as one
-    # object; rank 0 is the label 0 and the diagonal
-    values, rank_of = _ranked_values({None: ZERO, **{id(lab): lab for lab in t.labels}})
-    ranks = [rank_of[id(lab)] for lab in t.labels]
+    values, ranks = t._label_ranks
     edges = [(max(ranks[u], ranks[v]), u, v) for u, adj in enumerate(t._adj) for v in adj if u < v]
     # a path maximum is an edge's rank, so the distances are the edge ranks
     # plus 0, numbered densely: a label on no edge's larger end (such as a

@@ -87,6 +87,7 @@ def test_in_process_cases_are_pinned():
         ("canonical_form", "star", 1050),
         ("semimetric_us_check", "star", 80),
         ("center_extension_probe", "star", 500),
+        ("generate_ultrametric", "star", 500),
     )
 
 
@@ -102,7 +103,12 @@ def test_every4_record_holds_every_case():
 
 def test_chain_reads_record_holds_every_case():
     _assert_every_workload_and_cli_case("BENCH_chain_reads.json")
-    _assert_in_process_cases("BENCH_chain_reads.json", bench_record.INPROCESS_CASES)
+    _assert_in_process_cases("BENCH_chain_reads.json", bench_record.INPROCESS_CASES[:4])
+
+
+def test_ranked_trees_record_holds_every_case():
+    _assert_every_workload_and_cli_case("BENCH_ranked_trees.json")
+    _assert_in_process_cases("BENCH_ranked_trees.json", bench_record.INPROCESS_CASES)
 
 
 def test_recorded_inprocess_rows_follow_the_schema():
@@ -111,6 +117,7 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("canonical_form", "star", 5),
         ("semimetric_us_check", "star", 6),
         ("center_extension_probe", "star", 6),
+        ("generate_ultrametric", "star", 6),
     )
     rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=cases)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
@@ -118,6 +125,7 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("inprocess", "here: canonical_form star", 5, 2),
         ("inprocess", "here: semimetric_us_check star", 6, 2),
         ("inprocess", "here: center_extension_probe star", 6, 2),
+        ("inprocess", "here: generate_ultrametric star", 6, 2),
     ]
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 

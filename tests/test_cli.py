@@ -121,6 +121,20 @@ def test_star_verb_rejects_a_center_outside_the_space(star_tree_file, tmp_path, 
     assert captured.err == "error: unknown point 'zz'\n"
 
 
+@pytest.mark.parametrize("target", ["missing/out.dot", "."], ids=["missing-directory", "a-directory"])
+def test_star_dot_to_an_unwritable_path_is_an_input_error(star_tree_file, tmp_path, capsys, target):
+    assert run(["gen", star_tree_file]) == 0
+    space_path = tmp_path / "space.json"
+    space_path.write_text(capsys.readouterr().out)
+    dot_path = tmp_path / target
+    assert run(["star", str(space_path), "--dot", str(dot_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {dot_path}: ")
+    assert "internal failure" not in captured.err
+
+
 def test_ray_and_truncate(harmonic_star_file, capsys):
     assert run(["ray", harmonic_star_file]) == 0
     assert "1/2" in capsys.readouterr().out

@@ -15,14 +15,16 @@ every repetition, so a slow phase of a shared host falls on all of them:
   the interpreter and the imports and almost nothing else;
 * every in-process case ``(function, kind, n)`` runs ``INPROCESS_REPS``
   times in a fresh interpreter on that tree's ``src/``, which builds one
-  space untimed and times one call of the named public function on it;
-  the result (a form's digest, the sha256 of any other result's JSON)
+  space untimed and times one call of the named public function on it
+  (``generate_ultrametric`` on the star ``build_star`` makes at the
+  space's first point, also built untimed); the result (a form's digest,
+  else the sha256 of the result's JSON, a space's ``space_to_json``)
   must be the same on every tree and every repetition.
   ``INPROCESS_CASES`` are the cases that grow fastest with n:
   ``canonical_form`` on m three-point caterpillar blocks under one root
-  (n = 3m) and on the n-point star space, ``semimetric_us_check`` on the
-  n-point star space, and ``center_extension_probe`` on the n-point star
-  space;
+  (n = 3m) and on the n-point star space, and ``semimetric_us_check``,
+  ``center_extension_probe`` and the star round trip's
+  ``generate_ultrametric`` on the n-point star space;
 * each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
   --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
@@ -70,6 +72,7 @@ INPROCESS_CASES = (
     ("canonical_form", "star", 1050),
     ("semimetric_us_check", "star", 80),
     ("center_extension_probe", "star", 500),
+    ("generate_ultrametric", "star", 500),
 )
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
@@ -140,8 +143,9 @@ def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES + STARTUP
 
 
 # argv: function, kind, n.  Builds the space through the public
-# constructor, then prints the seconds of one call of the function and
-# the result: a digest when it has one, else its JSON.
+# constructor (and, for generate_ultrametric, the star at its first
+# point), then prints the seconds of one call of the function and the
+# result: a digest when it has one, else the sha256 of its JSON.
 _INPROCESS_CHILD = """
 import hashlib, json, sys, time
 from fractions import Fraction
@@ -159,11 +163,14 @@ def rank(i, j):
 values = [Fraction(v) for v in range(n + 1)]
 dist = tuple(tuple(values[rank(i, j)] for j in range(n)) for i in range(n))
 s = FiniteSemimetricSpace(tuple(f"p{i + 1}" for i in range(n)), dist)
+arg = starmetric.build_star(s, s.points[0]) if fn is starmetric.generate_ultrametric else s
 t0 = time.perf_counter()
-result = fn(s)
+result = fn(arg)
 seconds = time.perf_counter() - t0
+# a space has no to_json
+to_json = starmetric.space_to_json if isinstance(result, FiniteSemimetricSpace) else type(result).to_json
 print(seconds, getattr(result, "digest", None)
-      or hashlib.sha256(json.dumps(result.to_json(), separators=(",", ":")).encode()).hexdigest())
+      or hashlib.sha256(json.dumps(to_json(result), separators=(",", ":")).encode()).hexdigest())
 """
 
 
