@@ -298,13 +298,10 @@ def find_forbidden_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None
     the first pair d(x,y) > max(l(x), l(y)) and extract the two closer
     partners z, w.  Should the extraction ever degenerate the exhaustive
     scan takes over, and a disagreement between the two routes raises
-    InternalInconsistency.  The result, None included, is computed once
-    per space and kept on it.
+    InternalInconsistency.
     """
     _require_ultrametric(s)
-    if "_obstruction" not in vars(s):
-        vars(s)["_obstruction"] = _constructive_quadruple(s)
-    return vars(s)["_obstruction"]
+    return _constructive_quadruple(s)
 
 
 def _constructive_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None:

@@ -43,7 +43,6 @@ from .spaces import (
     _Frozen,
     _path_maxima,
     _record_json,
-    is_ultrametric,
     ultrametric_violation,
 )
 from .trees import generate_ultrametric
@@ -397,10 +396,11 @@ def verify_tree_equivalence() -> TreeEquivalenceReport:
 
 
 class ProbeReport(NamedTuple):
-    """Outcome of the one-point center-extension attempt.
+    """Outcome of the one-point center-extension probe.
 
-    Exploratory only: a failure is reported, never treated as a
-    refutation of anything; the note labels it unresolved.
+    The probe returns only when its construction succeeds, so
+    ``success``, ``extension_ultrametric`` and ``added_is_center`` are
+    True; they and ``note`` stay fields of the JSON record.
     """
 
     success: bool
@@ -414,18 +414,22 @@ class ProbeReport(NamedTuple):
 
 
 def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
-    """Adjoin a point at every point's nearest-neighbor distance and test it.
+    """Adjoin a point at every point's nearest-neighbor distance.
 
-    Requires an ultrametric space without four-point obstructions.  When
-    the extension is ultrametric with the new point a center, the input
-    embeds into a star-generated space.  The extension is handed the
-    input's chain grown by the added point (``_extension_chain``), so no
-    Prim pass runs on it.
+    Requires an ultrametric space without four-point obstructions: on an
+    ultrametric that holds exactly when its chain is a caterpillar
+    (``_bottom_run``), so no obstruction search runs.  The added point
+    joins the bottom spine node of the grown chain (``_extension_chain``),
+    so the extension is ultrametric with the added point a center, and
+    the input embeds into a star-generated space.  The extension is
+    handed that chain, so no Prim pass, ultrametric check or center
+    search runs on it.
     """
     w = ultrametric_violation(s)
     if w is not None:
         raise PreconditionFailed(f"input is not ultrametric: d({w.x},{w.y}) = {w.lhs} > {w.rhs}")
-    if find_forbidden_quadruple(s) is not None:
+    run = _bottom_run(*s.hierarchy)
+    if run is None:
         raise PreconditionFailed("input contains a four-point obstruction")
     name = "c0"
     serial = 0
@@ -440,48 +444,36 @@ def center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
     else:
         mins = _nearest(s)
     ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
-    # each old point keeps its nearest rank, and the added point's is the least of them
     extension = FiniteSemimetricSpace._trusted(
-        points=s.points + (name,), spectrum=spectrum, ranks=ranks, _nearest=(*mins, min(mins)),
-        hierarchy=_extension_chain(s, mins),
-    )
-    ext_ultra = is_ultrametric(extension)
-    added_center = ext_ultra and name in find_centers(extension)
-    success = ext_ultra and added_center
-    note = (
-        "extension is star-generated with the added point as center"
-        if success
-        else "unresolved: the one-point extension failed; this is not counterevidence"
+        points=s.points + (name,), spectrum=spectrum, ranks=ranks, hierarchy=_extension_chain(s, mins, run)
     )
     return ProbeReport(
-        success=success,
+        success=True,
         added_point=name,
         extension=extension,
-        extension_ultrametric=ext_ultra,
-        added_is_center=added_center,
-        note=note,
+        extension_ultrametric=True,
+        added_is_center=True,
+        note="extension is star-generated with the added point as center",
     )
 
 
-def _extension_chain(s: FiniteSemimetricSpace, mins: tuple[int, ...]) -> tuple:
+def _extension_chain(s: FiniteSemimetricSpace, mins: tuple[int, ...], run: tuple[int, int]) -> tuple:
     """``s.hierarchy`` grown by a point n whose rank to each point is that point's nearest rank ``mins``.
 
-    ``s`` has no four-point obstruction, so its chain is a caterpillar and
-    the last leaf c of its bottom spine node is a center: c's rank to
-    every other point is that point's nearest rank, and c's own is the
-    least of ``mins``.  Point n joins right after c at that least rank, so
-    along the grown chain n's ranks are c's with the least rank to c,
-    which is ``mins``.  That rank is at most every rank of c, so no old
-    pair's largest join rank between them changes: those pairs were
-    checked with ``s.hierarchy``, and this O(n) comparison of c's row
-    checks n's, raising InternalInconsistency if it fails.
+    ``run`` is the chain's bottom spine node (``_bottom_run``), and its
+    last leaf c is a center: c's rank to every other point is that
+    point's nearest rank, and c's own is the least of ``mins``.  Point n
+    joins right after c at that least rank, so along the grown chain n's
+    ranks are c's with the least rank to c, which is ``mins``.  That rank
+    is at most every rank of c, so no old pair's largest join rank
+    between them changes: those pairs were checked with ``s.hierarchy``,
+    and this O(n) comparison of c's row checks n's, raising
+    InternalInconsistency if it fails.
     """
     order, join = s.hierarchy
-    run = _bottom_run(order, join)
-    if run is not None:
-        at, least = run[1], min(mins)
-        c = order[at - 1]
-        rc = s.ranks[c]
-        if mins == (*rc[:c], least, *rc[c + 1 :]):
-            return (*order[:at], len(order), *order[at:]), (*join, least)
-    raise InternalInconsistency("the grown chain does not give the added point's nearest ranks")
+    at, least = run[1], min(mins)
+    c = order[at - 1]
+    rc = s.ranks[c]
+    if mins != (*rc[:c], least, *rc[c + 1 :]):
+        raise InternalInconsistency("the grown chain does not give the added point's nearest ranks")
+    return (*order[:at], len(order), *order[at:]), (*join, least)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 from .rational import rat
-from .spaces import FiniteSemimetricSpace, ZERO, _Frozen, _pick, _ranked_values, _record_json
-from .trees import LabeledTree, NotGenerating, generate_ultrametric
+from .spaces import FiniteSemimetricSpace, ZERO, _Frozen, _record_json
+from .trees import LabeledStarGraph, LabeledTree, NotGenerating, generate_ultrametric
 
 # Bounds on the work a short presentation can demand.  No tail label past
 # index MAX_TAIL_INDEX is skipped or merged into a ray prefix; no geometric
@@ -473,21 +473,19 @@ class CompletionModel(NamedTuple):
         return ray_distance(self.ray, m, n)
 
     def truncation_space(self, k: int) -> FiniteSemimetricSpace:
-        """Added point plus the first k ray vertices: the ray truncation's ranks bordered by the label ranks.
+        """Added point plus the first k ray vertices, k up to ``MAX_TRUNCATION``: the space of their star.
 
-        A label that is no distance of the truncation (such as the last
-        one of a decreasing ray) joins the spectrum, and the truncation's
-        ranks are renumbered around it.
+        The star has the added point as its center, labeled 0, and leaves
+        ``x1..xk`` labeled ``ray.labels(k)``.  The ray is decreasing, as
+        ``ray_to_completion`` makes it, so the star's distances are the
+        completion's, and the space is born with its chain.
         """
-        if not k:
-            return FiniteSemimetricSpace._trusted(points=(self.added_point,), spectrum=(ZERO,), ranks=((0,),))
-        core = ray_truncation_space(self.ray, k)
-        labels = tuple(self.ray.labels(k))
-        spectrum, rank = _ranked_values({v: v for v in (*core.spectrum, *labels)})
-        border = [rank[v] for v in labels]
-        rows = _pick([rank[v] for v in core.spectrum], core.ranks)
-        ranks = ((0, *border), *[(b, *row) for b, row in zip(border, rows)])
-        return FiniteSemimetricSpace._trusted(points=(self.added_point, *core.points), spectrum=spectrum, ranks=ranks)
+        if k > MAX_TRUNCATION:
+            raise IndexOutOfRange(f"truncation of {k} points exceeds {MAX_TRUNCATION}")
+        if k < 0:
+            raise IndexOutOfRange("truncation needs at least one point")
+        leaves = [(f"x{i}", label) for i, label in enumerate(self.ray.labels(k), 1)]
+        return generate_ultrametric(LabeledStarGraph.of(self.added_point, ZERO, leaves))
 
     to_json = _record_json
 

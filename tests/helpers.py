@@ -26,7 +26,10 @@ validating ``LabeledStarGraph.of`` is kept as the reference for
 labels with ``!=``, and twin classes compared entry by entry, are kept
 as references for the shared ranking kernel and the sliced twin test.
 The hand-written ``to_json`` body of every record, tail law and
-presentation is kept as the reference for the one field encoder.  Class
+presentation is kept as the reference for the one field encoder.  The
+center-extension probe that searched for an obstruction and checked its
+extension is kept as the reference for the probe that reads both off
+the chain.  Class
 counts come from a memoised sum over multiset partitions of block
 multiplicities, which enumerates no class: the oracle for the catalogue's
 size.
@@ -50,9 +53,11 @@ from starmetric import (
     distance_spectrum,
     generate_ultrametric,
     is_ultrametric,
+    ultrametric_violation,
     validate_semimetric,
 )
-from starmetric.harness import LEAF
+from starmetric.decision import InternalInconsistency, _bottom_run, _nearest, find_centers, find_forbidden_quadruple
+from starmetric.harness import LEAF, PreconditionFailed, ProbeReport
 from starmetric.rational import rat
 from starmetric.spaces import (
     AsymmetricMatrix,
@@ -671,6 +676,52 @@ def dist_bordered_truncation_space(model, k: int) -> FiniteSemimetricSpace:
     core = ray_truncation_space(model.ray, k) if k else FiniteSemimetricSpace((), ())
     rows = [labels] + [(labels[i], *row) for i, row in enumerate(core.dist, start=1)]
     return FiniteSemimetricSpace((model.added_point, *core.points), tuple(rows))
+
+
+def searched_center_extension_probe(s: FiniteSemimetricSpace) -> ProbeReport:
+    """The earlier ``center_extension_probe``: the constructive obstruction search, then the checks on the extension."""
+    w = ultrametric_violation(s)
+    if w is not None:
+        raise PreconditionFailed(f"input is not ultrametric: d({w.x},{w.y}) = {w.lhs} > {w.rhs}")
+    if find_forbidden_quadruple(s) is not None:
+        raise PreconditionFailed("input contains a four-point obstruction")
+    name = "c0"
+    serial = 0
+    while name in s.points:
+        serial += 1
+        name = f"c{serial}"
+    r, spectrum = s.ranks, s.spectrum
+    if len(r) == 1:
+        spectrum, mins = (*spectrum, Fraction(1)), (1,)
+    else:
+        mins = _nearest(s)
+    ranks = tuple([row + (m,) for row, m in zip(r, mins)] + [(*mins, 0)])
+    extension = FiniteSemimetricSpace._trusted(
+        points=s.points + (name,), spectrum=spectrum, ranks=ranks, _nearest=(*mins, min(mins)),
+        hierarchy=_searched_extension_chain(s, mins),
+    )
+    ext_ultra = is_ultrametric(extension)
+    added_center = ext_ultra and name in find_centers(extension)
+    success = ext_ultra and added_center
+    note = (
+        "extension is star-generated with the added point as center"
+        if success
+        else "unresolved: the one-point extension failed; this is not counterevidence"
+    )
+    return ProbeReport(success, name, extension, ext_ultra, added_center, note)
+
+
+def _searched_extension_chain(s: FiniteSemimetricSpace, mins: tuple[int, ...]) -> tuple:
+    """The earlier ``harness._extension_chain``, which read the bottom run itself and raised on None."""
+    order, join = s.hierarchy
+    run = _bottom_run(order, join)
+    if run is not None:
+        at, least = run[1], min(mins)
+        c = order[at - 1]
+        rc = s.ranks[c]
+        if mins == (*rc[:c], least, *rc[c + 1 :]):
+            return (*order[:at], len(order), *order[at:]), (*join, least)
+    raise InternalInconsistency("the grown chain does not give the added point's nearest ranks")
 
 
 def per_cell_space_to_json(s: FiniteSemimetricSpace) -> dict:

@@ -10,7 +10,8 @@ is the space its labeled path generates.  These tests compare the kernel
 with a per-pair path walk on random trees, check that its chain yields
 the same maxima, pin its callers to the earlier
 recursive walk, Fraction running maxima and per-entry distance calls
-kept in ``helpers``, and check that hierarchies of any depth build.
+kept in ``helpers``, and check that hierarchies of any depth build.  The
+completion's truncation is the space of its star, born with its chain.
 """
 
 from fractions import Fraction
@@ -19,10 +20,13 @@ from random import Random
 import pytest
 
 from starmetric import (
+    CompletionModel,
     FiniteSemimetricSpace,
     GeometricTail,
     HarmonicTail,
+    IndexOutOfRange,
     LabeledStarGraph,
+    NotATree,
     NotGenerating,
     RankedHierarchy,
     RaySpec,
@@ -34,9 +38,11 @@ from starmetric import (
     ray_truncation_tree,
 )
 from starmetric.harness import LEAF
+from starmetric.infinite import MAX_TRUNCATION
 from starmetric.spaces import _path_maxima
 from helpers import (
     caterpillar_root,
+    dist_bordered_truncation_space,
     fraction_ray_truncation_space,
     per_entry_truncation_space,
     rand_nonneg_frac,
@@ -193,8 +199,36 @@ def test_completion_truncation_matches_per_entry_distances():
         for k in (0,) + SIZES:
             got = model.truncation_space(k)
             expected = per_entry_truncation_space(model, k)
-            assert got == expected
+            assert got == expected == dist_bordered_truncation_space(model, k)
             assert got.ranks == expected.ranks
+            # born with its chain, which gives the ranks
+            order, join = vars(got)["hierarchy"]
+            assert _path_maxima(k + 1, [(join[v], u, v) for u, v in zip(order, order[1:])])[0] == got.ranks
+
+
+def test_completion_truncation_of_no_vertices_is_the_added_point():
+    model = ray_to_completion(RaySpec((), HarmonicTail(1), 0, True))
+    got = model.truncation_space(0)
+    assert (got.points, got.spectrum, got.ranks) == (("x0",), (Fraction(0),), ((0,),))
+    assert "hierarchy" in vars(got)
+    assert got == per_entry_truncation_space(model, 0) == dist_bordered_truncation_space(model, 0)
+
+
+def test_completion_truncation_rejects_sizes_out_of_range():
+    model = ray_to_completion(RaySpec((), HarmonicTail(1), 0, True))
+    with pytest.raises(IndexOutOfRange, match="^truncation needs at least one point$"):
+        model.truncation_space(-1)
+    with pytest.raises(IndexOutOfRange, match=f"^truncation of {MAX_TRUNCATION + 1} points exceeds {MAX_TRUNCATION}$"):
+        model.truncation_space(MAX_TRUNCATION + 1)
+
+
+def test_completion_truncation_rejects_an_added_point_named_as_a_vertex():
+    # the star's own validation refuses the name, which the bordered matrix took twice
+    model = ray_to_completion(RaySpec((), HarmonicTail(1), 0, True))
+    renamed = CompletionModel("x2", model.star, model.ray)
+    with pytest.raises(NotATree, match="duplicate vertex names"):
+        renamed.truncation_space(3)
+    assert renamed.truncation_space(1).points == ("x2", "x1")
 
 
 def test_completion_truncation_is_the_compact_star_on_its_vertices():

@@ -23,6 +23,7 @@ from starmetric import (
     HarmonicTail,
     InternalInconsistency,
     LabeledStarGraph,
+    PreconditionFailed,
     RaySpec,
     center_extension_probe,
     enumerate_classes,
@@ -135,7 +136,8 @@ def test_probe_chain_rebuilds_the_extension(kind):
         assert _path_maxima(len(ext), _chain_edges(chain))[0] == ext.ranks
         assert spaces._equals_subdominant(ext.ranks) is not None
         assert report.success and report.extension_ultrametric and report.added_is_center
-        assert vars(ext)["_nearest"] == tuple(_row_minima(ext.ranks))
+        assert report.added_point in _scan_centers(ext)
+        assert _nearest(ext) == tuple(_row_minima(ext.ranks))
         assert find_centers(ext) == _scan_centers(ext)
     assert probed > 10
 
@@ -148,7 +150,11 @@ def test_probe_raises_on_a_tampered_bottom_node(monkeypatch):
     for s in cases:
         lo, hi = bottom(*s.hierarchy)
         # inserted after chain position at - 1, the added point is in the bottom node only for lo < at <= hi
-        for tampered in [None] + [(at - 1, at) for at in range(1, len(s) + 1) if not lo < at <= hi]:
+        # a run of None reads as an obstruction, which the probe rejects as input
+        monkeypatch.setattr(harness, "_bottom_run", lambda order, join: None)
+        with pytest.raises(PreconditionFailed, match="^input contains a four-point obstruction$"):
+            center_extension_probe(s)
+        for tampered in [(at - 1, at) for at in range(1, len(s) + 1) if not lo < at <= hi]:
             monkeypatch.setattr(harness, "_bottom_run", lambda order, join: tampered)
             with pytest.raises(InternalInconsistency, match="grown chain"):
                 center_extension_probe(s)

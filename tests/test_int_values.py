@@ -28,7 +28,7 @@ from starmetric import (
     reorder,
     x4_space,
 )
-from starmetric.decision import _row_minima
+from starmetric.decision import _nearest, _row_minima
 from starmetric.rational import MAX_RATIONAL_CHARS, RationalTooLarge, rat
 from starmetric.similarity import _twin_classes
 from starmetric.spaces import DuplicateName, EmptySubset, UnknownPoint, _ranked_values
@@ -171,19 +171,20 @@ def test_reorder_names_the_first_unknown_point():
         assert str(exc.value) == f"unknown point {unknown[0]!r}"
 
 
-def _assert_probe_hands_over_nearest(s) -> None:
+def _assert_probe_chain_gives_nearest(s) -> None:
+    # the extension is handed its chain, and the nearest ranks read off it are the row minima
     ext = center_extension_probe(s).extension
-    assert vars(ext)["_nearest"] == tuple(_row_minima(ext.ranks))
+    assert _nearest(ext) == tuple(_row_minima(ext.ranks))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_probe_hands_over_the_nearest_ranks_on_every_class(n):
     for s in enumerate_classes(n):
         if find_forbidden_quadruple(s) is None:
-            _assert_probe_hands_over_nearest(s)
+            _assert_probe_chain_gives_nearest(s)
 
 
 def test_probe_hands_over_the_nearest_ranks_on_random_stars():
     rng = Random(1504)
     for _ in range(150):
-        _assert_probe_hands_over_nearest(permuted_copy(rng, generate_ultrametric(random_star(rng, 15))))
+        _assert_probe_chain_gives_nearest(permuted_copy(rng, generate_ultrametric(random_star(rng, 15))))

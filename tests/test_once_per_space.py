@@ -1,9 +1,8 @@
 """Each space's decisions are computed once, and stars are built without re-validation.
 
 The nearest-neighbour ranks (the row minima, read off the chain by
-``decision._chain_minima``) and the constructive obstruction are kept on
-the immutable space after their first use, as ``ultrametric_witness``
-is; the ultrametric precondition
+``decision._chain_minima``) are kept on the immutable space after their
+first use, as ``ultrametric_witness`` is; the ultrametric precondition
 is still checked on every call.  ``build_star`` hands its star over
 through ``_trusted``; these tests pin it to the star built
 through the validating constructor, kept in ``helpers``.
@@ -89,16 +88,15 @@ def test_row_minima_run_once_per_space_through_a_decide_sequence(space, monkeypa
 
 
 @pytest.mark.parametrize("space", _spaces(), ids=lambda s: f"n{len(s)}")
-def test_obstruction_is_kept_on_the_space(space, monkeypatch):
-    calls = []
-    search = decision._constructive_quadruple
-    monkeypatch.setattr(decision, "_constructive_quadruple", lambda s: calls.append(s) or search(s))
+def test_obstruction_search_keeps_nothing_on_the_space(space):
+    # what the search reads and keeps is the ultrametric check's and the nearest ranks'
+    ultrametric_violation(space)
+    decision._nearest(space)
+    before = dict(vars(space))
     first = find_forbidden_quadruple(space)
-    assert find_forbidden_quadruple(space) is first
+    assert vars(space) == before
+    assert find_forbidden_quadruple(space) == first
     assert (first is None) == is_us(space)
-    if first is None:
-        center_extension_probe(space)  # which checks for an obstruction again
-    assert len(calls) == 1 and calls[0] is space
 
 
 def test_non_ultrametric_input_raises_on_every_call():
