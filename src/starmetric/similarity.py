@@ -3,20 +3,28 @@
 Two finite spaces are weakly similar when a point bijection composed with
 a strictly increasing bijection of the distance value sets carries one
 onto the other; for finite spaces that is exactly equality of rank
-matrices up to point relabeling.  The canonical form, the lex-min
-row-major rank matrix, decides it without a bijection: an ultrametric's
-is read off the hierarchy its ultrametric check walked, and any other
-semimetric's comes from an ordered-partition search.
+matrices up to point relabeling.  ``weak_similarity_bijection`` finds
+the first such relabeling in row order, by a route chosen on the
+ultrametric check: an ultrametric pair by sorted row profiles, any other
+pair by cells of equal rank sum and sorted row, then by colour
+refinement with individualization where a cell holds more than one row.
+The canonical form, the lex-min row-major rank matrix, decides it
+without a bijection, after the same check: an ultrametric's is read off
+the hierarchy the check walked, and any other semimetric's comes from an
+ordered-partition search.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .spaces import FiniteSemimetricSpace, _record_json
+
+Ranks = Sequence[Sequence[int]]
 
 
 def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
@@ -29,19 +37,13 @@ def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
     return s.ranks
 
 
-def _matrix_bijection(ma: Sequence[Sequence[int]], mb: Sequence[Sequence[int]]) -> Optional[list[int]]:
-    """Index bijection carrying rank matrix ``ma`` onto ``mb`` entrywise, or None.
-
-    Backtracking over rows, pruned by per-point sorted row profiles, in a
-    loop that counts the candidates tried per row.  A profile is the whole
-    sorted row: in a rank matrix the diagonal 0 is each row's only 0, so it
-    adds the same leading 0 to every profile.  Deterministic: rows
-    assigned in input order, candidates tried in input order, first
-    complete assignment returned.
-    """
+def _row_search(ma: Ranks, mb: Ranks) -> Optional[list[int]]:
+    # The ultrametric route.  Backtracking over rows, pruned by per-point
+    # sorted row profiles, in a loop that counts the candidates tried per
+    # row.  A profile is the whole sorted row: in a rank matrix the
+    # diagonal 0 is each row's only 0, so it adds the same leading 0 to
+    # every profile.
     n = len(ma)
-    if len(mb) != n:
-        return None
     prof_a = [tuple(sorted(row)) for row in ma]
     prof_b = [tuple(sorted(row)) for row in mb]
     if sorted(prof_a) != sorted(prof_b):
@@ -72,13 +74,186 @@ def _matrix_bijection(ma: Sequence[Sequence[int]], mb: Sequence[Sequence[int]]) 
     return assigned
 
 
+def _cell_search(ma: Ranks, mb: Ranks) -> Optional[list[int]]:
+    # The route of every other pair.  A row's cell is its rank sum, one
+    # C-level sum per row, or its sorted row where sums tie; one table
+    # names the cells of a and b, so equal colours mean equal keys (a row
+    # of b whose key a lacks gets None, as a sorted row fixes its sum)
+    sums_a, sums_b = list(map(sum, ma)), list(map(sum, mb))
+    if len(set(sums_a)) == len(ma):
+        return _forced(ma, mb, sums_a, sums_b)
+    tally = Counter(sums_a)
+
+    def key(row: Sequence[int], total: int) -> object:
+        return total if tally[total] == 1 else tuple(sorted(row))
+
+    table: dict = {}
+    ca = [table.setdefault(key(row, total), len(table)) for row, total in zip(ma, sums_a)]
+    cb = [table.get(key(row, total)) for row, total in zip(mb, sums_b)]
+    if len(table) == len(ma):
+        return _forced(ma, mb, ca, cb)
+    if Counter(ca) != Counter(cb):
+        return None
+    return _refined_search(ma, mb, ca, cb, len(table))
+
+
+def _forced(ma: Ranks, mb: Ranks, ca: list, cb: list) -> Optional[list[int]]:
+    # The colours of a name one row each: the only candidate map, checked
+    # entrywise in one itemgetter pass (n >= 3 here, so it picks tuples).
+    # A colour of a that b lacks, or holds twice, leaves a None in it.
+    where = dict(zip(cb, range(len(cb))))
+    perm = [where.get(c) for c in ca]
+    if None in perm:
+        return None
+    pick = itemgetter(*perm)
+    return perm if tuple(map(pick, pick(mb))) == tuple(ma) else None
+
+
+class _Colouring(NamedTuple):
+    # Matched colourings of a and b: colour c names cells_a[c] of a and
+    # cells_b[c] of b, of equal size; ``split`` lists the colours whose cells
+    # hold two or more rows.  Refinement replaces cells and never changes
+    # one, so copying the five lists makes a new colouring.
+    ca: list[int]
+    cb: list[int]
+    cells_a: list[list[int]]
+    cells_b: list[list[int]]
+    split: list[int]
+
+
+def _refined_search(ma: Ranks, mb: Ranks, ca: list[int], cb: list[int], m: int) -> Optional[list[int]]:
+    # Individualization-refinement (McKay & Piperno, J. Symbolic Comput.
+    # 60, 2014) on matched colourings of a and b: the first row whose cell
+    # has more than one row is mapped to each b row of its colour in input
+    # order, both get a new colour, and refinement either cuts the branch
+    # or leaves the rows of equal colour as the only candidates left.  Rows
+    # in singleton cells have one image, so the first complete map found
+    # is the one the row-by-row search would find.  A discrete colouring
+    # fixes the whole map.
+    n = len(ma)
+    cells_a: list[list[int]] = [[] for _ in range(m)]
+    cells_b: list[list[int]] = [[] for _ in range(m)]
+    for u, (c, d) in enumerate(zip(ca, cb)):
+        cells_a[c].append(u)
+        cells_b[d].append(u)
+    col = _Colouring(ca, cb, cells_a, cells_b, [c for c in range(m) if len(cells_a[c]) > 1])
+    ok = _refine(ma, mb, col, list(range(m)))
+    frames: list = []
+    i = -1
+    while True:
+        if ok and not col.split:
+            perm = _forced(ma, mb, col.ca, col.cb)
+            if perm is not None:
+                return perm
+        elif ok:
+            i = next(u for u in range(i + 1, n) if len(col.cells_a[col.ca[u]]) > 1)
+            frames.append((col, i, iter(col.cells_b[col.ca[i]])))
+        while frames:
+            col, i, candidates = frames[-1]
+            j = next(candidates, None)
+            if j is not None:
+                break
+            frames.pop()
+        else:
+            return None
+        col = _Colouring(*(part[:] for part in col))
+        x, new = col.ca[i], len(col.cells_a)
+        col.cells_a[x], col.cells_b[x] = col.cells_a[x][:], col.cells_b[x][:]
+        col.cells_a[x].remove(i)
+        col.cells_b[x].remove(j)
+        if len(col.cells_a[x]) == 1:
+            col.split.remove(x)
+        col.cells_a.append([i])
+        col.cells_b.append([j])
+        col.ca[i] = col.cb[j] = new
+        ok = _refine(ma, mb, col, [new])
+
+
+def _refine(ma: Ranks, mb: Ranks, col: _Colouring, queue: list[int]) -> bool:
+    """Colour refinement of a and b in step, in place; False once they differ.
+
+    Each colour taken from ``queue`` splits every cell by the ranks of its
+    rows to that colour's rows (``_keys_to``), in both spaces at once; a
+    cell keeps its colour for the piece of least key and the other pieces
+    get new colours in key order.  A split that differs between a and b
+    ends the refinement, and with it the branch.  A split cell queues all
+    its pieces if it was waiting, else all but one largest (Hopcroft's
+    rule: its splits are already made), and the loop ends at the coarsest
+    equitable colouring.
+    """
+    ca, cb, cells_a, cells_b, split = col
+    waiting = set(queue)
+    while queue:
+        s = queue.pop()
+        waiting.discard(s)
+        keys_a, keys_b = _keys_to(ma, cells_a[s]), _keys_to(mb, cells_b[s])
+        for x in split[:]:
+            xa, xb = cells_a[x], cells_b[x]
+            ka, kb = keys_a(xa), keys_b(xb)
+            values = set(ka)
+            if len(values) == 1 and values == set(kb):
+                continue
+            parts_a: dict = {}
+            parts_b: dict = {}
+            for u, k in zip(xa, ka):
+                parts_a.setdefault(k, []).append(u)
+            for u, k in zip(xb, kb):
+                parts_b.setdefault(k, []).append(u)
+            keys = sorted(parts_a)
+            if keys != sorted(parts_b) or any(len(parts_a[k]) != len(parts_b[k]) for k in keys):
+                return False
+            colours = [x] + list(range(len(cells_a), len(cells_a) + len(keys) - 1))
+            cells_a[x], cells_b[x] = parts_a[keys[0]], parts_b[keys[0]]
+            for c, k in zip(colours[1:], keys[1:]):
+                cells_a.append(parts_a[k])
+                cells_b.append(parts_b[k])
+                for u in parts_a[k]:
+                    ca[u] = c
+                for u in parts_b[k]:
+                    cb[u] = c
+            if len(cells_a[x]) == 1:
+                split.remove(x)
+            split += [c for c in colours[1:] if len(cells_a[c]) > 1]
+            if x not in waiting:
+                colours.remove(max(colours, key=lambda c: len(cells_a[c])))
+            fresh = [c for c in colours if c not in waiting]
+            queue += fresh
+            waiting.update(fresh)
+    return True
+
+
+def _keys_to(m: Ranks, splitter: list[int]) -> Callable[[list[int]], Sequence]:
+    # The keys of a cell's rows (two or more) against the splitter's rows,
+    # in cell order: the rank itself when the splitter is one row, else the
+    # sorted ranks
+    if len(splitter) == 1:
+        row = m[splitter[0]]
+        return lambda cell: itemgetter(*cell)(row)
+    pick = itemgetter(*splitter)
+    return lambda cell: [tuple(sorted(pick(m[u]))) for u in cell]
+
+
 def weak_similarity_bijection(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> Optional[dict[str, str]]:
-    """Point bijection realizing a weak similarity from ``a`` to ``b``, or None."""
-    if len(a.points) != len(b.points):
+    """Point bijection realizing a weak similarity from ``a`` to ``b``, or None.
+
+    The bijection returned is the first in the order of the row-by-row
+    search: rows of ``a`` assigned in input order, each to the first row
+    of ``b``, in input order, that still extends to a bijection.  That is
+    the lexicographically least bijection, whichever route finds it.
+
+    The route depends on ``a.hierarchy``, the O(n^2) ultrametric check
+    that ``canonical_form`` reads too.  An ultrametric on two or more
+    points always has twins (two leaves of a smallest cluster), which no
+    invariant separates, so an ultrametric pair takes the search by
+    sorted row profiles.  Any other pair is split into cells, by rank sum
+    and, where sums tie, by sorted row; when each cell holds one row the
+    only candidate map is checked in one pass, and otherwise
+    individualization-refinement searches the cells.
+    """
+    if len(a.points) != len(b.points) or len(a.spectrum) != len(b.spectrum):
         return None
-    if len(a.spectrum) != len(b.spectrum):
-        return None
-    mapping = _matrix_bijection(a.ranks, b.ranks)
+    search = _row_search if a.hierarchy is not None else _cell_search
+    mapping = search(a.ranks, b.ranks)
     if mapping is None:
         return None
     return {a.points[i]: b.points[j] for i, j in enumerate(mapping)}

@@ -29,8 +29,11 @@ The hand-written ``to_json`` body of every record, tail law and
 presentation is kept as the reference for the one field encoder.  The
 center-extension probe that searched for an obstruction and checked its
 extension is kept as the reference for the probe that reads both off
-the chain.  Class
-counts come from a memoised sum over multiset partitions of block
+the chain.  The search by sorted row profiles alone is kept as the
+reference for weak similarity's routed search; random cubic graphs, as
+two-valued spaces, are the inputs on which that search met most orders,
+and spaces that are all one distance but for one pair have twins
+everywhere without being ultrametric.  Class counts come from a memoised sum over multiset partitions of block
 multiplicities, which enumerates no class: the oracle for the catalogue's
 size.
 """
@@ -412,6 +415,58 @@ def recursive_matrix_bijection(ma, mb) -> list[int] | None:
     return assigned if extend() else None
 
 
+def matrix_bijection(ma, mb) -> list[int] | None:
+    """Index bijection carrying rank matrix ``ma`` onto ``mb`` entrywise, or None.
+
+    The library's search before it was routed, kept as the reference for
+    ``weak_similarity_bijection``'s routes: backtracking over rows, pruned
+    by per-point sorted row profiles, in a loop that counts the candidates
+    tried per row.  A profile is the whole sorted row: in a rank matrix
+    the diagonal 0 is each row's only 0, so it adds the same leading 0 to
+    every profile.  Deterministic: rows assigned in input order,
+    candidates tried in input order, first complete assignment returned.
+    """
+    n = len(ma)
+    if len(mb) != n:
+        return None
+    prof_a = [tuple(sorted(row)) for row in ma]
+    prof_b = [tuple(sorted(row)) for row in mb]
+    if sorted(prof_a) != sorted(prof_b):
+        return None
+    rows_of: dict[tuple[int, ...], list[int]] = {}
+    for j, prof in enumerate(prof_b):
+        rows_of.setdefault(prof, []).append(j)
+    candidates = [rows_of[prof] for prof in prof_a]
+    assigned: list[int] = []
+    used = [False] * n
+    tried = [0] * n
+    while len(assigned) < n:
+        i = len(assigned)
+        row, cands = ma[i], candidates[i]
+        while tried[i] < len(cands):
+            j = cands[tried[i]]
+            tried[i] += 1
+            rowb = mb[j]
+            if not used[j] and all(row[t] == rowb[assigned[t]] for t in range(i)):
+                used[j] = True
+                assigned.append(j)
+                break
+        else:
+            if i == 0:
+                return None
+            tried[i] = 0
+            used[assigned.pop()] = False
+    return assigned
+
+
+def matrix_bijection_dict(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> dict[str, str] | None:
+    """``weak_similarity_bijection`` as it was: the reference's map between point names, or None."""
+    if len(a.points) != len(b.points) or len(a.spectrum) != len(b.spectrum):
+        return None
+    mapping = matrix_bijection(a.ranks, b.ranks)
+    return None if mapping is None else {a.points[i]: b.points[j] for i, j in enumerate(mapping)}
+
+
 def reference_validate_semimetric(points, rows) -> FiniteSemimetricSpace:
     """The earlier ``validate_semimetric``: ``rat`` on every cell, Fraction comparisons.
 
@@ -644,6 +699,46 @@ def caterpillar_blocks(m: int) -> FiniteSemimetricSpace:
         return "2" if 2 in (i % 3, j % 3) else "1"
 
     return validate_semimetric([f"p{i + 1}" for i in range(n)], [[d(i, j) for j in range(n)] for i in range(n)])
+
+
+def graph_space(n: int, edges, order=None, prefix: str = "v") -> FiniteSemimetricSpace:
+    """A graph on 0..n-1 as a two-valued space, edge 1 and non-edge 2; point k is vertex ``order[k]``."""
+    order = list(range(n)) if order is None else order
+    adjacent = {frozenset(e) for e in edges}
+    rows = [["0" if u == v else "1" if frozenset((u, v)) in adjacent else "2" for v in order] for u in order]
+    return validate_semimetric([f"{prefix}{k + 1}" for k in range(n)], rows)
+
+
+def twins_with_one_fault(n: int, order=None, prefix: str = "p") -> FiniteSemimetricSpace:
+    """All distances 2 but the last pair at 3: not ultrametric, and the first n - 2 points are twins; point k is ``order[k]``."""
+    order = list(range(n)) if order is None else order
+    last = {n - 2, n - 1}
+    rows = [["0" if u == v else "3" if {u, v} == last else "2" for v in order] for u in order]
+    return validate_semimetric([f"{prefix}{k + 1}" for k in range(n)], rows)
+
+
+def random_cubic_edges(rng: Random, n: int) -> list[tuple[int, int]]:
+    """Edges of a random simple cubic graph on 0..n-1 (n even): the pairing model, redrawn until simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return sorted(edges)
+
+
+def cubic_pair(n: int, seed: int) -> tuple[FiniteSemimetricSpace, FiniteSemimetricSpace, FiniteSemimetricSpace]:
+    """A random cubic graph's space, a relabeled copy of it, and the space of a second random cubic graph.
+
+    Every row has the same sum and the same sorted row, so the spaces
+    are one cell each: a search that only checks ranks to the rows
+    already placed meets most of the n! orders.
+    """
+    rng = Random(100 * seed + n)
+    first, second = random_cubic_edges(rng, n), random_cubic_edges(rng, n)
+    order = list(range(n))
+    rng.shuffle(order)
+    return graph_space(n, first), graph_space(n, first, order, "q"), graph_space(n, second, prefix="w")
 
 
 def fraction_ray_truncation_space(r, k: int) -> FiniteSemimetricSpace:

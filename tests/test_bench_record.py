@@ -88,6 +88,8 @@ def test_in_process_cases_are_pinned():
         ("semimetric_us_check", "star", 80),
         ("center_extension_probe", "star", 500),
         ("generate_ultrametric", "star", 500),
+        ("weak_similarity_bijection", "semi", 256),
+        ("weak_similarity_bijection", "cubic", 20),
     )
 
 
@@ -129,6 +131,8 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("semimetric_us_check", "star", 6),
         ("center_extension_probe", "star", 6),
         ("generate_ultrametric", "star", 6),
+        ("weak_similarity_bijection", "semi", 6),
+        ("weak_similarity_bijection", "cubic", 8),
     )
     rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=cases)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
@@ -137,6 +141,26 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("inprocess", "here: semimetric_us_check star", 6, 2),
         ("inprocess", "here: center_extension_probe star", 6, 2),
         ("inprocess", "here: generate_ultrametric star", 6, 2),
+        ("inprocess", "here: weak_similarity_bijection semi", 6, 2),
+        ("inprocess", "here: weak_similarity_bijection cubic", 8, 2),
+    ]
+    bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
+
+
+def test_weak_cells_record_holds_ten_pairs_per_tree():
+    record = json.loads((ROOT / "BENCH_weak_cells.json").read_text())
+    rows = {(row["layer"], row["case"], row["n"], row["reps"]) for row in record["rows"]}
+    assert bench_record.PAIRS == 10 and bench_record.PAIR_SECONDS == 30
+    for tree in ("parent", "change"):
+        for m in bench_record.PAIR_METRICS:
+            assert ("pairs", f"{tree}: {bench_record.PAIR_WORKLOAD} seed {bench_record.SEED} {m}", None, 10) in rows
+
+
+def test_recorded_pair_rows_follow_the_schema():
+    rows = bench_record.pair_rows({"here": ROOT}, pairs=1, seconds=1)
+    assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
+        ("pairs", "here: similar seed 1 latency_p50_ms", None, 1),
+        ("pairs", "here: similar seed 1 latency_tail_ms", None, 1),
     ]
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 

@@ -28,12 +28,13 @@ from starmetric import (
     validate_semimetric,
 )
 from starmetric import spaces
-from starmetric.similarity import _chain_form, _matrix_bijection, _search_form
+from starmetric.similarity import _chain_form, _search_form
 from starmetric.spaces import _path_maxima
 from helpers import (
     caterpillar_blocks,
     dfs_canonical_form,
     fraction_ultrametric_violation,
+    matrix_bijection,
     monotone_transform,
     permuted_copy,
     random_star,
@@ -156,4 +157,4 @@ def test_ten_blocks_are_invariant():
     for _ in range(5):
         q = permuted_copy(rng, monotone_transform(rng, s))
         assert canonical_form(q) == form
-        assert _matrix_bijection(q.ranks, form.ranks) is not None
+        assert matrix_bijection(q.ranks, form.ranks) is not None

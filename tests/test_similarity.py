@@ -27,9 +27,9 @@ from starmetric import (
     x4_space,
     y4_space,
 )
-from starmetric.similarity import _matrix_bijection
 from helpers import (
     dfs_canonical_form,
+    matrix_bijection,
     monotone_transform,
     permuted_copy,
     random_semimetric,
@@ -220,7 +220,7 @@ def test_matrix_bijection_matches_recursive_reference():
         make = _two_value_space if t % 2 else _random_space
         a = make(rng, n)
         b = permuted_copy(rng, a) if rng.random() < 0.5 else make(rng, n)
-        got = _matrix_bijection(a.ranks, b.ranks)
+        got = matrix_bijection(a.ranks, b.ranks)
         assert got == recursive_matrix_bijection(a.ranks, b.ranks)
         similar += got is not None
     assert 0 < similar < 1500
@@ -228,7 +228,7 @@ def test_matrix_bijection_matches_recursive_reference():
 
 def _assert_form_invariant(rng: Random, s: FiniteSemimetricSpace) -> None:
     form = canonical_form(s)
-    assert _matrix_bijection(rank_matrix(s), form.ranks) is not None
+    assert matrix_bijection(rank_matrix(s), form.ranks) is not None
     assert canonical_form(permuted_copy(rng, monotone_transform(rng, s))) == form
 
 

@@ -17,29 +17,40 @@ every repetition, so a slow phase of a shared host falls on all of them:
   times in a fresh interpreter on that tree's ``src/``, which builds one
   space untimed and times one call of the named public function on it
   (``generate_ultrametric`` on the star ``build_star`` makes at the
-  space's first point, also built untimed); the result (a form's digest,
-  else the sha256 of the result's JSON, a space's ``space_to_json``)
-  must be the same on every tree and every repetition.
-  ``INPROCESS_CASES`` are the cases that grow fastest with n:
-  ``canonical_form`` on m three-point caterpillar blocks under one root
-  (n = 3m) and on the n-point star space, and ``semimetric_us_check``,
-  ``center_extension_probe`` and the star round trip's
-  ``generate_ultrametric`` on the n-point star space;
+  space's first point, also built untimed; ``weak_similarity_bijection``
+  on a pair of n-point spaces); the result (a form's digest, else the
+  sha256 of the result's JSON, a space's ``space_to_json``) must be the
+  same on every tree and every repetition.  ``INPROCESS_CASES`` are the
+  cases that grow fastest with n: ``canonical_form`` on m three-point
+  caterpillar blocks under one root (n = 3m) and on the n-point star
+  space; ``semimetric_us_check``, ``center_extension_probe`` and the star
+  round trip's ``generate_ultrametric`` on the n-point star space; and
+  ``weak_similarity_bijection`` on a seeded random semimetric against
+  its relabeled copy under a strictly increasing map, and on two seeded
+  random cubic graphs as two-valued spaces (edge 1, non-edge 2) that are
+  not isomorphic;
 * each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
   --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
   and must report ``correct``; its row holds the raw per-op seconds from
   the run's record (a ``sweep`` op is one ``verify`` plus one
-  ``enumerate``, a ``decide`` op one space, a ``similar`` op one pair).
+  ``enumerate``, a ``decide`` op one space, a ``similar`` op one pair);
+* ``PAIR_WORKLOAD`` then runs ``PAIRS`` more times per tree for
+  ``PAIR_SECONDS`` each, the trees taking turns and the one that goes
+  first alternating, as the benchmark's own A/B runs them; its rows hold
+  the end-to-end ``latency_p50_ms`` and ``latency_tail_ms`` each run
+  reports, in seconds, which are calibrated against host speed where the
+  per-op rows above are raw.
 
 Writes ``BENCH_<label>.json`` in the repository root:
 
     {python, cpu_count, src_lines,
      rows: [{layer, case, n, reps, min_s, median_s}]}
 
-``layer`` is ``cli``, ``inprocess`` or ``perfbench``; ``case`` is
-``NAME: command`` (``NAME: function kind`` in process); ``n`` is the
-point count of a sweep, of the checked space or of the in-process
-case's space (null for a perfbench workload);
+``layer`` is ``cli``, ``inprocess``, ``perfbench`` or ``pairs``;
+``case`` is ``NAME: command`` (``NAME: function kind`` in process,
+``NAME: workload seed S metric`` for pairs); ``n`` is the point count
+of a sweep, of the checked space or of the in-process case's space
+(null for the in-process perfbench workloads and for pairs);
 ``src_lines`` counts the non-blank lines of this checkout's
 ``src/starmetric``.  No timing gate is applied anywhere.
 """
@@ -73,12 +84,18 @@ INPROCESS_CASES = (
     ("semimetric_us_check", "star", 80),
     ("center_extension_probe", "star", 500),
     ("generate_ultrametric", "star", 500),
+    ("weak_similarity_bijection", "semi", 256),
+    ("weak_similarity_bijection", "cubic", 20),
 )
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
 INPROCESS_REPS = 5  # fresh-interpreter runs per in-process case and tree
 RUNS = 3  # perfbench runs per workload and tree
 SECONDS = 15  # length of each perfbench run
+# Small similar changes need ten alternating pairs of the benchmark's own
+# 30 s runs: fewer have lined up with host drift.
+PAIR_WORKLOAD, PAIRS, PAIR_SECONDS = "similar", 10, 30
+PAIR_METRICS = ("latency_p50_ms", "latency_tail_ms")
 SEED = 1
 RECORD_KEYS = {"python", "cpu_count", "src_lines", "rows"}
 ROW_KEYS = {"layer", "case", "n", "reps", "min_s", "median_s"}
@@ -144,11 +161,13 @@ def cli_rows(trees: dict[str, Path], reps: int = REPS, cases=CLI_CASES + STARTUP
 
 # argv: function, kind, n.  Builds the space through the public
 # constructor (and, for generate_ultrametric, the star at its first
-# point), then prints the seconds of one call of the function and the
-# result: a digest when it has one, else the sha256 of its JSON.
+# point; for weak_similarity_bijection, the pair), then prints the seconds
+# of one call of the function and the result: a digest when it has one,
+# else the sha256 of its JSON.
 _INPROCESS_CHILD = """
 import hashlib, json, sys, time
 from fractions import Fraction
+from random import Random
 import starmetric
 from starmetric import FiniteSemimetricSpace
 fn, kind, n = getattr(starmetric, sys.argv[1]), sys.argv[2], int(sys.argv[3])
@@ -160,17 +179,40 @@ def rank(i, j):
     if i // 3 != j // 3:  # blocks: a cherry at 1, its third point at 2, blocks 3 apart
         return 3
     return 2 if 2 in (i % 3, j % 3) else 1
-values = [Fraction(v) for v in range(n + 1)]
-dist = tuple(tuple(values[rank(i, j)] for j in range(n)) for i in range(n))
-s = FiniteSemimetricSpace(tuple(f"p{i + 1}" for i in range(n)), dist)
-arg = starmetric.build_star(s, s.points[0]) if fn is starmetric.generate_ultrametric else s
+def space(d, prefix="p"):
+    return FiniteSemimetricSpace(tuple(f"{prefix}{i + 1}" for i in range(n)),
+                                 tuple(tuple(d(i, j) for j in range(n)) for i in range(n)))
+def cubic(rng):  # tests/helpers.py's random_cubic_edges: the pairing model, redrawn until simple
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return lambda i, j: Fraction(0 if i == j else 1 if (min(i, j), max(i, j)) in edges else 2)
+if kind == "semi":  # a random semimetric against a relabeled copy under x -> x^2 + x
+    rng = Random(n)
+    upper = {(i, j): Fraction(rng.randint(1, 6), rng.randint(1, 6)) for i in range(n) for j in range(i + 1, n)}
+    d = lambda i, j: Fraction(0) if i == j else upper[min(i, j), max(i, j)]
+    order = list(range(n))
+    rng.shuffle(order)
+    args = (space(d), space(lambda i, j: d(order[i], order[j]) ** 2 + d(order[i], order[j]), "q"))
+elif kind == "cubic":  # tests/helpers.py's cubic_pair(n, 2): the first graph against the second
+    rng = Random(200 + n)
+    first = cubic(rng)
+    args = (space(first), space(cubic(rng), "w"))
+else:
+    values = [Fraction(v) for v in range(n + 1)]
+    s = space(lambda i, j: values[rank(i, j)])
+    args = (starmetric.build_star(s, s.points[0]) if fn is starmetric.generate_ultrametric else s,)
 t0 = time.perf_counter()
-result = fn(arg)
+result = fn(*args)
 seconds = time.perf_counter() - t0
-# a space has no to_json
-to_json = starmetric.space_to_json if isinstance(result, FiniteSemimetricSpace) else type(result).to_json
-print(seconds, getattr(result, "digest", None)
-      or hashlib.sha256(json.dumps(to_json(result), separators=(",", ":")).encode()).hexdigest())
+if isinstance(result, FiniteSemimetricSpace):  # a space has no to_json
+    result = starmetric.space_to_json(result)
+elif result is not None and not isinstance(result, dict):
+    result = getattr(result, "digest", None) or type(result).to_json(result)
+print(seconds, result if isinstance(result, str)
+      else hashlib.sha256(json.dumps(result, separators=(",", ":")).encode()).hexdigest())
 """
 
 
@@ -214,6 +256,26 @@ def workload_rows(trees: dict[str, Path]) -> list[dict]:
             for w in WORKLOADS for name, root in trees.items()]
 
 
+def pair_rows(trees: dict[str, Path], pairs: int = PAIRS, seconds: int = PAIR_SECONDS) -> list[dict]:
+    """One row per tree and ``PAIR_METRICS`` entry: that metric of ``pairs`` alternating runs of ``PAIR_WORKLOAD``, in seconds."""
+    values = {(name, m): [] for name in trees for m in PAIR_METRICS}
+    names = list(trees)
+    for k in range(pairs):
+        for name in names if k % 2 == 0 else names[::-1]:
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", PAIR_WORKLOAD, "--seed", str(SEED),
+                 "--seconds", str(seconds), "--trace", "0"],
+                capture_output=True, text=True, cwd=trees[name], timeout=900, check=True,
+            )
+            result = json.loads(proc.stdout.splitlines()[-1])
+            if not result["correct"]:
+                raise SystemExit(f"{name}: perfbench {PAIR_WORKLOAD} reported wrong answers")
+            for m in PAIR_METRICS:
+                values[name, m].append(result["metrics"][m]["value"] / 1000)
+    return [_row("pairs", f"{name}: {PAIR_WORKLOAD} seed {SEED} {m}", None, values[name, m])
+            for m in PAIR_METRICS for name in trees]
+
+
 def check_record(record: dict) -> None:
     """Raise ValueError unless ``record`` has the ``BENCH_*.json`` schema."""
     if set(record) != RECORD_KEYS:
@@ -250,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not (Path(root) / "src" / "starmetric").is_dir():
             parser.error(f"{item!r} is not NAME=ROOT with a ROOT/src/starmetric")
         trees[name] = Path(root).resolve()
-    rows = cli_rows(trees) + inprocess_rows(trees) + workload_rows(trees)
+    rows = cli_rows(trees) + inprocess_rows(trees) + workload_rows(trees) + pair_rows(trees)
     record = {"python": platform.python_version(), "cpu_count": os.cpu_count(), "src_lines": src_lines(),
               "rows": rows}
     check_record(record)

@@ -15,7 +15,10 @@ on every file, ``star`` on every star-generated file again with
 ``--center`` at a point that is no center (exit 1, centers listed),
 ``check``, ``us``, ``weaksim``, ``probe`` and ``star`` on seeded
 spaces of the same three kinds at n = 128 and 256, ``check`` and ``us`` on two
-256-point matrices whose only fault is in the last row, ``compact`` and
+256-point matrices whose only fault is in the last row, ``weaksim`` on
+pairs for each of its routes (rank sums that agree over sorted rows that
+do not, a space that is not ultrametric with twins, and a 20-point
+cubic graph against a relabeled copy and a second cubic graph), ``compact`` and
 ``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
 seeded star presentations (harmonic and geometric tails with
 exceptional labels, one non-compact constant tail, and one star with
@@ -53,6 +56,10 @@ from pathlib import Path
 from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
+# tests/helpers.py's cubic_pair(20, CUBIC_SEED), one that the search by
+# sorted row profiles alone decides in a tenth of a second: other seeds
+# cost it seconds to minutes, which a tree without refinement would pay
+CUBIC_SEED = 3
 
 # Runs inside each tree's interpreter: every argv line through cli.run.
 # A ``--dot`` file is removed first and its bytes (as latin-1) recorded after.
@@ -138,6 +145,26 @@ def _write_large(folder: Path, seed: int) -> tuple[list[str], list[str]]:
         obj["dist"][-1][-1] = cell
         faulty.append(obj)
     return _dump(folder, "large", objs), _dump(folder, "faulty", faulty)
+
+
+def _write_routes(folder: Path) -> list[str]:
+    """``weaksim`` pairs, first and second file alternately, for the routes the bulk corpus rarely takes.
+
+    Rank sums that agree while the sorted rows do not; a space that is not
+    ultrametric with ten twins, against a relabeled copy; and a 20-point
+    cubic graph as a two-valued space against a relabeled copy and
+    against a second cubic graph.
+    """
+    from helpers import cubic_pair, permuted_copy, twins_with_one_fault
+    from starmetric import space_to_json, validate_semimetric
+
+    rows_a = [["0", "1", "1", "4"], ["1", "0", "3", "2"], ["1", "3", "0", "3"], ["4", "2", "3", "0"]]
+    rows_b = [["0", "2", "2", "2"], ["2", "0", "1", "3"], ["2", "1", "0", "4"], ["2", "3", "4", "0"]]
+    twins = twins_with_one_fault(12, prefix="t")
+    cubic, relabeled, other = cubic_pair(20, CUBIC_SEED)
+    spaces = [validate_semimetric(["p1", "p2", "p3", "p4"], rows_a), validate_semimetric(["q1", "q2", "q3", "q4"], rows_b)]
+    spaces += [twins, permuted_copy(Random(5), twins), cubic, relabeled, cubic, other]
+    return _dump(folder, "route", [space_to_json(s) for s in spaces])
 
 
 def _write_presentations(folder: Path, seed: int) -> tuple[list[str], list[str]]:
@@ -252,6 +279,7 @@ def _commands(
     trees: list[str],
     malformed: list[str],
     large: tuple[list[str], list[str]],
+    routes: list[str],
 ) -> list[list[str]]:
     cmds = [
         ["enumerate", "--n", "6"],
@@ -283,6 +311,7 @@ def _commands(
         cmds += [["probe", path], ["star", path]]
     for path in faulty:
         cmds += [["check", path], ["us", path]]
+    cmds += [["weaksim", path, twin] for path, twin in zip(routes[::2], routes[1::2])]
     return [c + extra for c in cmds for extra in ([], ["--json"])]
 
 
@@ -308,6 +337,7 @@ def main() -> int:
             _write_trees(folder, args.seed),
             _write_malformed(folder),
             _write_large(folder, args.seed),
+            _write_routes(folder),
         )
         old, new = _run(args.old_src, cmds), _run(args.new_src, cmds)
     crashed = [(a, b) for a, b in zip(old, new) if str(a[1]).startswith("raised")]
