@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import spaces, trees
 from .decision import (
@@ -37,9 +37,6 @@ from .harness import (
 from .spaces import space_from_json, space_to_json, ultrametric_violation
 from .trees import TreeError, generate_ultrametric, parse_tree_text, to_dot
 
-if TYPE_CHECKING:  # the verbs that use them import these, so other verbs never load ``infinite``
-    from .infinite import RaySpec, StarSpec
-
 OK = 0
 FAIL = 1
 USAGE = 2
@@ -53,42 +50,32 @@ class _InputError(Exception):
     pass
 
 
-def _read_json(path: str):
+def _read(path: str, parse: Callable, *errors: type[Exception]):
+    """``parse`` the UTF-8 text of ``path``; a file that cannot be read or decoded, and ``errors`` that ``parse``
+    raises, are input errors in that file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(fh.read())
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
+    except (UnicodeDecodeError, *errors) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
+
+
+def _json(from_json: Callable) -> Callable:
+    """A parser of JSON text that hands the decoded value to ``from_json``."""
+    return lambda text: from_json(json.loads(text))
 
 
 @contextmanager
 def _in_file(path: str, *errors: type[Exception]):
-    """Report ``errors`` raised while reading or working on ``path`` as input errors in that file."""
+    """Report ``errors`` raised while working on ``path`` as input errors in that file."""
     try:
         yield
     except errors as exc:
         raise _InputError(f"{path}: {exc}") from exc
-
-
-def _read_space(path: str) -> spaces.FiniteSemimetricSpace:
-    with _in_file(path, spaces.SpaceError):
-        return space_from_json(_read_json(path))
-
-
-def _read_star(path: str) -> StarSpec:
-    from .infinite import InfiniteModelError, StarSpec
-
-    with _in_file(path, InfiniteModelError, TreeError, ValueError):
-        return StarSpec.from_json(_read_json(path))
-
-
-def _read_ray(path: str) -> RaySpec:
-    from .infinite import InfiniteModelError, RaySpec
-
-    with _in_file(path, InfiniteModelError, ValueError):
-        return RaySpec.from_json(_read_json(path))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -99,12 +86,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    try:
-        space = space_from_json(_read_json(args.space))
-    except spaces.SpaceError as exc:
-        _emit(args, {"valid": False, "error": str(exc)}, f"invalid semimetric: {exc}")
-        return FAIL
-    w = ultrametric_violation(space)
+    w = ultrametric_violation(_read(args.space, _json(space_from_json), spaces.SpaceError))
     if w is None:
         _emit(args, {"valid": True, "ultrametric": True}, "ultrametric")
         return OK
@@ -117,7 +99,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_us(args) -> int:
-    space = _read_space(args.space)
+    space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     w = ultrametric_violation(space)
     if w is not None:
         _emit(
@@ -139,7 +121,7 @@ def _cmd_us(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    space = _read_space(args.space)
+    space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     rep = find_forbidden_quadruple(space)
     if rep is None:
         _emit(args, {"quadruple": None}, "no four-point obstruction")
@@ -154,7 +136,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    space = _read_space(args.space)
+    space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     centers = find_centers(space)
     if not centers:
         _emit(args, {"in_us": False, "centers": []}, "not star-generated: no center point")
@@ -181,13 +163,7 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        with open(args.tree, "r", encoding="utf-8") as fh:
-            tree = parse_tree_text(fh.read())
-    except OSError as exc:
-        raise _InputError(f"cannot read {args.tree}: {exc}") from exc
-    except TreeError as exc:
-        raise _InputError(f"{args.tree}: {exc}") from exc
+    tree = _read(args.tree, parse_tree_text, TreeError)
     try:
         space = generate_ultrametric(tree)
     except trees.NotGenerating as exc:
@@ -198,9 +174,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ray(args) -> int:
-    from .infinite import FiniteSpec, InfiniteModelError, NotCompact, ray_truncation_space, star_to_ray
+    from .infinite import FiniteSpec, InfiniteModelError, NotCompact, StarSpec, ray_truncation_space, star_to_ray
 
-    spec = _read_star(args.star)
+    spec = _read(args.star, _json(StarSpec.from_json), ValueError)
     with _in_file(args.star, InfiniteModelError):
         try:
             ray = star_to_ray(spec)
@@ -222,9 +198,9 @@ def _cmd_ray(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    from .infinite import InfiniteModelError, NotDecreasingToZero, ray_to_completion
+    from .infinite import InfiniteModelError, NotDecreasingToZero, RaySpec, ray_to_completion
 
-    ray = _read_ray(args.ray)
+    ray = _read(args.ray, _json(RaySpec.from_json), ValueError)
     with _in_file(args.ray, InfiniteModelError):
         try:
             model = ray_to_completion(ray)
@@ -240,9 +216,9 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_compact(args) -> int:
-    from .infinite import InfiniteModelError, is_compact_star
+    from .infinite import InfiniteModelError, StarSpec, is_compact_star
 
-    spec = _read_star(args.star)
+    spec = _read(args.star, _json(StarSpec.from_json), ValueError)
     with _in_file(args.star, InfiniteModelError):
         rep = is_compact_star(spec)
         _emit(
@@ -257,8 +233,7 @@ def _cmd_compact(args) -> int:
 def _cmd_weaksim(args) -> int:
     from .similarity import weak_similarity_bijection
 
-    a = _read_space(args.a)
-    b = _read_space(args.b)
+    a, b = (_read(path, _json(space_from_json), spaces.SpaceError) for path in (args.a, args.b))
     phi = weak_similarity_bijection(a, b)
     if phi is None:
         _emit(args, {"weakly_similar": False}, "not weakly similar")
@@ -325,7 +300,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    space = _read_space(args.space)
+    space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     try:
         rep = center_extension_probe(space)
     except PreconditionFailed as exc:
@@ -414,10 +389,7 @@ def run(argv: list[str] | None = None) -> int:
         if not 1 <= getattr(args, "jobs", 1) <= (os.cpu_count() or 1):
             raise _InputError(f"--jobs must be between 1 and {os.cpu_count() or 1} (the CPU count), got {args.jobs}")
         return fn(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (spaces.SpaceError, TreeError, BoundExceeded, NotUltrametric) as exc:
+    except (_InputError, spaces.SpaceError, TreeError, BoundExceeded, NotUltrametric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:

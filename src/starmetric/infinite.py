@@ -229,6 +229,8 @@ def _json_skip(obj: dict) -> int:
     skip = obj.get("skip", 0)
     if isinstance(skip, bool) or not isinstance(skip, int):
         raise MalformedPresentation(f"'skip' must be a JSON integer, got {skip!r}")
+    if skip < 0:
+        raise MalformedPresentation(f"'skip' must be nonnegative, got {skip}")
     if skip > MAX_TAIL_INDEX:
         raise IndexOutOfRange(f"'skip' {skip} exceeds {MAX_TAIL_INDEX}")
     return skip
@@ -483,7 +485,7 @@ class CompletionModel(NamedTuple):
         if k > MAX_TRUNCATION:
             raise IndexOutOfRange(f"truncation of {k} points exceeds {MAX_TRUNCATION}")
         if k < 0:
-            raise IndexOutOfRange("truncation needs at least one point")
+            raise IndexOutOfRange(f"truncation of {k} points is below 0")
         leaves = [(f"x{i}", label) for i, label in enumerate(self.ray.labels(k), 1)]
         return generate_ultrametric(LabeledStarGraph.of(self.added_point, ZERO, leaves))
 

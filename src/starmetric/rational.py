@@ -8,7 +8,7 @@ from fractions import Fraction
 MAX_RATIONAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
 
 
 class RationalTooLarge(ValueError):
@@ -40,7 +40,7 @@ def rat(value) -> Fraction:
         if value.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0")):
             return Fraction(int(p), int(q)) if slash else Fraction(int(p))
         exp = _EXPONENT.search(value)
-        if exp is not None and abs(int(exp.group(1).replace("_", "") or 0)) > MAX_DECIMAL_EXPONENT:
+        if exp is not None and abs(int(exp.group(1).replace("_", ""))) > MAX_DECIMAL_EXPONENT:
             raise RationalTooLarge(f"decimal exponent in {value!r} exceeds {MAX_DECIMAL_EXPONENT}")
         try:
             return Fraction(value.strip())

@@ -216,7 +216,7 @@ def test_completion_truncation_of_no_vertices_is_the_added_point():
 
 def test_completion_truncation_rejects_sizes_out_of_range():
     model = ray_to_completion(RaySpec((), HarmonicTail(1), 0, True))
-    with pytest.raises(IndexOutOfRange, match="^truncation needs at least one point$"):
+    with pytest.raises(IndexOutOfRange, match="^truncation of -1 points is below 0$"):
         model.truncation_space(-1)
     with pytest.raises(IndexOutOfRange, match=f"^truncation of {MAX_TRUNCATION + 1} points exceeds {MAX_TRUNCATION}$"):
         model.truncation_space(MAX_TRUNCATION + 1)

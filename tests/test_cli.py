@@ -49,8 +49,8 @@ def test_check_single_point(tmp_path, capsys):
 def test_check_invalid_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"points": ["a", "b"], "dist": [["0", "0"], ["0", "0"]]}))
-    assert run(["check", str(path)]) == 1
-    assert "invalid semimetric" in capsys.readouterr().out
+    assert run(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: d(a, b) = 0 for distinct points\n")
 
 
 def test_check_non_ultrametric(tmp_path, capsys):
@@ -368,8 +368,68 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, obj):
 def test_check_reports_malformed_shapes_as_invalid(tmp_path, capsys, obj):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
-    assert run(["check", str(path)]) == 1
-    assert capsys.readouterr().out.startswith("invalid semimetric: ")
+    assert run(["check", str(path)]) == 2
+    check = capsys.readouterr()
+    assert check.out == "" and check.err.startswith(f"error: {path}: ")
+    assert run(["us", str(path)]) == 2
+    assert capsys.readouterr() == check
+
+
+# the bytes of each kind of input file, by what is wrong with them
+UNREADABLE = {
+    "space": {
+        "not-utf8": b"\xff\xfe{}",
+        "unparsable": b'{"points": ["a"], "dist": [["0"]',
+        "invalid": b'{"points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]]}',
+    },
+    "tree": {"not-utf8": b"a \xff\n", "unparsable": b"a 0 0\n", "invalid": b"a 0\nb -1\na -- b\n"},
+    "star": {
+        "not-utf8": b"\xff\xfe{}",
+        "unparsable": b'{"center_label": "0",',
+        "invalid": b'{"center_label": "-1", "tail": {"kind": "finite"}}',
+    },
+    "ray": {
+        "not-utf8": b"\xff\xfe{}",
+        "unparsable": b'{"prefix": [}',
+        "invalid": b'{"prefix": ["1"], "tail": {"kind": "finite"}, "skip": -1}',
+    },
+}
+READERS = {
+    "check": (["check", "BAD"], "space"),
+    "us": (["us", "BAD"], "space"),
+    "witness": (["witness", "BAD"], "space"),
+    "star": (["star", "BAD"], "space"),
+    "probe": (["probe", "BAD"], "space"),
+    "weaksim-a": (["weaksim", "BAD", "GOOD"], "space"),
+    "weaksim-b": (["weaksim", "GOOD", "BAD"], "space"),
+    "gen": (["gen", "BAD"], "tree"),
+    "ray": (["ray", "BAD"], "star"),
+    "complete": (["complete", "BAD"], "ray"),
+    "compact": (["compact", "BAD"], "star"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("fault", ["missing", "not-utf8", "unparsable", "invalid"])
+@pytest.mark.parametrize("argv, kind", READERS.values(), ids=list(READERS))
+def test_every_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, x4_file, argv, kind, fault, flags):
+    path = tmp_path / f"in.{kind}"
+    if fault != "missing":
+        path.write_bytes(UNREADABLE[kind][fault])
+    argv = [{"BAD": str(path), "GOOD": x4_file}.get(a, a) for a in argv]
+    assert run(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+@pytest.mark.parametrize("verb, obj", [("compact", {"center_label": "0", "tail": HARMONIC}), ("complete", {"tail": HARMONIC})])
+def test_negative_skip_names_the_json_key(tmp_path, capsys, verb, obj):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**obj, "skip": -1}))
+    assert run([verb, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: 'skip' must be nonnegative, got -1\n")
 
 
 SKIP = MAX_TAIL_INDEX + 1

@@ -48,12 +48,13 @@ ALPHABET = "0123456789/+-_.e ٣"  # U+0663 is the Arabic-Indic digit three
 
 
 def _assert_parity(text: str) -> None:
-    """``rat(text)`` equals ``Fraction(text.strip())``, or both refuse it with a ValueError."""
+    """``rat(text)`` equals ``Fraction(text.strip())``, or both refuse it, ``rat`` as ``not an exact rational``."""
     try:
         got = rat(text)
     except RationalTooLarge:
         return  # a bound of rat's own, which Fraction does not have
-    except ValueError:
+    except ValueError as exc:
+        assert str(exc) == f"not an exact rational: {text!r}", text
         got = None
     try:
         want = Fraction(text.strip())

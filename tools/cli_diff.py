@@ -33,8 +33,10 @@ vertices, stars, one tree with a zero-zero edge, random trees of 128 and
 pool of six values, a 256-leaf star, and stars whose center label
 exceeds some leaf labels), ``check``, ``us``, ``witness``, ``star``
 and ``probe`` on malformed spaces that break each axiom in turn (with
-floats, bools and oversized rationals among the cells, and one pair
-spelled ``"1/2"`` and ``"2/4"``), plus ``enumerate`` at n = 6, 8 and 7
+floats, bools and oversized rationals among the cells, one pair
+spelled ``"1/2"`` and ``"2/4"``, and a ``"1e+_"`` cell) and on a space
+file that is not UTF-8, ``gen`` on a tree file, ``compact`` and ``ray``
+on a star file and ``complete`` on a ray file that are not UTF-8, plus ``enumerate`` at n = 6, 8 and 7
 with ``--jobs 2`` and both ``verify`` sweeps (theorem 4.3 at n = 6 and
 8), once under each tree, each with and without ``--json``.  Exit code, stdout and
 stderr must match exactly; the first differences are printed and the
@@ -244,20 +246,35 @@ def _write_trees(folder: Path, seed: int) -> list[str]:
     return paths
 
 
-def _write_malformed(folder: Path) -> list[str]:
-    """Spaces that break each axiom in turn, plus one equal pair in two spellings."""
+def _write_malformed(folder: Path) -> tuple[list[str], dict[str, str]]:
+    """Bad space files: each axiom broken in turn, one equal pair in two spellings, a ``1e+_`` cell
+    and a file that is not UTF-8; and a tree, a star and a ray file that are not UTF-8, by kind."""
     dists = [
         [["1", "1"], ["1", "0"]],
         [["0", "1/2", "1"], ["2/4", "0", "1"], ["1", "1", "0"]],
         [["0", "1/2", "1"], ["3/4", "0", "1"], ["1", "1", "0"]],
     ]
-    dists += [[["0", x], [x, "0"]] for x in ("-1", "0", 0.5, True, "1/" + "3" * 1000, "1e2000")]
+    dists += [[["0", x], [x, "0"]] for x in ("-1", "0", 0.5, True, "1/" + "3" * 1000, "1e2000", "1e+_")]
     paths = []
     for i, dist in enumerate(dists):
         path = folder / f"malformed{i:02d}.json"
         path.write_text(json.dumps({"points": [f"p{j + 1}" for j in range(len(dist))], "dist": dist}))
         paths.append(str(path))
-    return paths
+    star = {"center_label": "0", "exceptional": ["1/2"], "tail": {"kind": "harmonic", "c": "1"}}
+    ray = {"prefix": ["1"], "tail": {"kind": "geometric", "a": "1", "r": "1/2"}, "decreasing": True}
+    files = {  # JSON saved as UTF-16, and a tree text saved as Latin-1
+        "space": json.dumps({"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}).encode("utf-16"),
+        "tree": "caf\u00e9 0\nb 1\ncaf\u00e9 -- b\n".encode("latin-1"),
+        "star": json.dumps(star).encode("utf-16"),
+        "ray": json.dumps(ray).encode("utf-16"),
+    }
+    not_utf8 = {}
+    for kind, data in files.items():
+        path = folder / f"not_utf8_{kind}"
+        path.write_bytes(data)
+        not_utf8[kind] = str(path)
+    paths.append(not_utf8.pop("space"))
+    return paths, not_utf8
 
 
 def _star_commands(path: str, points: list[str], centers: tuple[str, ...]) -> list[list[str]]:
@@ -277,7 +294,7 @@ def _commands(
     corpus: tuple[list[str], dict[str, tuple[str, ...]]],
     presentations: tuple[list[str], list[str]],
     trees: list[str],
-    malformed: list[str],
+    malformed: tuple[list[str], dict[str, str]],
     large: tuple[list[str], list[str]],
     routes: list[str],
 ) -> list[list[str]]:
@@ -302,8 +319,11 @@ def _commands(
         cmds += [["compact", star], ["ray", star], ["ray", star, "--truncate", "16"], ["ray", star, "--truncate", "64"]]
     cmds += [["complete", ray] for ray in rays]
     cmds += [["gen", path] for path in trees]
-    for path in malformed:
+    bad_spaces, not_utf8 = malformed
+    for path in bad_spaces:
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
+    cmds += [["gen", not_utf8["tree"]], ["compact", not_utf8["star"]], ["ray", not_utf8["star"]]]
+    cmds += [["complete", not_utf8["ray"]]]
     spaces, faulty = large
     for i in range(0, len(spaces), 2):
         path, twin = spaces[i], spaces[i + 1]
