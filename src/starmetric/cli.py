@@ -51,8 +51,8 @@ class _InputError(Exception):
 
 
 def _read(path: str, parse: Callable, *errors: type[Exception]):
-    """``parse`` the UTF-8 text of ``path``; a file that cannot be read or decoded, and ``errors`` that ``parse``
-    raises, are input errors in that file."""
+    """``parse`` the UTF-8 text of ``path``; a file that cannot be read or decoded, JSON nested too deep to
+    decode, and ``errors`` that ``parse`` raises, are input errors in that file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
@@ -60,7 +60,7 @@ def _read(path: str, parse: Callable, *errors: type[Exception]):
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
-    except (UnicodeDecodeError, *errors) as exc:
+    except (UnicodeDecodeError, RecursionError, *errors) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 

@@ -390,15 +390,22 @@ class RaySpec(_Frozen):
 
 
 def ray_distance(r: RaySpec, m: int, n: int) -> Fraction:
-    """d(x_m, x_n): label(min(m, n)) on decreasing rays, else the path max."""
+    """d(x_m, x_n): the largest label on the path from x_m to x_n.
+
+    Every tail law is non-increasing, so past the explicit labels the
+    path's first tail label is its largest; on a decreasing ray the
+    result is label(min(m, n)).
+    """
     if m == n:
         r.label(m)  # still bounds-checked
         return ZERO
     lo, hi = (m, n) if m < n else (n, m)
-    if r.decreasing:
-        r.label(hi)
-        return r.label(lo)
-    return max(r.label(i) for i in range(lo, hi + 1))
+    r.label(hi)  # bounds-checked first: past a finite ray, or a label too large to build
+    candidates = [r.label(lo), *r.prefix[lo:hi]]
+    first_tail = max(lo, len(r.prefix) + 1)
+    if first_tail <= hi:
+        candidates.append(r.label(first_tail))
+    return max(candidates)
 
 
 def star_to_ray(spec: StarSpec) -> RaySpec:

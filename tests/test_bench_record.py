@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -50,12 +51,19 @@ def test_rank_first_record_holds_every_workload_and_cli_case():
 
 
 def _assert_every_workload_and_cli_case(name: str) -> None:
+    """A record with raw per-op ``perfbench`` rows holds one per workload and tree; any other record holds
+    ``PAIRS`` alternating pairs of each ``PAIR_METRICS`` entry per workload and tree."""
     record = json.loads((ROOT / name).read_text())
-    rows = {(row["layer"], row["case"], row["n"]) for row in record["rows"]}
+    rows = {(row["layer"], row["case"], row["n"]): row["reps"] for row in record["rows"]}
+    raw = any(layer == "perfbench" for layer, _, _ in rows)
     for tree in ("parent", "change"):
         for w in bench_record.WORKLOADS:
             n = bench_record.sweep_n() if w == "sweep" else None
-            assert ("perfbench", f"{tree}: {w} seed {bench_record.SEED}", n) in rows
+            if raw:
+                assert ("perfbench", f"{tree}: {w} seed {bench_record.SEED}", n) in rows
+            else:
+                for m in bench_record.PAIR_METRICS:
+                    assert rows.get(("pairs", f"{tree}: {w} seed {bench_record.SEED} {m}", n)) == bench_record.PAIRS
         for verb, n, extra in bench_record.CLI_CASES + bench_record.STARTUP_CASES:
             assert ("cli", f"{tree}: " + " ".join([verb, *extra]), n) in rows
 
@@ -113,6 +121,7 @@ def test_in_process_records_keep_their_cases():
         "BENCH_every4.json": 3,
         "BENCH_chain_reads.json": 4,
         "BENCH_ranked_trees.json": 5,
+        "BENCH_paired_workloads.json": 7,
     }.items()
 
 
@@ -153,15 +162,21 @@ def test_weak_cells_record_holds_ten_pairs_per_tree():
     assert bench_record.PAIRS == 10 and bench_record.PAIR_SECONDS == 30
     for tree in ("parent", "change"):
         for m in bench_record.PAIR_METRICS:
-            assert ("pairs", f"{tree}: {bench_record.PAIR_WORKLOAD} seed {bench_record.SEED} {m}", None, 10) in rows
+            assert ("pairs", f"{tree}: similar seed {bench_record.SEED} {m}", None, 10) in rows
 
 
-def test_recorded_pair_rows_follow_the_schema():
-    rows = bench_record.pair_rows({"here": ROOT}, pairs=1, seconds=1)
+def test_recorded_pair_rows_follow_the_schema(tmp_path, monkeypatch):
+    # perfbench writes its records under its own tree, so it runs on a copy, not in the checkout
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench_record, "WORKLOADS", ("similar",))
+    rows = bench_record.pair_rows({"here": tmp_path}, pairs=1, seconds=1)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
         ("pairs", "here: similar seed 1 latency_p50_ms", None, 1),
         ("pairs", "here: similar seed 1 latency_tail_ms", None, 1),
     ]
+    assert (tmp_path / ".perfbench" / "similar-1-trace0.json").is_file()
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 
 

@@ -375,23 +375,28 @@ def test_check_reports_malformed_shapes_as_invalid(tmp_path, capsys, obj):
     assert capsys.readouterr() == check
 
 
-# the bytes of each kind of input file, by what is wrong with them
+# nested past the JSON decoder's recursion limit
+DEEP = b"[" * 100_000 + b"]" * 100_000
+# the bytes of each kind of input file, by what is wrong with them; a tree file is text, never too deep
 UNREADABLE = {
     "space": {
         "not-utf8": b"\xff\xfe{}",
         "unparsable": b'{"points": ["a"], "dist": [["0"]',
         "invalid": b'{"points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]]}',
+        "deep": b'{"points": ["a", "b"], "dist": [["0", ' + DEEP + b'], ["1", "0"]]}',
     },
     "tree": {"not-utf8": b"a \xff\n", "unparsable": b"a 0 0\n", "invalid": b"a 0\nb -1\na -- b\n"},
     "star": {
         "not-utf8": b"\xff\xfe{}",
         "unparsable": b'{"center_label": "0",',
         "invalid": b'{"center_label": "-1", "tail": {"kind": "finite"}}',
+        "deep": b'{"center_label": "0", "exceptional": [' + DEEP + b'], "tail": {"kind": "harmonic", "c": "1"}}',
     },
     "ray": {
         "not-utf8": b"\xff\xfe{}",
         "unparsable": b'{"prefix": [}',
         "invalid": b'{"prefix": ["1"], "tail": {"kind": "finite"}, "skip": -1}',
+        "deep": b'{"prefix": [' + DEEP + b'], "tail": {"kind": "finite"}}',
     },
 }
 READERS = {
@@ -410,8 +415,14 @@ READERS = {
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
-@pytest.mark.parametrize("fault", ["missing", "not-utf8", "unparsable", "invalid"])
-@pytest.mark.parametrize("argv, kind", READERS.values(), ids=list(READERS))
+@pytest.mark.parametrize(
+    "argv, kind, fault",
+    [
+        pytest.param(argv, kind, fault, id=f"{reader}-{fault}")
+        for reader, (argv, kind) in READERS.items()
+        for fault in ("missing", *UNREADABLE[kind])
+    ],
+)
 def test_every_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, x4_file, argv, kind, fault, flags):
     path = tmp_path / f"in.{kind}"
     if fault != "missing":

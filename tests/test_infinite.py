@@ -302,6 +302,22 @@ def test_ray_distance_non_monotone_path_max():
             assert ray_distance(ray, m, n) == path_max_oracle(labels, m, n)
     with pytest.raises(IndexOutOfRange):
         ray_distance(ray, 1, 5)
+    # unflagged rays over each tail law, their prefix rising above the tail and falling below it, and a flagged one
+    prefix = (F(1, 4), F(3), F(0), F(1, 2))
+    rays = [RaySpec(prefix, tail, 2) for tail in (HarmonicTail(F(2)), ConstantTail(F(1, 3)), GeometricTail(F(5), F(1, 2)))]
+    rays.append(RaySpec((F(3), F(2)), HarmonicTail(F(1)), 1, decreasing=True))
+    for ray in rays:
+        labels = list(ray.labels(12))
+        for m in range(1, 13):
+            for n in range(1, 13):
+                assert ray_distance(ray, m, n) == path_max_oracle(labels, m, n)
+    # no label between the ends is built: gaps of 10**9 indices
+    assert ray_distance(rays[0], 10**9, 5) == F(2, 3) and ray_distance(rays[0], 1, 10**9) == 3
+    assert ray_distance(rays[1], 5, 10**9) == F(1, 3) and ray_distance(rays[1], 10**9, 4) == F(1, 2)
+    # a label too large to build is named by the far end, as on a flagged ray
+    for decreasing in (False, True):
+        with pytest.raises(IndexOutOfRange, match="label 5 would pass"):
+            ray_distance(RaySpec(tail=GeometricTail(F(1), F(1, 10**1000)), decreasing=decreasing), 1, 5)
 
 
 def test_ray_truncation_tree_is_path_max_oracle():

@@ -5,8 +5,10 @@ Usage, from the repository root:
     python3 tools/bench_record.py LABEL NAME=ROOT [NAME=ROOT ...]
 
 Each ROOT is a checkout with ``src/`` and ``perfbench/``; NAME labels its
-rows, as in ``parent=/tmp/parent change=.``.  The trees take turns within
-every repetition, so a slow phase of a shared host falls on all of them:
+rows, as in ``parent=/tmp/parent change=/tmp/change``: export both trees
+fresh, side by side, since where a tree lives has moved ``sweep``
+readings.  The trees take turns within every repetition, so a slow phase
+of a shared host falls on all of them:
 
 * every CLI case runs ``REPS`` times in a fresh ``python -m starmetric``
   on that tree's ``src/``; exit code and stdout must be the same on every
@@ -29,28 +31,26 @@ every repetition, so a slow phase of a shared host falls on all of them:
   its relabeled copy under a strictly increasing map, and on two seeded
   random cubic graphs as two-valued spaces (edge 1, non-edge 2) that are
   not isomorphic;
-* each of the ``WORKLOADS`` runs ``RUNS`` times as ``perfbench/run.py
-  --workload W --seconds SECONDS --seed SEED --trace 0`` in that tree,
-  and must report ``correct``; its row holds the raw per-op seconds from
-  the run's record (a ``sweep`` op is one ``verify`` plus one
-  ``enumerate``, a ``decide`` op one space, a ``similar`` op one pair);
-* ``PAIR_WORKLOAD`` then runs ``PAIRS`` more times per tree for
-  ``PAIR_SECONDS`` each, the trees taking turns and the one that goes
-  first alternating, as the benchmark's own A/B runs them; its rows hold
-  the end-to-end ``latency_p50_ms`` and ``latency_tail_ms`` each run
-  reports, in seconds, which are calibrated against host speed where the
-  per-op rows above are raw.
+* every one of the ``WORKLOADS`` is timed as ``PAIRS`` alternating pairs:
+  each tree runs ``perfbench/run.py --workload W --seconds PAIR_SECONDS
+  --seed SEED --trace 0`` in turn, the one that goes first alternating,
+  as the benchmark's own A/B runs them, and must report ``correct`` (a
+  ``sweep`` op is one ``verify`` plus one ``enumerate``, a ``decide`` op
+  one space, a ``similar`` op one pair).  The rows hold the end-to-end
+  ``latency_p50_ms`` and ``latency_tail_ms`` each run reports, in
+  seconds, calibrated against host speed.
 
 Writes ``BENCH_<label>.json`` in the repository root:
 
     {python, cpu_count, src_lines,
      rows: [{layer, case, n, reps, min_s, median_s}]}
 
-``layer`` is ``cli``, ``inprocess``, ``perfbench`` or ``pairs``;
-``case`` is ``NAME: command`` (``NAME: function kind`` in process,
-``NAME: workload seed S metric`` for pairs); ``n`` is the point count
-of a sweep, of the checked space or of the in-process case's space
-(null for the in-process perfbench workloads and for pairs);
+``layer`` is ``cli``, ``inprocess`` or ``pairs`` (records made before
+every workload was timed in pairs also hold raw per-op ``perfbench``
+rows); ``case`` is ``NAME: command`` (``NAME: function kind`` in
+process, ``NAME: workload seed S metric`` for pairs); ``n`` is the point
+count of a sweep, of the checked space or of the in-process case's
+space (null for the in-process perfbench workloads);
 ``src_lines`` counts the non-blank lines of this checkout's
 ``src/starmetric``.  No timing gate is applied anywhere.
 """
@@ -90,11 +90,9 @@ INPROCESS_CASES = (
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
 INPROCESS_REPS = 5  # fresh-interpreter runs per in-process case and tree
-RUNS = 3  # perfbench runs per workload and tree
-SECONDS = 15  # length of each perfbench run
-# Small similar changes need ten alternating pairs of the benchmark's own
-# 30 s runs: fewer have lined up with host drift.
-PAIR_WORKLOAD, PAIRS, PAIR_SECONDS = "similar", 10, 30
+# Small changes need ten alternating pairs of the benchmark's own 30 s
+# runs: fewer have lined up with host drift.
+PAIRS, PAIR_SECONDS = 10, 30
 PAIR_METRICS = ("latency_p50_ms", "latency_tail_ms")
 SEED = 1
 RECORD_KEYS = {"python", "cpu_count", "src_lines", "rows"}
@@ -234,46 +232,28 @@ def inprocess_rows(trees: dict[str, Path], reps: int = INPROCESS_REPS, cases=INP
             for i, (fn, kind, n) in enumerate(cases) for name in trees]
 
 
-def workload_rows(trees: dict[str, Path]) -> list[dict]:
-    """One row per tree and workload: raw per-op seconds over ``RUNS`` runs of ``perfbench/run.py``.
+def pair_rows(trees: dict[str, Path], pairs: int = PAIRS, seconds: int = PAIR_SECONDS) -> list[dict]:
+    """One row per workload, ``PAIR_METRICS`` entry and tree: that metric of ``pairs`` alternating runs, in seconds.
 
     ``n`` is the sweep's point count, and null for the in-process workloads.
     """
-    times = {(name, w): [] for name in trees for w in WORKLOADS}
-    for _ in range(RUNS):
-        for w in WORKLOADS:
-            for name, root in trees.items():
-                proc = subprocess.run(
-                    [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(SEED),
-                     "--seconds", str(SECONDS), "--trace", "0"],
-                    capture_output=True, text=True, cwd=root, timeout=600, check=True,
-                )
-                if not json.loads(proc.stdout.splitlines()[-1])["correct"]:
-                    raise SystemExit(f"{name}: perfbench {w} reported wrong answers")
-                record = json.loads((root / ".perfbench" / f"{w}-{SEED}-trace0.json").read_text())
-                times[name, w] += [dt for _, dt, _ in record["latencies_s"]]
-    return [_row("perfbench", f"{name}: {w} seed {SEED}", sweep_n(root) if w == "sweep" else None, times[name, w])
-            for w in WORKLOADS for name, root in trees.items()]
-
-
-def pair_rows(trees: dict[str, Path], pairs: int = PAIRS, seconds: int = PAIR_SECONDS) -> list[dict]:
-    """One row per tree and ``PAIR_METRICS`` entry: that metric of ``pairs`` alternating runs of ``PAIR_WORKLOAD``, in seconds."""
-    values = {(name, m): [] for name in trees for m in PAIR_METRICS}
+    values = {(name, w, m): [] for name in trees for w in WORKLOADS for m in PAIR_METRICS}
     names = list(trees)
     for k in range(pairs):
-        for name in names if k % 2 == 0 else names[::-1]:
-            proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", PAIR_WORKLOAD, "--seed", str(SEED),
-                 "--seconds", str(seconds), "--trace", "0"],
-                capture_output=True, text=True, cwd=trees[name], timeout=900, check=True,
-            )
-            result = json.loads(proc.stdout.splitlines()[-1])
-            if not result["correct"]:
-                raise SystemExit(f"{name}: perfbench {PAIR_WORKLOAD} reported wrong answers")
-            for m in PAIR_METRICS:
-                values[name, m].append(result["metrics"][m]["value"] / 1000)
-    return [_row("pairs", f"{name}: {PAIR_WORKLOAD} seed {SEED} {m}", None, values[name, m])
-            for m in PAIR_METRICS for name in trees]
+        for w in WORKLOADS:
+            for name in names if k % 2 == 0 else names[::-1]:
+                proc = subprocess.run(
+                    [sys.executable, "perfbench/run.py", "--workload", w, "--seed", str(SEED),
+                     "--seconds", str(seconds), "--trace", "0"],
+                    capture_output=True, text=True, cwd=trees[name], timeout=900, check=True,
+                )
+                result = json.loads(proc.stdout.splitlines()[-1])
+                if not result["correct"]:
+                    raise SystemExit(f"{name}: perfbench {w} reported wrong answers")
+                for m in PAIR_METRICS:
+                    values[name, w, m].append(result["metrics"][m]["value"] / 1000)
+    return [_row("pairs", f"{name}: {w} seed {SEED} {m}", sweep_n(root) if w == "sweep" else None, values[name, w, m])
+            for w in WORKLOADS for m in PAIR_METRICS for name, root in trees.items()]
 
 
 def check_record(record: dict) -> None:
@@ -312,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not (Path(root) / "src" / "starmetric").is_dir():
             parser.error(f"{item!r} is not NAME=ROOT with a ROOT/src/starmetric")
         trees[name] = Path(root).resolve()
-    rows = cli_rows(trees) + inprocess_rows(trees) + workload_rows(trees) + pair_rows(trees)
+    rows = cli_rows(trees) + inprocess_rows(trees) + pair_rows(trees)
     record = {"python": platform.python_version(), "cpu_count": os.cpu_count(), "src_lines": src_lines(),
               "rows": rows}
     check_record(record)

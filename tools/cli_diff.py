@@ -34,9 +34,12 @@ pool of six values, a 256-leaf star, and stars whose center label
 exceeds some leaf labels), ``check``, ``us``, ``witness``, ``star``
 and ``probe`` on malformed spaces that break each axiom in turn (with
 floats, bools and oversized rationals among the cells, one pair
-spelled ``"1/2"`` and ``"2/4"``, and a ``"1e+_"`` cell) and on a space
-file that is not UTF-8, ``gen`` on a tree file, ``compact`` and ``ray``
-on a star file and ``complete`` on a ray file that are not UTF-8, plus ``enumerate`` at n = 6, 8 and 7
+spelled ``"1/2"`` and ``"2/4"``, and a ``"1e+_"`` cell), on a space
+file that is not UTF-8 and on one with 100,000 nested arrays in a cell,
+``gen`` on a tree file, ``compact`` and ``ray`` on a star file and
+``complete`` on a ray file that are not UTF-8, ``compact`` and ``ray``
+on a star file with 100,000 nested arrays among its exceptional labels,
+plus ``enumerate`` at n = 6, 8 and 7
 with ``--jobs 2`` and both ``verify`` sweeps (theorem 4.3 at n = 6 and
 8), once under each tree, each with and without ``--json``.  Exit code, stdout and
 stderr must match exactly; the first differences are printed and the
@@ -246,9 +249,10 @@ def _write_trees(folder: Path, seed: int) -> list[str]:
     return paths
 
 
-def _write_malformed(folder: Path) -> tuple[list[str], dict[str, str]]:
-    """Bad space files: each axiom broken in turn, one equal pair in two spellings, a ``1e+_`` cell
-    and a file that is not UTF-8; and a tree, a star and a ray file that are not UTF-8, by kind."""
+def _write_malformed(folder: Path) -> tuple[list[str], dict[str, list[str]]]:
+    """Bad space files: each axiom broken in turn, one equal pair in two spellings, a ``1e+_`` cell, a file
+    that is not UTF-8 and one nested too deep to decode; and by kind, a tree, a star and a ray file that are not
+    UTF-8 and a star file nested too deep to decode."""
     dists = [
         [["1", "1"], ["1", "0"]],
         [["0", "1/2", "1"], ["2/4", "0", "1"], ["1", "1", "0"]],
@@ -262,19 +266,21 @@ def _write_malformed(folder: Path) -> tuple[list[str], dict[str, str]]:
         paths.append(str(path))
     star = {"center_label": "0", "exceptional": ["1/2"], "tail": {"kind": "harmonic", "c": "1"}}
     ray = {"prefix": ["1"], "tail": {"kind": "geometric", "a": "1", "r": "1/2"}, "decreasing": True}
-    files = {  # JSON saved as UTF-16, and a tree text saved as Latin-1
-        "space": json.dumps({"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}).encode("utf-16"),
-        "tree": "caf\u00e9 0\nb 1\ncaf\u00e9 -- b\n".encode("latin-1"),
-        "star": json.dumps(star).encode("utf-16"),
-        "ray": json.dumps(ray).encode("utf-16"),
+    deep = "[" * 100_000 + "]" * 100_000
+    files = {  # JSON saved as UTF-16, a tree text saved as Latin-1, and JSON nested past the decoder's recursion limit
+        "not_utf8_space": json.dumps({"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}).encode("utf-16"),
+        "not_utf8_tree": "caf\u00e9 0\nb 1\ncaf\u00e9 -- b\n".encode("latin-1"),
+        "not_utf8_star": json.dumps(star).encode("utf-16"),
+        "not_utf8_ray": json.dumps(ray).encode("utf-16"),
+        "deep_space": ('{"points": ["a", "b"], "dist": [["0", %s], ["1", "0"]]}' % deep).encode(),
+        "deep_star": ('{"center_label": "0", "exceptional": [%s], "tail": {"kind": "harmonic", "c": "1"}}' % deep).encode(),
     }
-    not_utf8 = {}
-    for kind, data in files.items():
-        path = folder / f"not_utf8_{kind}"
+    by_kind = {"space": [], "tree": [], "star": [], "ray": []}
+    for name, data in files.items():
+        path = folder / name
         path.write_bytes(data)
-        not_utf8[kind] = str(path)
-    paths.append(not_utf8.pop("space"))
-    return paths, not_utf8
+        by_kind[name.rpartition("_")[2]].append(str(path))
+    return paths + by_kind.pop("space"), by_kind
 
 
 def _star_commands(path: str, points: list[str], centers: tuple[str, ...]) -> list[list[str]]:
@@ -294,7 +300,7 @@ def _commands(
     corpus: tuple[list[str], dict[str, tuple[str, ...]]],
     presentations: tuple[list[str], list[str]],
     trees: list[str],
-    malformed: tuple[list[str], dict[str, str]],
+    malformed: tuple[list[str], dict[str, list[str]]],
     large: tuple[list[str], list[str]],
     routes: list[str],
 ) -> list[list[str]]:
@@ -319,11 +325,12 @@ def _commands(
         cmds += [["compact", star], ["ray", star], ["ray", star, "--truncate", "16"], ["ray", star, "--truncate", "64"]]
     cmds += [["complete", ray] for ray in rays]
     cmds += [["gen", path] for path in trees]
-    bad_spaces, not_utf8 = malformed
+    bad_spaces, bad_files = malformed
     for path in bad_spaces:
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
-    cmds += [["gen", not_utf8["tree"]], ["compact", not_utf8["star"]], ["ray", not_utf8["star"]]]
-    cmds += [["complete", not_utf8["ray"]]]
+    cmds += [["gen", path] for path in bad_files["tree"]]
+    cmds += [[verb, path] for path in bad_files["star"] for verb in ("compact", "ray")]
+    cmds += [["complete", path] for path in bad_files["ray"]]
     spaces, faulty = large
     for i in range(0, len(spaces), 2):
         path, twin = spaces[i], spaces[i + 1]
