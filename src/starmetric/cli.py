@@ -3,7 +3,8 @@
 Exit status is a pure function of the result: 0 when the checked property
 holds (or the command simply succeeded), 1 when it fails (a witness is
 printed), 2 on input or usage errors, 3 when the program itself fails
-(an unexpected exception, reported in one ``error:`` line).  ``--json``
+(an unexpected exception, reported in one ``error:`` line), and 141 when
+the reader closed stdout early (as ``| head`` does).  ``--json``
 switches every verb to machine-readable output; identical inputs always
 produce byte-identical JSON.
 """
@@ -41,6 +42,7 @@ OK = 0
 FAIL = 1
 USAGE = 2
 CRASH = 3
+CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 
 JOBS_HELP = "worker processes, 1 to the CPU count (default 1; on 2 cores, 1 was fastest)"
@@ -388,7 +390,16 @@ def run(argv: list[str] | None = None) -> int:
         # a pool starts all its workers at once: a typo must not fork thousands
         if not 1 <= getattr(args, "jobs", 1) <= (os.cpu_count() or 1):
             raise _InputError(f"--jobs must be between 1 and {os.cpu_count() or 1} (the CPU count), got {args.jobs}")
-        return fn(args)
+        code = fn(args)
+        if sys.stdout is not None:  # None when started with stdout closed, and print skips it
+            sys.stdout.flush()  # a reader gone early must show here, not at exit
+        return code
+    except BrokenPipeError:
+        # as Python's signal docs advise: stdout goes to devnull, so the
+        # flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return CLOSED
     except (_InputError, spaces.SpaceError, TreeError, BoundExceeded, NotUltrametric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -294,14 +294,15 @@ def exhaustive_quadruple_scan(s: FiniteSemimetricSpace) -> QuadrupleReport | Non
 def find_forbidden_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None:
     """Four-point obstruction witness, or None when the space is star-generated.
 
-    Constructive search: with l(x) the nearest-neighbor distance, locate
-    the first pair d(x,y) > max(l(x), l(y)) and extract the two closer
-    partners z, w.  Should the extraction ever degenerate the exhaustive
-    scan takes over, and a disagreement between the two routes raises
-    InternalInconsistency.
+    A caterpillar chain (``_bottom_run``) has none, and returns None in
+    O(n).  Otherwise the constructive search: with l(x) the
+    nearest-neighbor distance, locate the first pair d(x,y) >
+    max(l(x), l(y)) and extract the two closer partners z, w.  Should the
+    extraction ever degenerate the exhaustive scan takes over, and a
+    disagreement between the two routes raises InternalInconsistency.
     """
     _require_ultrametric(s)
-    return _constructive_quadruple(s)
+    return None if _bottom_run(*s.hierarchy) is not None else _constructive_quadruple(s)
 
 
 def _constructive_quadruple(s: FiniteSemimetricSpace) -> QuadrupleReport | None:

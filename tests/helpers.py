@@ -33,7 +33,12 @@ the chain.  The search by sorted row profiles alone is kept as the
 reference for weak similarity's routed search; random cubic graphs, as
 two-valued spaces, are the inputs on which that search met most orders,
 and spaces that are all one distance but for one pair have twins
-everywhere without being ultrametric.  Class counts come from a memoised sum over multiset partitions of block
+everywhere without being ultrametric.  The partition search that pruned
+twins only is kept as the reference for the one that branches on the
+least row and prunes by orbits; m three-point path blocks are the input
+on which it met m! branches.  The O(n^2) pair scan, run on caterpillars
+too, is kept as the reference for the obstruction search that answers
+None off the chain.  Class counts come from a memoised sum over multiset partitions of block
 multiplicities, which enumerates no class: the oracle for the catalogue's
 size.
 """
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from random import Random
 
 from starmetric import (
@@ -59,7 +64,16 @@ from starmetric import (
     ultrametric_violation,
     validate_semimetric,
 )
-from starmetric.decision import InternalInconsistency, _bottom_run, _nearest, find_centers, find_forbidden_quadruple
+from starmetric.decision import (
+    InternalInconsistency,
+    _bottom_run,
+    _nearest,
+    _normalized_report,
+    _require_ultrametric,
+    exhaustive_quadruple_scan,
+    find_centers,
+    find_forbidden_quadruple,
+)
 from starmetric.harness import LEAF, PreconditionFailed, ProbeReport
 from starmetric.rational import rat
 from starmetric.spaces import (
@@ -369,6 +383,44 @@ def dfs_canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
             ranks[i][j] = ranks[j][i] = upper[pos]
             pos += 1
     return _form(tuple(tuple(row) for row in ranks))
+
+
+def twin_search_form(s: FiniteSemimetricSpace) -> CanonicalForm:
+    """The earlier ``similarity._search_form``: one point per twin class at each node, no orbit pruning.
+
+    Kept as the reference for the search that branches only on the least
+    row and prunes by the automorphisms it finds.
+    """
+    rm = s.ranks
+    n = len(rm)
+    twins = elementwise_twin_classes(rm, n)
+
+    def placements(cells: list[list[int]]):
+        first, rest = cells[0], cells[1:]
+        for p in {twins[q]: q for q in first}.values():
+            rank = rm[p].__getitem__
+            split: list[list[int]] = []
+            for cell in [[q for q in first if q != p], *rest]:
+                split += [cell] if len(cell) == 1 else (list(g) for _, g in groupby(sorted(cell, key=rank), rank))
+            yield tuple(map(rank, chain.from_iterable(split))), split
+
+    rows: list[tuple[int, ...]] = []
+    best: list[tuple[int, ...]] = []
+    stack = [placements([list(range(n))])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        row, cells = step
+        rows[len(stack) - 1 :] = [row]
+        if best and rows > best[: len(rows)]:
+            continue
+        if cells:
+            stack.append(placements(cells))
+        else:
+            best = rows[:]
+    return _form(tuple(tuple(best[j][i - j - 1] for j in range(i)) + (0,) + best[i] for i in range(n)))
 
 
 def _row_profile(mat, i: int, n: int) -> tuple:
@@ -701,6 +753,26 @@ def caterpillar_blocks(m: int) -> FiniteSemimetricSpace:
     return validate_semimetric([f"p{i + 1}" for i in range(n)], [[d(i, j) for j in range(n)] for i in range(n)])
 
 
+def path_blocks(m: int) -> FiniteSemimetricSpace:
+    """m three-point path blocks: ranks 1, 1 along each path and 2 across its ends, blocks 3 apart.
+
+    Not ultrametric, as each path's ends are farther apart than either is
+    from the middle.  The blocks are interchangeable and no two points
+    are twins, so a search that prunes only twins meets m! equivalent
+    branches.
+    """
+    n = 3 * m
+
+    def d(i: int, j: int) -> str:
+        if i == j:
+            return "0"
+        if i // 3 != j // 3:
+            return "3"
+        return "2" if {i % 3, j % 3} == {0, 2} else "1"
+
+    return validate_semimetric([f"p{i + 1}" for i in range(n)], [[d(i, j) for j in range(n)] for i in range(n)])
+
+
 def graph_space(n: int, edges, order=None, prefix: str = "v") -> FiniteSemimetricSpace:
     """A graph on 0..n-1 as a two-valued space, edge 1 and non-edge 2; point k is vertex ``order[k]``."""
     order = list(range(n)) if order is None else order
@@ -884,6 +956,30 @@ def submatrix_semimetric_us_check(s: FiniteSemimetricSpace) -> UsCheckReport:
     if n == 3:
         raise CardinalityThree(report)
     return report
+
+
+def pair_scan_quadruple(s: FiniteSemimetricSpace):
+    """The earlier ``find_forbidden_quadruple``: the O(n^2) pair scan on every ultrametric, caterpillars too."""
+    _require_ultrametric(s)
+    r = s.ranks
+    n = len(r)
+    if n < 4:
+        return None
+    mins = _nearest(s)
+    for i in range(n):
+        ri, mi = r[i], mins[i]
+        for j in range(i + 1, n):
+            if ri[j] <= (mi if mi >= mins[j] else mins[j]):
+                continue
+            zi = ri.index(mi)
+            wi = r[j].index(mins[j])
+            if zi == wi or zi == j or wi == i:
+                rep = exhaustive_quadruple_scan(s)
+                if rep is None:
+                    raise InternalInconsistency("obstruction pair found but the exhaustive scan sees no quadruple")
+                return rep
+            return _normalized_report(s, i, j, zi, wi)
+    return None
 
 
 def elementwise_twin_classes(rm, n: int) -> list[int]:

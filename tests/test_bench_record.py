@@ -98,6 +98,7 @@ def test_in_process_cases_are_pinned():
         ("generate_ultrametric", "star", 500),
         ("weak_similarity_bijection", "semi", 256),
         ("weak_similarity_bijection", "cubic", 20),
+        ("canonical_form", "paths", 24),
     )
 
 
@@ -122,6 +123,7 @@ def test_in_process_records_keep_their_cases():
         "BENCH_chain_reads.json": 4,
         "BENCH_ranked_trees.json": 5,
         "BENCH_paired_workloads.json": 7,
+        "BENCH_orbit_form.json": 8,
     }.items()
 
 
@@ -142,6 +144,7 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("generate_ultrametric", "star", 6),
         ("weak_similarity_bijection", "semi", 6),
         ("weak_similarity_bijection", "cubic", 8),
+        ("canonical_form", "paths", 6),
     )
     rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=cases)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
@@ -152,6 +155,7 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("inprocess", "here: generate_ultrametric star", 6, 2),
         ("inprocess", "here: weak_similarity_bijection semi", 6, 2),
         ("inprocess", "here: weak_similarity_bijection cubic", 8, 2),
+        ("inprocess", "here: canonical_form paths", 6, 2),
     ]
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 

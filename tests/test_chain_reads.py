@@ -4,9 +4,10 @@
 (the lesser join rank beside the point on the chain), ``find_centers``
 reads the leaves of the bottom spine node of a caterpillar hierarchy, and
 ``center_extension_probe`` hands its one-point extension the input's
-chain with the added point in that node.  These tests pin each read to
+chain with the added point in that node; ``find_forbidden_quadruple``
+answers None on a caterpillar chain without its pair scan.  These tests pin each read to
 the rank-matrix route it stands beside: ``_row_minima``, the rank scan
-``_scan_centers``, and the Prim check ``_equals_subdominant``, which
+``_scan_centers``, the pair scan kept in ``helpers``, and the Prim check ``_equals_subdominant``, which
 no longer runs on the extension.  Inputs carry three kinds of chain: the one a
 catalogue class or a generated space is built with, the Prim chain of a
 parsed, relabeled copy, and either read backwards.  ``is_ultrametric`` needs no witness scan.
@@ -43,6 +44,7 @@ from starmetric.spaces import _path_maxima
 from helpers import (
     brute_centers,
     fraction_ultrametric_violation,
+    pair_scan_quadruple,
     permuted_copy,
     rand_pos_frac,
     random_star,
@@ -116,6 +118,17 @@ def test_centers_equal_the_rank_scan(kind):
         if len(s) <= 13:
             assert centers == brute_centers(s)
     assert 0 < found < len(SPACES[kind])
+
+
+@pytest.mark.parametrize("kind", SPACES)
+def test_quadruple_equals_the_pair_scan(kind, monkeypatch):
+    # a caterpillar chain answers None, so only an obstructed space reaches the pair scan
+    wants = [pair_scan_quadruple(s) for s in SPACES[kind]]
+    scanned = []
+    scan = decision._constructive_quadruple
+    monkeypatch.setattr(decision, "_constructive_quadruple", lambda s: scanned.append(s) or scan(s))
+    assert [find_forbidden_quadruple(s) for s in SPACES[kind]] == wants
+    assert len(scanned) == sum(w is not None for w in wants) > 0
 
 
 def _chain_edges(chain: tuple) -> list[tuple[int, int, int]]:

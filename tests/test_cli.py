@@ -3,6 +3,9 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +325,30 @@ def test_unexpected_exception_exits_3(x4_file, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "RecursionError" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--n", "7", "--json"], ["verify", "--theorem", "4.3", "--n", "5"]], ids=["enumerate", "verify"]
+)
+def test_a_reader_gone_early_exits_141_quietly(argv):
+    # the read end is closed before the child starts, so its first write fails, every run
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "starmetric", *argv], stdout=write, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_a_closed_stdout_is_no_failure(x4_file):
+    # started with descriptor 1 closed, Python sets sys.stdout to None and print writes nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m starmetric check "$1" >&-', sys.executable, x4_file],
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_ultrametric_only_verbs_reject_other_spaces(tmp_path, capsys):

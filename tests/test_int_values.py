@@ -4,9 +4,8 @@
 from two ints, without a regex; every other spelling goes through
 ``Fraction``'s own parser.  ``spaces._ranked_values`` ranks distinct
 values on their integer pairs for parsing, ``ranks`` and tree
-generation.  ``_twin_classes`` compares row slices, ``reorder`` looks up
-all names at once, and the probe hands its extension the nearest ranks.
-These tests pin each to ``Fraction``'s parser or to the earlier code
+generation.  ``reorder`` looks up all names at once, and the probe hands
+its extension the nearest ranks.  These tests pin each to ``Fraction``'s parser or to the earlier code
 kept in ``helpers``.  Hypothesis runs derandomized, so every run draws
 the same examples.
 """
@@ -30,18 +29,14 @@ from starmetric import (
 )
 from starmetric.decision import _nearest, _row_minima
 from starmetric.rational import MAX_RATIONAL_CHARS, RationalTooLarge, rat
-from starmetric.similarity import _twin_classes
 from starmetric.spaces import DuplicateName, EmptySubset, UnknownPoint, _ranked_values
 from starmetric.trees import NotGenerating
 
 from helpers import (
     deduped_generate_ultrametric,
-    elementwise_twin_classes,
     permuted_copy,
-    random_semimetric,
     random_star,
     random_tree,
-    random_ultrametric,
 )
 
 ALPHABET = "0123456789/+-_.e ٣"  # U+0663 is the Arabic-Indic digit three
@@ -125,21 +120,6 @@ def test_generation_matches_the_deduping_reference_on_tied_labels():
         got = generate_ultrametric(t)
         assert (got.spectrum, got.ranks) == (want.spectrum, want.ranks)
     assert 20 < raised < 200 and distinct_ties > 100
-
-
-def test_twin_classes_match_the_elementwise_reference():
-    rng = Random(1502)
-    for _ in range(1500):
-        n, k = rng.randint(1, 9), rng.randint(1, 3)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = rng.randint(1, k)
-        rm = tuple(map(tuple, rows))
-        assert _twin_classes(rm, n) == elementwise_twin_classes(rm, n)
-    for n in range(1, 13):
-        for s in (random_ultrametric(rng, n), random_semimetric(rng, n), generate_ultrametric(random_star(rng, n))):
-            assert _twin_classes(s.ranks, len(s)) == elementwise_twin_classes(s.ranks, len(s))
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,9 @@ of a shared host falls on all of them:
   ``weak_similarity_bijection`` on a seeded random semimetric against
   its relabeled copy under a strictly increasing map, and on two seeded
   random cubic graphs as two-valued spaces (edge 1, non-edge 2) that are
-  not isomorphic;
+  not isomorphic; and ``canonical_form`` on m three-point paths under
+  one root (ranks 1, 1 and 2 inside, 3 across; n = 3m), which are not
+  ultrametric and so take the search;
 * every one of the ``WORKLOADS`` is timed as ``PAIRS`` alternating pairs:
   each tree runs ``perfbench/run.py --workload W --seconds PAIR_SECONDS
   --seed SEED --trace 0`` in turn, the one that goes first alternating,
@@ -86,6 +88,7 @@ INPROCESS_CASES = (
     ("generate_ultrametric", "star", 500),
     ("weak_similarity_bijection", "semi", 256),
     ("weak_similarity_bijection", "cubic", 20),
+    ("canonical_form", "paths", 24),
 )
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
@@ -176,6 +179,8 @@ def rank(i, j):
         return max(i, j) + 1
     if i // 3 != j // 3:  # blocks: a cherry at 1, its third point at 2, blocks 3 apart
         return 3
+    if kind == "paths":  # paths: 1 along each three-point path, 2 across its ends, paths 3 apart
+        return 2 if {i % 3, j % 3} == {0, 2} else 1
     return 2 if 2 in (i % 3, j % 3) else 1
 def space(d, prefix="p"):
     return FiniteSemimetricSpace(tuple(f"{prefix}{i + 1}" for i in range(n)),
