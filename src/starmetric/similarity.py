@@ -4,21 +4,18 @@ Two finite spaces are weakly similar when a point bijection composed with
 a strictly increasing bijection of the distance value sets carries one
 onto the other; for finite spaces that is exactly equality of rank
 matrices up to point relabeling.  ``weak_similarity_bijection`` finds
-the first such relabeling in row order, by a route chosen on the
-ultrametric check: an ultrametric pair by sorted row profiles, any other
-pair by cells of equal rank sum and sorted row, then by colour
-refinement with individualization where a cell holds more than one row.
-The canonical form, the lex-min row-major rank matrix, decides it
-without a bijection, after the same check: an ultrametric's is read off
-the hierarchy the check walked, and any other semimetric's comes from an
-ordered-partition search.
+the first such relabeling in row order: an ultrametric pair off the two
+hierarchies, any other pair by cells and colour refinement.  The
+canonical form, the lex-min row-major rank matrix, decides it without a
+bijection: an ultrametric's is read off its hierarchy by the same walk,
+and any other semimetric's comes from an ordered-partition search.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -35,43 +32,6 @@ def rank_matrix(s: FiniteSemimetricSpace) -> tuple[tuple[int, ...], ...]:
     per space and cached on it as ``s.ranks``.
     """
     return s.ranks
-
-
-def _row_search(ma: Ranks, mb: Ranks) -> Optional[list[int]]:
-    # The ultrametric route.  Backtracking over rows, pruned by per-point
-    # sorted row profiles, in a loop that counts the candidates tried per
-    # row.  A profile is the whole sorted row: in a rank matrix the
-    # diagonal 0 is each row's only 0, so it adds the same leading 0 to
-    # every profile.
-    n = len(ma)
-    prof_a = [tuple(sorted(row)) for row in ma]
-    prof_b = [tuple(sorted(row)) for row in mb]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    rows_of: dict[tuple[int, ...], list[int]] = {}
-    for j, prof in enumerate(prof_b):
-        rows_of.setdefault(prof, []).append(j)
-    candidates = [rows_of[prof] for prof in prof_a]
-    assigned: list[int] = []
-    used = [False] * n
-    tried = [0] * n
-    while len(assigned) < n:
-        i = len(assigned)
-        row, cands = ma[i], candidates[i]
-        while tried[i] < len(cands):
-            j = cands[tried[i]]
-            tried[i] += 1
-            rowb = mb[j]
-            if not used[j] and all(row[t] == rowb[assigned[t]] for t in range(i)):
-                used[j] = True
-                assigned.append(j)
-                break
-        else:
-            if i == 0:
-                return None
-            tried[i] = 0
-            used[assigned.pop()] = False
-    return assigned
 
 
 def _cell_search(ma: Ranks, mb: Ranks) -> Optional[list[int]]:
@@ -240,23 +200,15 @@ def weak_similarity_bijection(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace
     search: rows of ``a`` assigned in input order, each to the first row
     of ``b``, in input order, that still extends to a bijection.  That is
     the lexicographically least bijection, whichever route finds it.
-
-    The route depends on ``a.hierarchy``, the O(n^2) ultrametric check
-    that ``canonical_form`` reads too.  An ultrametric on two or more
-    points always has twins (two leaves of a smallest cluster), which no
-    invariant separates, so an ultrametric pair takes the search by
-    sorted row profiles.  Any other pair is split into cells, by rank sum
-    and, where sums tie, by sorted row; when each cell holds one row the
-    only candidate map is checked in one pass, and otherwise
-    individualization-refinement searches the cells.
+    The route depends on ``a.hierarchy``, the O(n^2) ultrametric check:
+    an ultrametric pair is read off both hierarchies (``_chain_search``),
+    any other pair split into cells by rank sum and sorted row, then
+    searched by refinement where a cell holds two or more (``_cell_search``).
     """
     if len(a.points) != len(b.points) or len(a.spectrum) != len(b.spectrum):
         return None
-    search = _row_search if a.hierarchy is not None else _cell_search
-    mapping = search(a.ranks, b.ranks)
-    if mapping is None:
-        return None
-    return {a.points[i]: b.points[j] for i, j in enumerate(mapping)}
+    mapping = _chain_search(a, b) if a.hierarchy is not None else _cell_search(a.ranks, b.ranks)
+    return None if mapping is None else {a.points[i]: b.points[j] for i, j in enumerate(mapping)}
 
 
 def weakly_similar(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> bool:
@@ -304,33 +256,38 @@ def canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
 
 
 def _chain_form(s: FiniteSemimetricSpace) -> CanonicalForm:
+    return _form(s.ranks, _chain_tree(s, {})[1])
+
+
+def _chain_tree(s: FiniteSemimetricSpace, table: dict) -> tuple:
     # One pass over the Prim chain builds the hierarchy bottom-up, from an
     # explicit stack of open nodes whose ranks fall toward the top: a node
     # closes once a larger join rank (or the chain's end) follows it, and
-    # equal join ranks add children to one node.  A closed subtree carries
-    # its key, the join ranks along its minimal leaf order followed by the
-    # sentinel len(spectrum), above every rank, and that leaf order.  A
-    # node sorts its children by key, so a leaf or any shorter key sorts
-    # after its extensions and the first row climbs as slowly as it can;
-    # equal keys are isomorphic subtrees.  The minimal matrix is the ranks
-    # permuted by the root's leaf order.
-    order, join = s.hierarchy
-    top = len(s.spectrum)
+    # equal join ranks add children to one node.  A subtree is its key
+    # (the join ranks along its minimal leaf order, then the sentinel
+    # len(spectrum), above every rank), that leaf order, its name and its
+    # children.  Sorting children by key makes a leaf or any shorter key
+    # sort after its extensions, so the first row climbs as slowly as it
+    # can.  ``table`` numbers the keys, so one table for two walks gives
+    # equal names exactly to isomorphic subtrees (Aho, Hopcroft & Ullman
+    # 1974).
+    (order, join), top = s.hierarchy, len(s.spectrum)
+    leaf, by_key = table.setdefault((top,), len(table)), itemgetter(0)
 
-    def close(rank: int, children: list, last: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+    def close(rank: int, children: list, last: tuple) -> tuple:
         # last: the subtree that ends the node.  The first child's lists
-        # grow in place, so a caterpillar costs O(n)
+        # grow in place; naming copies the key once, O(n^2) in all at worst
         children.append(last)
-        children.sort(key=itemgetter(0))
-        key, leaves = children[0]
-        for child_key, child_leaves in children[1:]:
+        children.sort(key=by_key)
+        key, leaves = children[0][:2]
+        for child in children[1:]:
             key[-1] = rank
-            key += child_key
-            leaves += child_leaves
-        return key, leaves
+            key += child[0]
+            leaves += child[1]
+        return key, leaves, table.setdefault(tuple(key), len(table)), children
 
     open_nodes: list[tuple[int, list]] = []
-    last = ([top], [order[0]])
+    last = ([top], [order[0]], leaf, ())
     for v in order[1:]:
         rank = join[v]
         while open_nodes and open_nodes[-1][0] < rank:
@@ -339,14 +296,57 @@ def _chain_form(s: FiniteSemimetricSpace) -> CanonicalForm:
             open_nodes[-1][1].append(last)
         else:
             open_nodes.append((rank, [last]))
-        last = ([top], [v])
+        last = ([top], [v], leaf, ())
     while open_nodes:
         last = close(*open_nodes.pop(), last)
-    leaves = last[1]
-    if len(leaves) == 1:
-        return _form(((0,),))
-    pick = itemgetter(*leaves)
-    return _form(tuple([pick(s.ranks[v]) for v in leaves]))
+    return last
+
+
+def _chain_search(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> Optional[list[int]]:
+    """The first bijection from the ultrametric ``a`` to ``b``, off one ``_chain_tree`` walk each, or None.
+
+    With ``b`` ultrametric and equal root names, the two minimal leaf
+    orders pair up into an isomorphism ψ, and a point's type is the names
+    of its ancestors.  Each row i of ``a`` in input order takes the first
+    unused row of ``b`` of the type of ψ(i) whose ranks to the rows placed
+    are its own; the last row left of a type goes untested.  That never
+    backtracks: let an isomorphism φ extend the rows placed, with φ(i) = j'
+    for the candidate j.  Below their least common ancestor, j and j' lie
+    in children with equal names, as their types agree, and neither holds
+    a placed image, which would be at two ranks from j and j'.  Swap the
+    two children, then map j' to j inside the child of j (by induction on
+    depth: same type): that extends the rows placed and maps i to j, so the
+    map is the row search's first.  A row tests at most n candidates
+    against at most n placed rows: O(n^2) per row.
+    """
+    if b.hierarchy is None:
+        return None
+    table: dict = {}
+    root_a, root_b = _chain_tree(a, table), _chain_tree(b, table)
+    if root_a[2] != root_b[2]:
+        return None
+    types, stack = [()] * len(b.ranks), [((), root_b)]
+    while stack:  # down from the root, handing each child its ancestors' names
+        above, (_, leaves, name, children) = stack.pop()
+        if children:
+            stack += zip(repeat(above + (name,)), children)
+        else:
+            types[leaves[0]] = above
+    rows_of: dict[tuple[int, ...], list[int]] = {}
+    for j, kind in enumerate(types):
+        rows_of.setdefault(kind, []).append(j)
+    image, mb, assigned = dict(zip(root_a[1], root_b[1])), b.ranks, []
+    for i, row in enumerate(a.ranks):
+        cands, placed = rows_of[types[image[i]]], row[:i]
+        j = cands[0] if len(cands) == 1 else next(j for j in cands if _agrees(mb[j], assigned, placed))
+        cands.remove(j)
+        assigned.append(j)
+    return assigned
+
+
+def _agrees(row: Sequence[int], images: list[int], placed: Sequence[int]) -> bool:
+    # a candidate's ranks to the images of the rows placed are the row's ranks to those rows
+    return tuple(map(row.__getitem__, images)) == placed
 
 
 def _search_form(s: FiniteSemimetricSpace) -> CanonicalForm:
@@ -422,10 +422,7 @@ def _search_form(s: FiniteSemimetricSpace) -> CanonicalForm:
         order.append(p)
         rows.append(row)
         cells, tight = _split(rm, parent, p), True
-    if n == 1:
-        return _form(((0,),))
-    pick = itemgetter(*best_order)
-    return _form(tuple([pick(rm[v]) for v in best_order]))
+    return _form(rm, best_order)
 
 
 def _candidates(rm: Ranks, cells: list[list[int]]) -> tuple[tuple[int, ...], list[int]]:
@@ -509,8 +506,11 @@ def _twins(rm: Ranks, u: int, v: int) -> bool:
     return ru[:u] == rv[:u] and ru[u + 1 : v] == rv[u + 1 : v] and ru[v + 1 :] == rv[v + 1 :]
 
 
-def _form(ranks: tuple[tuple[int, ...], ...]) -> CanonicalForm:
+def _form(rm: Ranks, order: Sequence[int]) -> CanonicalForm:
     import hashlib  # loads OpenSSL: only the verbs that take a digest pay for it
 
+    # the ranks permuted by order; itemgetter of one index returns no tuple
+    pick = itemgetter(*order)
+    ranks = tuple([pick(rm[v]) for v in order]) if len(order) > 1 else ((0,),)
     payload = json.dumps([list(r) for r in ranks], separators=(",", ":"))
     return CanonicalForm(ranks=ranks, digest=hashlib.sha256(payload.encode()).hexdigest())

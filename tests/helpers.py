@@ -30,13 +30,14 @@ presentation is kept as the reference for the one field encoder.  The
 center-extension probe that searched for an obstruction and checked its
 extension is kept as the reference for the probe that reads both off
 the chain.  The search by sorted row profiles alone is kept as the
-reference for weak similarity's routed search; random cubic graphs, as
-two-valued spaces, are the inputs on which that search met most orders,
-and spaces that are all one distance but for one pair have twins
-everywhere without being ultrametric.  The partition search that pruned
-twins only is kept as the reference for the one that branches on the
-least row and prunes by orbits; m three-point path blocks are the input
-on which it met m! branches.  The O(n^2) pair scan, run on caterpillars
+reference for both routes of weak similarity; random cubic graphs, as
+two-valued spaces, and ultrametric classes whose points share their
+sorted rows, blown up into twins, are the inputs on which that search
+met most orders, and spaces that are all one distance but for one pair
+have twins everywhere without being ultrametric.  The partition search
+that pruned twins only is kept as the reference for the one that
+branches on the least row and prunes by orbits; m three-point path
+blocks are the input on which it met m! branches.  The O(n^2) pair scan, run on caterpillars
 too, is kept as the reference for the obstruction search that answers
 None off the chain.  Class counts come from a memoised sum over multiset partitions of block
 multiplicities, which enumerates no class: the oracle for the catalogue's
@@ -338,7 +339,7 @@ def dfs_canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
     rm = rank_matrix(s)
     n = len(rm)
     if n == 1:
-        return _form(((0,),))
+        return _form(((0,),), [0])
     twins = elementwise_twin_classes(rm, n)
     best: list[tuple[int, ...] | None] = [None]
     perm: list[int] = []
@@ -382,7 +383,7 @@ def dfs_canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
         for j in range(i + 1, n):
             ranks[i][j] = ranks[j][i] = upper[pos]
             pos += 1
-    return _form(tuple(tuple(row) for row in ranks))
+    return _form(ranks, range(n))
 
 
 def twin_search_form(s: FiniteSemimetricSpace) -> CanonicalForm:
@@ -420,7 +421,7 @@ def twin_search_form(s: FiniteSemimetricSpace) -> CanonicalForm:
             stack.append(placements(cells))
         else:
             best = rows[:]
-    return _form(tuple(tuple(best[j][i - j - 1] for j in range(i)) + (0,) + best[i] for i in range(n)))
+    return _form([tuple(best[j][i - j - 1] for j in range(i)) + (0,) + best[i] for i in range(n)], range(n))
 
 
 def _row_profile(mat, i: int, n: int) -> tuple:
@@ -470,7 +471,8 @@ def recursive_matrix_bijection(ma, mb) -> list[int] | None:
 def matrix_bijection(ma, mb) -> list[int] | None:
     """Index bijection carrying rank matrix ``ma`` onto ``mb`` entrywise, or None.
 
-    The library's search before it was routed, kept as the reference for
+    The library's search before it was routed, and its ultrametric route
+    until that was read off the hierarchies, kept as the reference for
     ``weak_similarity_bijection``'s routes: backtracking over rows, pruned
     by per-point sorted row profiles, in a loop that counts the candidates
     tried per row.  A profile is the whole sorted row: in a rank matrix
@@ -787,6 +789,63 @@ def twins_with_one_fault(n: int, order=None, prefix: str = "p") -> FiniteSemimet
     last = {n - 2, n - 1}
     rows = [["0" if u == v else "3" if {u, v} == last else "2" for v in order] for u in order]
     return validate_semimetric([f"{prefix}{k + 1}" for k in range(n)], rows)
+
+
+# The two 8-point ultrametric classes whose points have the same sorted
+# rows while the classes are not weakly similar: sorted row profiles
+# cannot tell them apart
+PROFILE_TWINS = (
+    (3, ((2, (LEAF,) * 4), (2, ((1, (LEAF, LEAF)), (1, (LEAF, LEAF)))))),
+    (3, ((2, (LEAF, LEAF, (1, (LEAF, LEAF)))), (2, (LEAF, LEAF, (1, (LEAF, LEAF)))))),
+)
+
+
+def blown_up(root: tuple, t: int) -> tuple:
+    """``root`` with every level one higher and every leaf replaced by t twins at level 1."""
+    if root == LEAF:
+        return (1, (LEAF,) * t)
+    level, children = root
+    return (level + 1, tuple(blown_up(c, t) for c in children))
+
+
+def tree_order_space(root: tuple, prefix: str = "p") -> FiniteSemimetricSpace:
+    """The ultrametric of a merge tree, its points in the tree's child order, which need not be canonical.
+
+    The distance between two points is the level of their least common
+    ancestor; the space goes through ``validate_semimetric``, as a file
+    would, so its hierarchy comes from the ultrametric check.
+    """
+    level_of: dict[tuple[int, int], int] = {}  # (u, v) with u < v: the level of their least common ancestor
+    count = [0]
+
+    def walk(node) -> list[int]:
+        if node == LEAF:
+            count[0] += 1
+            return [count[0] - 1]
+        level, children = node
+        groups = [walk(c) for c in children]
+        for gi, g in enumerate(groups):
+            for h in groups[gi + 1 :]:
+                level_of.update({(u, v): level for u in g for v in h})
+        return [u for g in groups for u in g]
+
+    n = len(walk(root))
+    dist = [[str(level_of.get((min(u, v), max(u, v)), 0)) for v in range(n)] for u in range(n)]
+    return validate_semimetric([f"{prefix}{k + 1}" for k in range(n)], dist)
+
+
+def decoy_pair(t: int, similar: bool = False) -> tuple[FiniteSemimetricSpace, FiniteSemimetricSpace]:
+    """The ``PROFILE_TWINS`` classes with each leaf blown up into t twins: 8t points each, equal sorted rows, not similar.
+
+    With ``similar``, both blown-up classes under one root at level 5
+    against the copy that lists the other class first: 16t points, weakly
+    similar.  A search pruned only by sorted rows and by ranks to the
+    rows placed backtracks through the twins on both pairs.
+    """
+    first, second = (blown_up(c, t) for c in PROFILE_TWINS)
+    if similar:
+        return tree_order_space((5, (first, second))), tree_order_space((5, (second, first)), "q")
+    return tree_order_space(first), tree_order_space(second, "q")
 
 
 def random_cubic_edges(rng: Random, n: int) -> list[tuple[int, int]]:

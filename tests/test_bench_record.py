@@ -99,6 +99,7 @@ def test_in_process_cases_are_pinned():
         ("weak_similarity_bijection", "semi", 256),
         ("weak_similarity_bijection", "cubic", 20),
         ("canonical_form", "paths", 24),
+        ("weak_similarity_bijection", "decoy", 40),
     )
 
 
@@ -145,6 +146,7 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("weak_similarity_bijection", "semi", 6),
         ("weak_similarity_bijection", "cubic", 8),
         ("canonical_form", "paths", 6),
+        ("weak_similarity_bijection", "decoy", 16),
     )
     rows = bench_record.inprocess_rows({"here": ROOT}, reps=2, cases=cases)
     assert [(r["layer"], r["case"], r["n"], r["reps"]) for r in rows] == [
@@ -156,6 +158,7 @@ def test_recorded_inprocess_rows_follow_the_schema():
         ("inprocess", "here: weak_similarity_bijection semi", 6, 2),
         ("inprocess", "here: weak_similarity_bijection cubic", 8, 2),
         ("inprocess", "here: canonical_form paths", 6, 2),
+        ("inprocess", "here: weak_similarity_bijection decoy", 16, 2),
     ]
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 

@@ -4,7 +4,9 @@ Every route of ``weak_similarity_bijection`` returns the first bijection
 of the row-by-row search, so it must equal ``helpers.matrix_bijection``,
 the search before routing, dict for dict; ``isometry_bijection`` must
 equal it wherever the spectra agree.  The route tests patch a route to
-raise, or count its calls, instead of timing it.
+raise, or count its calls, instead of timing it: the ultrametric route
+(``_chain_search``) by its walks and the candidates it tests, the
+refinement search by its refinements.
 """
 
 from random import Random
@@ -12,6 +14,7 @@ from random import Random
 import pytest
 
 from starmetric import (
+    RankedHierarchy,
     canonical_form,
     enumerate_classes,
     generate_ultrametric,
@@ -21,7 +24,9 @@ from starmetric import (
     weak_similarity_bijection,
 )
 from helpers import (
+    PROFILE_TWINS,
     cubic_pair,
+    decoy_pair,
     graph_space,
     matrix_bijection_dict,
     monotone_transform,
@@ -69,17 +74,22 @@ def _changed_copy(rng: Random, s):
     return permuted_copy(rng, validate_semimetric(s.points, rows))
 
 
-@pytest.fixture
-def refine_calls(monkeypatch):
+def _counted(monkeypatch, name: str) -> list:
+    # the arguments of every call of similarity's ``name`` from here on
     calls = []
-    refine = similarity._refine
+    fn = getattr(similarity, name)
 
     def counted(*args):
-        calls.append(None)
-        return refine(*args)
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(similarity, "_refine", counted)
+    monkeypatch.setattr(similarity, name, counted)
     return calls
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    return _counted(monkeypatch, "_refine")
 
 
 def _raises(*_args):
@@ -108,13 +118,30 @@ def test_routes_match_the_reference_on_seeded_pairs(refine_calls):
     assert refined > 500
 
 
-def test_routes_match_the_reference_on_every_small_class():
-    rng = Random(337)
-    for n in range(1, 7):
-        classes = list(enumerate_classes(n))
-        for s, other in zip(classes, classes[1:] + classes[:1]):
-            _assert_pinned(s, permuted_copy(rng, monotone_transform(rng, s)))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_routes_match_the_reference_on_every_small_class(n):
+    # every class against a relabeled copy, and up to n = 7 against the next class
+    rng = Random(337 + n)
+    classes = list(enumerate_classes(n))
+    for s, other in zip(classes, classes[1:] + classes[:1]):
+        assert _assert_pinned(s, permuted_copy(rng, monotone_transform(rng, s))) is not None
+        if n <= 7:
             _assert_pinned(s, permuted_copy(rng, other))
+
+
+def test_routes_match_the_reference_inside_every_profile_group():
+    # the 8-point classes whose sorted rows agree: every ordered pair of one group, relabeled
+    rng = Random(339)
+    groups: dict = {}
+    for s in enumerate_classes(8):
+        groups.setdefault(tuple(sorted(tuple(sorted(row)) for row in s.ranks)), []).append(s)
+    groups = {k: v for k, v in groups.items() if len(v) > 1}
+    assert sorted(map(len, groups.values())) == [2] * 8 + [3] * 2
+    assert [RankedHierarchy(root).to_space() for root in PROFILE_TWINS] in groups.values()
+    for group in groups.values():
+        for s in group:
+            for other in group:
+                assert (_assert_pinned(s, permuted_copy(rng, other)) is None) == (s is not other)
 
 
 def test_routes_match_the_reference_on_every_graph_of_five_points():
@@ -137,9 +164,22 @@ def test_perfbench_shaped_pair_never_enters_a_search(monkeypatch):
     pairs = [(a, permuted_copy(rng, monotone_transform(rng, a))), (a, random_semimetric(rng, 64))]
     wants = [matrix_bijection_dict(x, y) for x, y in pairs]
     monkeypatch.setattr(similarity, "_refined_search", _raises)
-    monkeypatch.setattr(similarity, "_row_search", _raises)
+    monkeypatch.setattr(similarity, "_chain_search", _raises)
     assert wants[0] is not None and wants[1] is None
     assert [weak_similarity_bijection(x, y) for x, y in pairs] == wants
+
+
+def test_an_ultrametric_against_a_non_ultrametric_is_no_search(monkeypatch):
+    # two triangles at 1, 2 apart, against a 6-cycle with edges at 1: every row sorts to 0 1 1 2 2 2
+    a = graph_space(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    b = graph_space(6, [(k, (k + 1) % 6) for k in range(6)], prefix="q")
+    assert a.hierarchy is not None and b.hierarchy is None
+    assert sorted(map(sorted, a.ranks)) == sorted(map(sorted, b.ranks))
+    assert matrix_bijection_dict(a, b) is None
+    for name in ("_chain_tree", "_agrees", "_cell_search"):
+        monkeypatch.setattr(similarity, name, _raises)
+    assert weak_similarity_bijection(a, b) is None
+    assert isometry_bijection(a, b) is None
 
 
 def test_equal_sums_with_other_sorted_rows_are_told_apart(monkeypatch):
@@ -178,17 +218,47 @@ def test_equal_sums_with_other_sorted_rows_are_told_apart(monkeypatch):
             assert _assert_pinned(validate_semimetric(names, a), validate_semimetric(names, relabeled)) is None
 
 
-def test_an_ultrametric_pair_never_enters_the_cell_route(monkeypatch):
+@pytest.mark.parametrize("partner", ["relabeled", "monotone", "fresh"])
+def test_an_ultrametric_pair_never_enters_the_cell_route(monkeypatch, partner):
     rng = Random(359)
     spaces = [random_ultrametric(rng, rng.randint(2, 24)) for _ in range(60)]
     spaces += [generate_ultrametric(random_star(rng, max_leaves=20)) for _ in range(60)]
-    wants = []
+    pairs = []
     for s in spaces:
-        for t in (permuted_copy(rng, monotone_transform(rng, s)), permuted_copy(rng, s)):
-            wants.append((s, t, matrix_bijection_dict(s, t)))
+        if partner == "fresh":  # a second draw of the same size: mostly not similar
+            pairs.append((s, random_ultrametric(rng, len(s.points))))
+        else:
+            pairs.append((s, permuted_copy(rng, monotone_transform(rng, s) if partner == "monotone" else s)))
     monkeypatch.setattr(similarity, "_cell_search", _raises)
-    for s, t, want in wants:
-        assert want is not None and weak_similarity_bijection(s, t) == want
+    similar = sum(_assert_pinned(s, t) is not None for s, t in pairs)
+    assert similar == len(pairs) if partner != "fresh" else 0 < similar < len(pairs) // 2
+
+
+# (t, similar) of helpers.decoy_pair: 8t points, or 16t when similar.  The
+# reference decides the AFFORDABLE_DECOYS in a tenth of a second; it took
+# 64 s on the 48-point pair that is not similar and 3.6 s on the 80-point
+# pair that is.
+AFFORDABLE_DECOYS = [(4, False), (3, True)]
+DECOYS = AFFORDABLE_DECOYS + [(6, False), (5, True)]
+
+
+@pytest.mark.parametrize("t,similar", DECOYS)
+def test_profile_decoys_are_decided_off_one_walk_per_space(monkeypatch, t, similar):
+    a, b = decoy_pair(t, similar)
+    n = len(a.points)
+    assert sorted(sorted(row) for row in a.ranks) == sorted(sorted(row) for row in b.ranks)
+    want = matrix_bijection_dict(a, b) if (t, similar) in AFFORDABLE_DECOYS else None
+    walks, tests = _counted(monkeypatch, "_chain_tree"), _counted(monkeypatch, "_agrees")
+    phi = weak_similarity_bijection(a, b)
+    assert [args[0] for args in walks] == [a, b]
+    assert len(tests) <= n * n  # no row tests more than n candidates: the route never backtracks
+    monkeypatch.undo()
+    if similar:
+        assert phi is not None and _carries(phi, a, b)
+    else:
+        assert phi is None and canonical_form(a) != canonical_form(b)
+    if (t, similar) in AFFORDABLE_DECOYS:
+        assert phi == want and list(phi or ()) == list(want or ())
 
 
 @pytest.mark.parametrize("n", [6, 40, 256])

@@ -30,9 +30,12 @@ of a shared host falls on all of them:
   ``weak_similarity_bijection`` on a seeded random semimetric against
   its relabeled copy under a strictly increasing map, and on two seeded
   random cubic graphs as two-valued spaces (edge 1, non-edge 2) that are
-  not isomorphic; and ``canonical_form`` on m three-point paths under
+  not isomorphic; ``canonical_form`` on m three-point paths under
   one root (ranks 1, 1 and 2 inside, 3 across; n = 3m), which are not
-  ultrametric and so take the search;
+  ultrametric and so take the search; and ``weak_similarity_bijection``
+  on two ultrametrics whose points have equal sorted rows and which are
+  not similar, each an 8-point class with every point blown up into
+  n/8 twins (``tests/helpers.py``'s ``decoy_pair``);
 * every one of the ``WORKLOADS`` is timed as ``PAIRS`` alternating pairs:
   each tree runs ``perfbench/run.py --workload W --seconds PAIR_SECONDS
   --seed SEED --trace 0`` in turn, the one that goes first alternating,
@@ -89,6 +92,7 @@ INPROCESS_CASES = (
     ("weak_similarity_bijection", "semi", 256),
     ("weak_similarity_bijection", "cubic", 20),
     ("canonical_form", "paths", 24),
+    ("weak_similarity_bijection", "decoy", 40),
 )
 WORKLOADS = ("decide", "similar", "sweep")
 REPS = 10  # fresh-interpreter runs per CLI case and tree
@@ -203,6 +207,19 @@ elif kind == "cubic":  # tests/helpers.py's cubic_pair(n, 2): the first graph ag
     rng = Random(200 + n)
     first = cubic(rng)
     args = (space(first), space(cubic(rng), "w"))
+elif kind == "decoy":  # tests/helpers.py's decoy_pair(n // 8): the two classes of PROFILE_TWINS, blown up
+    def blown(node):  # every level one higher, every leaf n // 8 twins at level 1
+        return (1, ((),) * (n // 8)) if node == () else (node[0] + 1, tuple(map(blown, node[1])))
+    def paths(node, above=()):  # each leaf's (level, child) steps from the root, leaves in child order
+        if node == ():
+            return [above]
+        return [p for k, child in enumerate(node[1]) for p in paths(child, above + ((node[0], k),))]
+    def tree(root):  # the rank of two leaves is the level where their paths part
+        ps, values = paths(blown(root)), [Fraction(v) for v in range(5)]
+        return lambda i, j: values[0 if i == j else next(lv for (lv, k), (_, m) in zip(ps[i], ps[j]) if k != m)]
+    pair = ((3, ((2, ((),) * 4), (2, ((1, ((), ())), (1, ((), ())))))),
+            (3, ((2, ((), (), (1, ((), ())))), (2, ((), (), (1, ((), ())))))))
+    args = (space(tree(pair[0])), space(tree(pair[1]), "q"))
 else:
     values = [Fraction(v) for v in range(n + 1)]
     s = space(lambda i, j: values[rank(i, j)])

@@ -17,8 +17,11 @@ on every file, ``star`` on every star-generated file again with
 spaces of the same three kinds at n = 128 and 256, ``check`` and ``us`` on two
 256-point matrices whose only fault is in the last row, ``weaksim`` on
 pairs for each of its routes (rank sums that agree over sorted rows that
-do not, a space that is not ultrametric with twins, and a 20-point
-cubic graph against a relabeled copy and a second cubic graph), ``compact`` and
+do not, a space that is not ultrametric with twins, a 20-point
+cubic graph against a relabeled copy and a second cubic graph, and, in
+both directions, two 32-point ultrametrics with equal sorted rows that
+are not similar and a 48-point ultrametric against a reordered copy),
+``compact`` and
 ``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
 seeded star presentations (harmonic and geometric tails with
 exceptional labels, one non-compact constant tail, and one star with
@@ -156,11 +159,14 @@ def _write_routes(folder: Path) -> list[str]:
     """``weaksim`` pairs, first and second file alternately, for the routes the bulk corpus rarely takes.
 
     Rank sums that agree while the sorted rows do not; a space that is not
-    ultrametric with ten twins, against a relabeled copy; and a 20-point
-    cubic graph as a two-valued space against a relabeled copy and
-    against a second cubic graph.
+    ultrametric with ten twins, against a relabeled copy; a 20-point cubic
+    graph as a two-valued space against a relabeled copy and against a
+    second cubic graph; and ``decoy_pair``'s ultrametrics with equal sorted
+    rows, on which a search pruned by sorted rows alone backtracks through
+    twins: a 32-point pair that is not similar and a 48-point pair that
+    is, each in both directions.
     """
-    from helpers import cubic_pair, permuted_copy, twins_with_one_fault
+    from helpers import cubic_pair, decoy_pair, permuted_copy, twins_with_one_fault
     from starmetric import space_to_json, validate_semimetric
 
     rows_a = [["0", "1", "1", "4"], ["1", "0", "3", "2"], ["1", "3", "0", "3"], ["4", "2", "3", "0"]]
@@ -169,6 +175,8 @@ def _write_routes(folder: Path) -> list[str]:
     cubic, relabeled, other = cubic_pair(20, CUBIC_SEED)
     spaces = [validate_semimetric(["p1", "p2", "p3", "p4"], rows_a), validate_semimetric(["q1", "q2", "q3", "q4"], rows_b)]
     spaces += [twins, permuted_copy(Random(5), twins), cubic, relabeled, cubic, other]
+    for a, b in (decoy_pair(4), decoy_pair(3, similar=True)):
+        spaces += [a, b, b, a]
     return _dump(folder, "route", [space_to_json(s) for s in spaces])
 
 
