@@ -225,15 +225,18 @@ def _presentation_json(spec) -> dict:
     return obj
 
 
-def _json_skip(obj: dict) -> int:
-    skip = obj.get("skip", 0)
+def _check_skip(skip) -> None:
     if isinstance(skip, bool) or not isinstance(skip, int):
         raise MalformedPresentation(f"'skip' must be a JSON integer, got {skip!r}")
     if skip < 0:
         raise MalformedPresentation(f"'skip' must be nonnegative, got {skip}")
     if skip > MAX_TAIL_INDEX:
         raise IndexOutOfRange(f"'skip' {skip} exceeds {MAX_TAIL_INDEX}")
-    return skip
+
+
+def _check_decreasing(decreasing) -> None:
+    if not isinstance(decreasing, bool):
+        raise MalformedPresentation(f"'decreasing' must be a JSON boolean, got {decreasing!r}")
 
 
 class StarSpec(_Frozen):
@@ -241,7 +244,8 @@ class StarSpec(_Frozen):
 
     ``tail_skip`` consumes the first indices of the tail law, which keeps
     harmonic tails representable after part of the stream has been merged
-    into the explicit prefix elsewhere.
+    into the explicit prefix elsewhere.  The constructor makes every check,
+    ``tail_skip``'s with the messages ``from_json`` gives for ``skip``.
     """
 
     _fields = ("center_label", "exceptional", "tail", "tail_skip")
@@ -249,13 +253,12 @@ class StarSpec(_Frozen):
     def __init__(self, center_label: Fraction, exceptional: tuple[Fraction, ...] = (), tail: TailLaw = FiniteTail(),
                  tail_skip: int = 0):
         center_label, exceptional = rat(center_label), tuple(rat(x) for x in exceptional)
+        _check_skip(tail_skip)
         vars(self).update(center_label=center_label, exceptional=exceptional, tail=tail, tail_skip=tail_skip)
         if center_label < 0:
             raise NegativeInput(f"center label {center_label} < 0")
         if any(x < 0 for x in exceptional):
             raise NegativeInput("leaf labels must be nonnegative")
-        if tail_skip < 0:
-            raise MalformedPresentation("tail_skip must be nonnegative")
         if center_label == 0:
             # every center-leaf edge needs a positively labeled endpoint
             if any(x == 0 for x in exceptional):
@@ -283,7 +286,7 @@ class StarSpec(_Frozen):
             center_label=_json_rat(obj, "center_label", "star"),
             exceptional=_json_rats(obj, "exceptional"),
             tail=tail_from_json(obj["tail"]),
-            tail_skip=_json_skip(obj),
+            tail_skip=obj.get("skip", 0),
         )
 
 
@@ -325,19 +328,20 @@ class RaySpec(_Frozen):
     With the ``decreasing`` flag the presentation is validated to be
     non-increasing and positive, which unlocks the closed-form distance
     label(min(m, n)).  Non-monotone presentations stay legal; distances
-    then fall back to the path maximum over the index range.
+    then fall back to the path maximum over the index range.  The
+    constructor checks ``decreasing`` and ``tail_skip`` as ``from_json`` does.
     """
 
     _fields = ("prefix", "tail", "tail_skip", "decreasing")
 
     def __init__(self, prefix: tuple[Fraction, ...] = (), tail: TailLaw = FiniteTail(), tail_skip: int = 0,
                  decreasing: bool = False):
+        _check_decreasing(decreasing)
         prefix = tuple(rat(x) for x in prefix)
+        _check_skip(tail_skip)
         vars(self).update(prefix=prefix, tail=tail, tail_skip=tail_skip, decreasing=decreasing)
         if any(x < 0 for x in prefix):
             raise NegativeInput("ray labels must be nonnegative")
-        if tail_skip < 0:
-            raise MalformedPresentation("tail_skip must be nonnegative")
         if decreasing:
             if any(x <= 0 for x in prefix):
                 raise MalformedPresentation("a decreasing ray needs strictly positive labels")
@@ -379,12 +383,11 @@ class RaySpec(_Frozen):
         if not isinstance(obj, dict) or "tail" not in obj:
             raise MalformedPresentation("ray JSON needs a 'tail' key")
         decreasing = obj.get("decreasing", False)
-        if not isinstance(decreasing, bool):
-            raise MalformedPresentation(f"'decreasing' must be a JSON boolean, got {decreasing!r}")
+        _check_decreasing(decreasing)  # before the other fields, so its fault is the one a file reports
         return cls(
             prefix=_json_rats(obj, "prefix"),
             tail=tail_from_json(obj["tail"]),
-            tail_skip=_json_skip(obj),
+            tail_skip=obj.get("skip", 0),
             decreasing=decreasing,
         )
 

@@ -75,7 +75,7 @@ class _Frozen:
 
     @classmethod
     def _trusted(cls, **fields):
-        """Instance holding ``fields`` as given, for values that already meet every check of ``__init__``."""
+        """Instance holding ``fields`` as given, skipping ``__init__``: only for values derived from checked instances."""
         obj = cls.__new__(cls)
         vars(obj).update(fields)
         return obj
@@ -142,26 +142,41 @@ class TripleWitness(NamedTuple):
 class FiniteSemimetricSpace(_Frozen):
     """Named points over an exact, symmetric, positive off-diagonal distance matrix.
 
-    A space stores ``points``, its ``spectrum`` (the sorted distinct
+    A space stores its ``points``, its ``spectrum`` (the sorted distinct
     distance values, starting at 0) and ``ranks`` (each entry's index in
     the spectrum: the diagonal has rank 0, and the off-diagonal ranks
-    cover 1..k with no gaps).  The public ``FiniteSemimetricSpace(points,
-    dist)`` ranks ``dist`` at once and keeps it.  Parsing, generation,
-    ``reorder`` and the probe extension hand over points, spectrum and
-    ranks through ``_trusted``; ``dist``, the matrix of ``Fraction``
-    values, is then built from them the first time a caller reads it.
-    Spaces are equal when their points, spectra and ranks are, and hash
-    over their points and distances.  Attributes cannot be assigned.
+    cover 1..k with no gaps).  The constructor is ``validate_semimetric``:
+    same checks, same errors, same space.  Generation, ``reorder`` and the
+    probe extension derive points, spectrum and ranks from checked spaces
+    and hand them over through ``_trusted``; ``dist``, the matrix of
+    ``Fraction`` values, is built from them the first time a caller reads
+    it.  Spaces are equal when their points, spectra and ranks are, and
+    hash over their points and distances.  Attributes cannot be assigned.
     """
 
     _fields = ("points", "dist")
 
-    def __init__(self, points: tuple[str, ...], dist: tuple[tuple[Fraction, ...], ...]) -> None:
-        # spaces hold one object per distinct value, so entries are
-        # grouped by identity and each object is ranked once
-        objects = {id(v): v for row in dist for v in row}
-        spectrum, ranks = _rank_cells(objects, [list(map(id, row)) for row in dist])
-        vars(self).update(points=points, dist=dist, spectrum=spectrum, ranks=ranks)
+    def __init__(self, points: Sequence[str], dist: Sequence[Sequence]) -> None:
+        names = tuple(points)
+        if not names:
+            raise MalformedMatrix("a space needs at least one point")
+        seen: set[str] = set()
+        for name in names:
+            if not isinstance(name, str) or not name:
+                raise MalformedMatrix(f"point names must be nonempty strings, got {name!r}")
+            if name in seen:
+                raise DuplicateName(f"duplicate point name {name!r}")
+            seen.add(name)
+        n = len(names)
+        if len(dist) != n:
+            raise MalformedMatrix(f"matrix has {len(dist)} rows for {n} points")
+        try:
+            spectrum, ranks = _rank_matrix(dist, n)
+        except (ValueError, TypeError):
+            spectrum, ranks = _rank_in_order(dist, n)
+        if not _is_semimetric(spectrum, ranks):
+            _raise_first_axiom_violation(names, _pick(spectrum, ranks))
+        vars(self).update(points=names, spectrum=spectrum, ranks=ranks)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -218,57 +233,43 @@ class FiniteSemimetricSpace(_Frozen):
         return _first_violation(self)
 
 
-# Cells of exactly these types are coerced once per distinct cell.  A bool
-# or a float, which rat refuses, can hide behind an equal int or Fraction
-# among the distinct cells, so a matrix that is not all strings has the
-# type of every cell checked.
-_CELL_TYPES = {str, int, Fraction}
-
-
 def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> FiniteSemimetricSpace:
-    """Check the semimetric axioms and return the validated space.
+    """Check the semimetric axioms and return the validated space: ``FiniteSemimetricSpace(points, rows)``.
 
     Point names are checked first, then the rows in order, each for its
     length and then cell by cell, and then the axioms; the first violation
     is raised, which keeps error output deterministic for golden tests.
-    A square matrix of ``str``, ``int`` and ``Fraction`` cells is parsed
-    without that ordered scan: its distinct cells are coerced once each
-    through ``rat``, sorted, and every row is mapped from cell to rank in
-    one C-level pass.  The ordered scan runs only when that fails, to
-    raise the first bad row or cell (or to coerce cells of subclasses of
-    those types).  The axioms are checked on the ranks; only when that
-    check fails is the row-major scan run to find the first violation.
+    The ordered scan of rows and cells runs only when ``_rank_matrix``
+    fails (or to coerce cells of subclasses of its types), and the
+    row-major scan of pairs only when the axioms fail on the ranks.
     """
-    names = tuple(points)
-    if not names:
-        raise MalformedMatrix("a space needs at least one point")
-    seen: set[str] = set()
-    for name in names:
-        if not isinstance(name, str) or not name:
-            raise MalformedMatrix(f"point names must be nonempty strings, got {name!r}")
-        if name in seen:
-            raise DuplicateName(f"duplicate point name {name!r}")
-        seen.add(name)
-    n = len(names)
-    if len(rows) != n:
-        raise MalformedMatrix(f"matrix has {len(rows)} rows for {n} points")
-    try:
-        if set(map(len, rows)) != {n}:
-            raise ValueError
+    return FiniteSemimetricSpace(points, rows)
+
+
+def _rank_matrix(rows: Sequence[Sequence], n: int) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+    """Spectrum and rank matrix of n rows of n cells of exact type str, int or Fraction; else ValueError or TypeError.
+
+    Each distinct cell is coerced once through ``rat`` and every row is
+    mapped from cell to rank in one C-level pass.  Strings, as JSON gives
+    them, are grouped by value, since a string caches its hash; other
+    cells by identity, since a ``Fraction`` hashes slowly and a space's
+    matrix holds one object per distinct value.
+    """
+    if set(map(len, rows)) != {n}:
+        raise ValueError
+    if type(rows[0][0]) is str:
         cells = set().union(*rows)  # TypeError on an unhashable cell
-        if set(map(type, cells)) != {str} and not set(map(type, chain.from_iterable(rows))) <= _CELL_TYPES:
+        if set(map(type, cells)) != {str}:
             raise TypeError
-        value_of = dict(zip(cells, map(rat, cells)))
-    except (ValueError, TypeError):
-        rows = _rats_in_order(rows, n)
-        value_of = {v: v for v in set().union(*rows)}
-    spectrum, ranks = _rank_cells(value_of, rows)
-    if not _is_semimetric(spectrum, ranks):
-        _raise_first_axiom_violation(names, _pick(spectrum, ranks))
-    return FiniteSemimetricSpace._trusted(points=names, spectrum=spectrum, ranks=ranks)
+        return _rank_cells(dict(zip(cells, map(rat, cells))), rows)
+    flat = list(chain.from_iterable(rows))
+    objects = dict(zip(map(id, flat), flat))
+    if not set(map(type, objects.values())) <= {str, int, Fraction}:
+        raise TypeError
+    return _rank_cells(dict(zip(objects, map(rat, objects.values()))), [list(map(id, row)) for row in rows])
 
 
-def _rats_in_order(rows: Sequence[Sequence], n: int) -> list[list[Fraction]]:
+def _rank_in_order(rows: Sequence[Sequence], n: int) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
     # row by row, each length before its cells, so the first bad row or
     # cell raises; only cells of subclasses of str, int or Fraction pass
     out = []
@@ -279,7 +280,7 @@ def _rats_in_order(rows: Sequence[Sequence], n: int) -> list[list[Fraction]]:
             out.append(list(map(rat, row)))
         except (ValueError, TypeError) as exc:
             raise MalformedMatrix(f"row {i}: {exc}") from exc
-    return out
+    return _rank_cells({v: v for v in set().union(*out)}, out)
 
 
 def _ranked_values(value_of: dict) -> tuple[tuple[Fraction, ...], dict]:

@@ -47,16 +47,19 @@ class TreeFormatError(TreeError):
 class LabeledTree(_Frozen):
     """Tree with a nonnegative rational label on every vertex.
 
-    Edges are normalized at construction (endpoints ordered by vertex
-    index, edges sorted) so text and DOT output are stable.  The same pass
-    keeps each vertex's neighbour indices for every walk over the tree.
+    The constructor stores vertices and labels as tuples, each label
+    coerced through ``rat``, so it refuses floats and bools as every
+    reader does; ``of`` only pairs labels with vertices.  Edges are
+    normalized at construction (endpoints ordered by vertex index, edges
+    sorted) so text and DOT output are stable.  The same pass keeps each
+    vertex's neighbour indices for every walk over the tree.
     """
 
     _fields = ("vertices", "edges", "labels")
 
-    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...], labels: tuple[Fraction, ...]):
-        vars(self).update(vertices=vertices, edges=edges, labels=labels)
-        names = vertices
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]], labels: Iterable):
+        names, labels = tuple(vertices), tuple([rat(lab) for lab in labels])
+        vars(self).update(vertices=names, labels=labels)
         n = len(names)
         if not names:
             raise NotATree("a tree needs at least one vertex")
@@ -116,11 +119,7 @@ class LabeledTree(_Frozen):
     @classmethod
     def of(cls, labeled_vertices: Iterable[tuple[str, object]], edges: Iterable[tuple[str, str]]) -> "LabeledTree":
         pairs = list(labeled_vertices)
-        return cls(
-            vertices=tuple([v for v, _ in pairs]),
-            edges=tuple(edges),
-            labels=tuple([rat(lab) for _, lab in pairs]),
-        )
+        return cls(vertices=[v for v, _ in pairs], edges=edges, labels=[lab for _, lab in pairs])
 
 
 class LabeledStarGraph(LabeledTree):
@@ -130,7 +129,7 @@ class LabeledStarGraph(LabeledTree):
     labels, are read off ``vertices`` and ``labels``.
     """
 
-    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...], labels: tuple[Fraction, ...]):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]], labels: Iterable):
         super().__init__(vertices, edges, labels)
         for u, v in self.edges:
             if u != self.vertices[0]:

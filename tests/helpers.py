@@ -898,8 +898,10 @@ def dist_bordered_truncation_space(model, k: int) -> FiniteSemimetricSpace:
     """The earlier ``CompletionModel.truncation_space``: the ray truncation's ``dist`` bordered by the labels."""
     from starmetric import ray_truncation_space
 
+    if not k:  # the added point alone; a space of no points does not exist
+        return FiniteSemimetricSpace((model.added_point,), ((ZERO,),))
     labels = (ZERO, *model.ray.labels(k))
-    core = ray_truncation_space(model.ray, k) if k else FiniteSemimetricSpace((), ())
+    core = ray_truncation_space(model.ray, k)
     rows = [labels] + [(labels[i], *row) for i, row in enumerate(core.dist, start=1)]
     return FiniteSemimetricSpace((model.added_point, *core.points), tuple(rows))
 

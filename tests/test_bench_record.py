@@ -183,6 +183,7 @@ def test_recorded_pair_rows_follow_the_schema(tmp_path, monkeypatch):
         ("pairs", "here: similar seed 1 latency_p50_ms", None, 1),
         ("pairs", "here: similar seed 1 latency_tail_ms", None, 1),
     ]
+    assert [r["runs_s"] for r in rows] == [[r["min_s"]] for r in rows]  # each value, in run order
     assert (tmp_path / ".perfbench" / "similar-1-trace0.json").is_file()
     bench_record.check_record({"python": "3", "cpu_count": 1, "src_lines": bench_record.src_lines(), "rows": rows})
 
@@ -207,12 +208,21 @@ def test_recorded_cli_rows_follow_the_schema():
         (lambda r: r["rows"][0].update(n=0), "n must be"),
         (lambda r: r["rows"][0].update(reps=0), "reps must be"),
         (lambda r: r.update(rows=[]), "nonempty"),
+        (lambda r: r["rows"][0].update(runs_s=[0.5, 1.0, 2.0]), "row keys"),  # runs_s only on pairs rows
+        (lambda r: r["rows"][1].update(runs_s=[0.5, 1.0]), "runs_s must"),
+        (lambda r: r["rows"][1].update(runs_s=[1.0, 0.5, 0.5]), "runs_s must"),
+        (lambda r: r["rows"][1].update(runs_s="0.5"), "runs_s must"),
     ],
 )
 def test_malformed_records_are_rejected(change, match):
     record = {"python": "3.11", "cpu_count": 2, "src_lines": 100,
-              "rows": [{"layer": "cli", "case": "x: enumerate", "n": 8, "reps": 3, "min_s": 0.5, "median_s": 1.0}]}
+              "rows": [{"layer": "cli", "case": "x: enumerate", "n": 8, "reps": 3, "min_s": 0.5, "median_s": 1.0},
+                       {"layer": "pairs", "case": "x: decide seed 1 latency_p50_ms", "n": None, "reps": 3,
+                        "min_s": 0.5, "median_s": 1.0, "runs_s": [1.0, 0.5, 2.0]}]}
     bench_record.check_record(record)
+    del record["rows"][1]["runs_s"]
+    bench_record.check_record(record)  # pairs rows recorded before runs_s was kept
+    record["rows"][1]["runs_s"] = [1.0, 0.5, 2.0]
     change(record)
     with pytest.raises(ValueError, match=match):
         bench_record.check_record(record)

@@ -15,6 +15,7 @@ from starmetric import (
     GeometricTail,
     HarmonicTail,
     IndexOutOfRange,
+    InfiniteModelError,
     LabeledStarGraph,
     MalformedPresentation,
     NegativeInput,
@@ -443,21 +444,35 @@ def test_dplus_compact_subset():
         dplus_compact_subset((F(0),))
 
 
-@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+def _raised(make) -> tuple[type, str]:
+    with pytest.raises(InfiniteModelError) as info:
+        make()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("flag", ["false", "true", "no", 0, 1, None, []])
 def test_ray_json_decreasing_must_be_a_boolean(flag):
+    # the constructor and the reader make one check, with one message
     obj = {"prefix": ["1"], "tail": {"kind": "finite"}, "decreasing": flag}
-    with pytest.raises(MalformedPresentation):
-        RaySpec.from_json(obj)
+    raised = _raised(lambda: RaySpec.from_json(obj))
+    assert raised == _raised(lambda: RaySpec((F(1),), FiniteTail(), decreasing=flag))
+    assert raised == (MalformedPresentation, f"'decreasing' must be a JSON boolean, got {flag!r}")
 
 
-@pytest.mark.parametrize("skip", [1.9, 1.0, True, False, "1", None])
+@pytest.mark.parametrize("skip", [1.9, 1.5, 1.0, True, False, "1", None, -1, 10_001])
 def test_presentation_json_skip_must_be_an_integer(skip):
-    star = {"center_label": "0", "tail": {"kind": "harmonic", "c": "1"}, "skip": skip}
-    ray = {"tail": {"kind": "harmonic", "c": "1"}, "skip": skip, "decreasing": True}
-    with pytest.raises(MalformedPresentation):
-        StarSpec.from_json(star)
-    with pytest.raises(MalformedPresentation):
-        RaySpec.from_json(ray)
+    # the constructors and the readers make one check, with one message
+    tail = {"kind": "harmonic", "c": "1"}
+    star = _raised(lambda: StarSpec.from_json({"center_label": "0", "tail": tail, "skip": skip}))
+    assert star[0] is (IndexOutOfRange if skip == 10_001 else MalformedPresentation)
+    assert star == _raised(lambda: StarSpec(0, (), HarmonicTail(1), tail_skip=skip))
+    assert star == _raised(lambda: RaySpec.from_json({"tail": tail, "skip": skip, "decreasing": True}))
+    assert star == _raised(lambda: RaySpec((), HarmonicTail(1), tail_skip=skip, decreasing=True))
+
+
+def test_ray_json_reports_decreasing_before_a_bad_prefix():
+    obj = {"prefix": "x", "tail": {"kind": "finite"}, "decreasing": "yes"}
+    assert _raised(lambda: RaySpec.from_json(obj)) == (MalformedPresentation, "'decreasing' must be a JSON boolean, got 'yes'")
 
 
 def test_presentation_json_accepts_exact_types():

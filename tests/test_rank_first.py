@@ -183,7 +183,7 @@ def test_parsed_and_public_spaces_are_equal_and_hash_equal(seed):
     s = _parsed(random_semimetric(rng, 6) if seed % 2 else random_ultrametric(rng, 6))
     t = FiniteSemimetricSpace(s.points, s.dist)
     assert vars(t)["spectrum"] == s.spectrum and vars(t)["ranks"] == s.ranks  # ranked at construction
-    assert t.dist is s.dist
+    assert t.dist == s.dist  # rebuilt from spectrum and ranks, as on the parsed space
     assert s == t and t == s
     assert hash(s) == hash(t) and hash(t) == hash(s)
     other = FiniteSemimetricSpace(s.points, monotone_transform(rng, s).dist)

@@ -9,6 +9,7 @@ from starmetric import (
     AsymmetricMatrix,
     DuplicateName,
     EmptySubset,
+    FiniteSemimetricSpace,
     MalformedMatrix,
     NegativeDistance,
     NonzeroDiagonal,
@@ -56,11 +57,36 @@ def test_x4_fixture_valid_and_ultrametric():
         (["a", "b"], [["0"], ["1", "0"]], MalformedMatrix),
         ([], [], MalformedMatrix),
         (["a", "b"], [["0", "x"], ["x", "0"]], MalformedMatrix),
+        (["a", "b"], [[0, True], [True, 0]], MalformedMatrix),
+        (["a", "b"], [[Fraction(0), 0.5], [0.5, Fraction(0)]], MalformedMatrix),
+        (["a", "b", "c"], [["0", "1"], ["1", "0"]], MalformedMatrix),
+        ([["a"], "b"], [["0", "1"], ["1", "0"]], MalformedMatrix),
+        (["a", "b"], [[0, Fraction(-1)], [Fraction(-1), 0]], NegativeDistance),
+        (["a", "b"], [[0, Fraction(1)], [Fraction(2), 0]], AsymmetricMatrix),
     ],
 )
 def test_validation_errors(points, rows, exc):
-    with pytest.raises(exc):
-        validate_semimetric(points, rows)
+    # the reader and the constructor are one path: same first fault, same class, same message
+    raised = []
+    for enter in (validate_semimetric, FiniteSemimetricSpace):
+        with pytest.raises(exc) as info:
+            enter(points, rows)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("cells", [("0", "1/2"), (0, Fraction(1, 2)), (Fraction(0), Fraction(1, 2))])
+def test_lists_and_tuples_give_one_space_from_both_entry_points(cells):
+    zero, half = cells
+    points, rows = ["a", "b"], [[zero, half], [half, zero]]
+    spaces = [
+        enter(p, r)
+        for enter in (validate_semimetric, FiniteSemimetricSpace)
+        for p, r in ((points, rows), (tuple(points), tuple(map(tuple, rows))))
+    ]
+    for s in spaces:
+        assert s == spaces[0] and hash(s) == hash(spaces[0])
+        assert s.points == ("a", "b") and s.dist == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
 
 def test_first_violation_wins():

@@ -21,6 +21,7 @@ from starmetric import (
     parse_tree_text,
     path_tree_x4,
     path_tree_y4,
+    rat,
     star_distance,
     to_dot,
     validate_semimetric,
@@ -215,3 +216,33 @@ def test_star_and_plain_tree_give_the_same_outputs():
         assert generate_ultrametric(star) == generate_ultrametric(tree)
         assert format_tree_text(star) == format_tree_text(tree)
         assert to_dot(star) == to_dot(tree)
+
+
+@pytest.mark.parametrize("labels", [("0", "1/2", "3"), (0, 1, 3), (Fraction(0), Fraction(1, 2), Fraction(3))])
+def test_raw_constructors_equal_of(labels):
+    # lists in, tuples of Fractions stored: the constructor coerces, .of only pairs
+    names = ["c", "u", "v"]
+    pairs = list(zip(names, labels))
+    tree = LabeledTree(names, [("v", "c"), ("c", "u")], list(labels))
+    star = LabeledStarGraph(names, [("c", "u"), ("c", "v")], list(labels))
+    for raw, read in ((tree, LabeledTree.of(pairs, [("c", "u"), ("c", "v")])), (star, LabeledStarGraph.of("c", labels[0], pairs[1:]))):
+        assert raw == read and hash(raw) == hash(read)
+    for t in (tree, star):
+        assert t.vertices == ("c", "u", "v") and t.edges == (("c", "u"), ("c", "v"))
+        assert type(t.labels) is tuple and all(type(lab) is Fraction for lab in t.labels)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_every_tree_entry_refuses_bool_and_float_labels(bad):
+    with pytest.raises(TypeError) as expected:
+        rat(bad)
+    makers = (
+        lambda: LabeledTree(("c", "u"), (("c", "u"),), (bad, 1)),
+        lambda: LabeledStarGraph(("c", "u"), (("c", "u"),), (1, bad)),
+        lambda: LabeledTree.of([("c", 1), ("u", bad)], [("c", "u")]),
+        lambda: LabeledStarGraph.of("c", bad, [("u", 1)]),
+    )
+    for make in makers:
+        with pytest.raises(TypeError) as info:
+            make()
+        assert str(info.value) == str(expected.value)

@@ -43,17 +43,21 @@ of a shared host falls on all of them:
   ``sweep`` op is one ``verify`` plus one ``enumerate``, a ``decide`` op
   one space, a ``similar`` op one pair).  The rows hold the end-to-end
   ``latency_p50_ms`` and ``latency_tail_ms`` each run reports, in
-  seconds, calibrated against host speed.
+  seconds, calibrated against host speed, and each value in run order,
+  so pairs can be compared one by one.
 
 Writes ``BENCH_<label>.json`` in the repository root:
 
     {python, cpu_count, src_lines,
-     rows: [{layer, case, n, reps, min_s, median_s}]}
+     rows: [{layer, case, n, reps, min_s, median_s[, runs_s]}]}
 
 ``layer`` is ``cli``, ``inprocess`` or ``pairs`` (records made before
 every workload was timed in pairs also hold raw per-op ``perfbench``
-rows); ``case`` is ``NAME: command`` (``NAME: function kind`` in
-process, ``NAME: workload seed S metric`` for pairs); ``n`` is the point
+rows); ``runs_s``, on ``pairs`` rows only, lists the ``reps`` values in
+run order, so the k-th entries of two trees are one pair (records made
+before it was kept have no ``runs_s``); ``case`` is ``NAME: command``
+(``NAME: function kind`` in process, ``NAME: workload seed S metric``
+for pairs); ``n`` is the point
 count of a sweep, of the checked space or of the in-process case's
 space (null for the in-process perfbench workloads);
 ``src_lines`` counts the non-blank lines of this checkout's
@@ -104,6 +108,7 @@ PAIR_METRICS = ("latency_p50_ms", "latency_tail_ms")
 SEED = 1
 RECORD_KEYS = {"python", "cpu_count", "src_lines", "rows"}
 ROW_KEYS = {"layer", "case", "n", "reps", "min_s", "median_s"}
+PAIR_ROW_KEYS = ROW_KEYS | {"runs_s"}
 
 
 def src_lines(root: Path = ROOT) -> int:
@@ -257,7 +262,8 @@ def inprocess_rows(trees: dict[str, Path], reps: int = INPROCESS_REPS, cases=INP
 def pair_rows(trees: dict[str, Path], pairs: int = PAIRS, seconds: int = PAIR_SECONDS) -> list[dict]:
     """One row per workload, ``PAIR_METRICS`` entry and tree: that metric of ``pairs`` alternating runs, in seconds.
 
-    ``n`` is the sweep's point count, and null for the in-process workloads.
+    ``n`` is the sweep's point count, and null for the in-process workloads;
+    ``runs_s`` holds the values in run order.
     """
     values = {(name, w, m): [] for name in trees for w in WORKLOADS for m in PAIR_METRICS}
     names = list(trees)
@@ -274,8 +280,11 @@ def pair_rows(trees: dict[str, Path], pairs: int = PAIRS, seconds: int = PAIR_SE
                     raise SystemExit(f"{name}: perfbench {w} reported wrong answers")
                 for m in PAIR_METRICS:
                     values[name, w, m].append(result["metrics"][m]["value"] / 1000)
-    return [_row("pairs", f"{name}: {w} seed {SEED} {m}", sweep_n(root) if w == "sweep" else None, values[name, w, m])
-            for w in WORKLOADS for m in PAIR_METRICS for name, root in trees.items()]
+    return [
+        {**_row("pairs", f"{name}: {w} seed {SEED} {m}", sweep_n(root) if w == "sweep" else None, values[name, w, m]),
+         "runs_s": values[name, w, m]}
+        for w in WORKLOADS for m in PAIR_METRICS for name, root in trees.items()
+    ]
 
 
 def check_record(record: dict) -> None:
@@ -289,8 +298,8 @@ def check_record(record: dict) -> None:
     if not isinstance(record["rows"], list) or not record["rows"]:
         raise ValueError("rows must be a nonempty list")
     for row in record["rows"]:
-        if set(row) != ROW_KEYS:
-            raise ValueError(f"row keys {sorted(row)} are not {sorted(ROW_KEYS)}")
+        if set(row) != ROW_KEYS and not (row.get("layer") == "pairs" and set(row) == PAIR_ROW_KEYS):
+            raise ValueError(f"row keys {sorted(row)} are not {sorted(ROW_KEYS)}, or on a pairs row also runs_s")
         if not (isinstance(row["layer"], str) and isinstance(row["case"], str)):
             raise ValueError(f"layer and case must be strings: {row}")
         if row["n"] is not None and not (isinstance(row["n"], int) and row["n"] >= 1):
@@ -301,6 +310,13 @@ def check_record(record: dict) -> None:
             0 < row["min_s"] <= row["median_s"]
         ):
             raise ValueError(f"need 0 < min_s <= median_s: {row}")
+        runs = row.get("runs_s")
+        if runs is not None and not (
+            isinstance(runs, list) and len(runs) == row["reps"]
+            and all(isinstance(t, (int, float)) for t in runs)
+            and (min(runs), statistics.median(runs)) == (row["min_s"], row["median_s"])
+        ):
+            raise ValueError(f"runs_s must list the reps values whose min and median are min_s and median_s: {row}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,18 +29,21 @@ exceptional labels, one non-compact constant tail, and one star with
 unflagged and finite), all four of those verbs on malformed
 presentations (tail kinds that are a list, an object, a number or an
 unknown name; each missing tail key; a float and a null value; ``skip``
-as ``true``, -1 and 10,001; ``decreasing`` as ``"yes"``; ``exceptional``
-as a string), ``gen`` on seeded tree texts (random trees of at most 12
-vertices, stars, one tree with a zero-zero edge, random trees of 128 and
-256 vertices and a 300-vertex path, all three with labels tied to a
-pool of six values, a 256-leaf star, and stars whose center label
+as ``true``, 1.5, ``"2"``, -1 and 10,001; ``decreasing`` as ``"yes"``;
+``exceptional`` as a string), ``gen`` on seeded tree texts (random
+trees of at most 12 vertices, stars, one tree with a zero-zero edge,
+random trees of 128 and 256 vertices and a 300-vertex path, all three
+with labels tied to a pool of six values, a 256-leaf star, and stars
+whose center label
 exceeds some leaf labels), ``check``, ``us``, ``witness``, ``star``
 and ``probe`` on malformed spaces that break each axiom in turn (with
 floats, bools and oversized rationals among the cells, one pair
 spelled ``"1/2"`` and ``"2/4"``, and a ``"1e+_"`` cell), on a space
 file that is not UTF-8 and on one with 100,000 nested arrays in a cell,
 ``gen`` on a tree file, ``compact`` and ``ray`` on a star file and
-``complete`` on a ray file that are not UTF-8, ``compact`` and ``ray``
+``complete`` on a ray file that are not UTF-8, ``complete`` on a ray
+file with two faults (``decreasing`` as ``"yes"`` and ``prefix`` as a
+string, so the fault reported first is pinned), ``compact`` and ``ray``
 on a star file with 100,000 nested arrays among its exceptional labels,
 plus ``enumerate`` at n = 6, 8 and 7
 with ``--jobs 2`` and both ``verify`` sweeps (theorem 4.3 at n = 6 and
@@ -207,7 +210,10 @@ def _write_presentations(folder: Path, seed: int) -> tuple[list[str], list[str]]
     tails += [{"kind": "harmonic"}, {"kind": "geometric", "r": "1/2"}, {"kind": "geometric", "a": "1"}]
     tails += [{"kind": "constant"}, {"kind": "harmonic", "c": 0.5}, {"kind": "harmonic", "c": None}]
     broken = [{**both, "tail": tail} for tail in tails]
-    fields = [("skip", True), ("skip", -1), ("skip", 10_001), ("decreasing", "yes"), ("exceptional", "1/2")]
+    fields = [
+        ("skip", True), ("skip", 1.5), ("skip", "2"), ("skip", -1), ("skip", 10_001),
+        ("decreasing", "yes"), ("exceptional", "1/2"),
+    ]
     broken += [{**both, "tail": {"kind": "harmonic", "c": "1"}, key: value} for key, value in fields]
     broken = _dump(folder, "broken", broken)
     return _dump(folder, "star", stars) + broken, _dump(folder, "ray", rays) + broken
@@ -260,7 +266,7 @@ def _write_trees(folder: Path, seed: int) -> list[str]:
 def _write_malformed(folder: Path) -> tuple[list[str], dict[str, list[str]]]:
     """Bad space files: each axiom broken in turn, one equal pair in two spellings, a ``1e+_`` cell, a file
     that is not UTF-8 and one nested too deep to decode; and by kind, a tree, a star and a ray file that are not
-    UTF-8 and a star file nested too deep to decode."""
+    UTF-8, a star file nested too deep to decode and a ray file with two faults."""
     dists = [
         [["1", "1"], ["1", "0"]],
         [["0", "1/2", "1"], ["2/4", "0", "1"], ["1", "1", "0"]],
@@ -282,6 +288,7 @@ def _write_malformed(folder: Path) -> tuple[list[str], dict[str, list[str]]]:
         "not_utf8_ray": json.dumps(ray).encode("utf-16"),
         "deep_space": ('{"points": ["a", "b"], "dist": [["0", %s], ["1", "0"]]}' % deep).encode(),
         "deep_star": ('{"center_label": "0", "exceptional": [%s], "tail": {"kind": "harmonic", "c": "1"}}' % deep).encode(),
+        "two_fault_ray": json.dumps({**ray, "prefix": "x", "decreasing": "yes"}).encode(),
     }
     by_kind = {"space": [], "tree": [], "star": [], "ray": []}
     for name, data in files.items():
