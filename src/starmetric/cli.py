@@ -4,9 +4,10 @@ Exit status is a pure function of the result: 0 when the checked property
 holds (or the command simply succeeded), 1 when it fails (a witness is
 printed), 2 on input or usage errors, 3 when the program itself fails
 (an unexpected exception, reported in one ``error:`` line), and 141 when
-the reader closed stdout early (as ``| head`` does).  ``--json``
-switches every verb to machine-readable output; identical inputs always
-produce byte-identical JSON.
+the reader closed stdout early (as ``| head`` does).  One writer, ``run``,
+prints every verb's result: its JSON payload under ``--json`` (always for
+``gen`` and ``ray --truncate``), byte-identical for identical inputs, and
+its human text otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ USAGE = 2
 CRASH = 3
 CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
+Outcome = tuple[int, dict, str | None]  # exit code, JSON payload, human text (None: the payload either way)
+
 
 JOBS_HELP = "worker processes, 1 to the CPU count (default 1; on 2 cores, 1 was fastest)"
 
@@ -80,102 +83,84 @@ def _in_file(path: str, *errors: type[Exception]):
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-    else:
-        print(human)
+def _line(payload: dict) -> str:
+    """The one JSON encoding of every payload and of ``enumerate``'s streamed lines."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Outcome:
     w = ultrametric_violation(_read(args.space, _json(space_from_json), spaces.SpaceError))
     if w is None:
-        _emit(args, {"valid": True, "ultrametric": True}, "ultrametric")
-        return OK
-    _emit(
-        args,
+        return OK, {"valid": True, "ultrametric": True}, "ultrametric"
+    return (
+        FAIL,
         {"valid": True, "ultrametric": False, "witness": w.to_json()},
         f"not ultrametric: d({w.x},{w.y}) = {w.lhs} > {w.rhs} = max(d({w.x},{w.z}), d({w.z},{w.y}))",
     )
-    return FAIL
 
 
-def _cmd_us(args) -> int:
+def _cmd_us(args) -> Outcome:
     space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     w = ultrametric_violation(space)
     if w is not None:
-        _emit(
-            args,
+        return (
+            FAIL,
             {"in_us": False, "ultrametric": False, "witness": w.to_json()},
             f"not ultrametric: d({w.x},{w.y}) = {w.lhs} > {w.rhs}",
         )
-        return FAIL
     centers = find_centers(space)
     if centers:
-        _emit(
-            args,
+        return (
+            OK,
             {"in_us": True, "centers": list(centers)},
             "star-generated; centers: " + ", ".join(centers),
         )
-        return OK
-    _emit(args, {"in_us": False, "centers": []}, "not star-generated: no center point")
-    return FAIL
+    return FAIL, {"in_us": False, "centers": []}, "not star-generated: no center point"
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> Outcome:
     space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     rep = find_forbidden_quadruple(space)
     if rep is None:
-        _emit(args, {"quadruple": None}, "no four-point obstruction")
-        return OK
-    _emit(
-        args,
+        return OK, {"quadruple": None}, "no four-point obstruction"
+    return (
+        FAIL,
         {"quadruple": rep.to_json()},
         f"{rep.kind} obstruction on ({rep.x}, {rep.y}, {rep.z}, {rep.w}): "
         f"cross {rep.big}, pairs {rep.small1} and {rep.small2}",
     )
-    return FAIL
 
 
-def _cmd_star(args) -> int:
+def _cmd_star(args) -> Outcome:
     space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     centers = find_centers(space)
     if not centers:
-        _emit(args, {"in_us": False, "centers": []}, "not star-generated: no center point")
-        return FAIL
+        return FAIL, {"in_us": False, "centers": []}, "not star-generated: no center point"
     center = args.center if args.center is not None else centers[0]
     try:
         star = build_star(space, center)
     except NotACenter as exc:
-        _emit(args, {"error": str(exc), "centers": list(centers)}, str(exc))
-        return FAIL
+        return FAIL, {"error": str(exc), "centers": list(centers)}, str(exc)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(to_dot(star))
         except OSError as exc:
             raise _InputError(f"cannot write {args.dot}: {exc}") from exc
-    payload = {
-        "center": star.center,
-        "labels": {star.center: str(star.center_label)}
-        | {leaf: str(lab) for leaf, lab in zip(star.leaves, star.leaf_labels)},
-    }
-    _emit(args, payload, trees.format_tree_text(star).rstrip("\n"))
-    return OK
+    payload = {"center": star.center, "labels": {v: str(lab) for v, lab in zip(star.vertices, star.labels)}}
+    return OK, payload, trees.format_tree_text(star).rstrip("\n")
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> Outcome:
     tree = _read(args.tree, parse_tree_text, TreeError)
     try:
         space = generate_ultrametric(tree)
     except trees.NotGenerating as exc:
-        _emit(args, {"error": str(exc)}, str(exc))
-        return FAIL
-    print(json.dumps(space_to_json(space), separators=(",", ":"), sort_keys=True))
-    return OK
+        return FAIL, {"error": str(exc)}, str(exc)
+    return OK, space_to_json(space), None
 
 
-def _cmd_ray(args) -> int:
+def _cmd_ray(args) -> Outcome:
     from .infinite import FiniteSpec, InfiniteModelError, NotCompact, StarSpec, ray_truncation_space, star_to_ray
 
     spec = _read(args.star, _json(StarSpec.from_json), ValueError)
@@ -183,23 +168,20 @@ def _cmd_ray(args) -> int:
         try:
             ray = star_to_ray(spec)
         except (NotCompact, FiniteSpec) as exc:
-            _emit(args, {"error": str(exc)}, str(exc))
-            return FAIL
+            return FAIL, {"error": str(exc)}, str(exc)
         if args.truncate:
-            space = ray_truncation_space(ray, args.truncate)
-            print(json.dumps(space_to_json(space), separators=(",", ":"), sort_keys=True))
-            return OK
-        _emit(
-            args,
+            return OK, space_to_json(ray_truncation_space(ray, args.truncate)), None
+        # the labels are built under --json too: one past the digit bound is an input error either way
+        return (
+            OK,
             {"ray": ray.to_json()},
             "decreasing ray labels: "
             + ", ".join(str(x) for x in ray.labels(8))
             + ", ...",
         )
-    return OK
 
 
-def _cmd_complete(args) -> int:
+def _cmd_complete(args) -> Outcome:
     from .infinite import InfiniteModelError, NotDecreasingToZero, RaySpec, ray_to_completion
 
     ray = _read(args.ray, _json(RaySpec.from_json), ValueError)
@@ -207,76 +189,65 @@ def _cmd_complete(args) -> int:
         try:
             model = ray_to_completion(ray)
         except NotDecreasingToZero as exc:
-            _emit(args, {"error": str(exc)}, str(exc))
-            return FAIL
-        _emit(
-            args,
+            return FAIL, {"error": str(exc)}, str(exc)
+        return (
+            OK,
             {"completion": model.to_json()},
             f"completion adds point {model.added_point} with center label 0",
         )
-    return OK
 
 
-def _cmd_compact(args) -> int:
+def _cmd_compact(args) -> Outcome:
     from .infinite import InfiniteModelError, StarSpec, is_compact_star
 
     spec = _read(args.star, _json(StarSpec.from_json), ValueError)
     with _in_file(args.star, InfiniteModelError):
         rep = is_compact_star(spec)
-        _emit(
-            args,
+        return (
+            OK if rep.compact else FAIL,
             {"compactness": rep.to_json()},
             ("compact" if rep.compact else "not compact") + f" ({rep.reason})"
             + (f" at epsilon={rep.epsilon}" if rep.epsilon is not None else ""),
         )
-    return OK if rep.compact else FAIL
 
 
-def _cmd_weaksim(args) -> int:
+def _cmd_weaksim(args) -> Outcome:
     from .similarity import weak_similarity_bijection
 
     a, b = (_read(path, _json(space_from_json), spaces.SpaceError) for path in (args.a, args.b))
     phi = weak_similarity_bijection(a, b)
     if phi is None:
-        _emit(args, {"weakly_similar": False}, "not weakly similar")
-        return FAIL
-    _emit(
-        args,
+        return FAIL, {"weakly_similar": False}, "not weakly similar"
+    return (
+        OK,
         {"weakly_similar": True, "bijection": phi},
         "weakly similar: " + ", ".join(f"{u} -> {v}" for u, v in phi.items()),
     )
-    return OK
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> Outcome:
     total = us_count = 0
     for space, us in map_classes(is_us, args.n, args.jobs):
         total += 1
         us_count += us
-        if args.json:
-            print(
-                json.dumps(
-                    {"class": total, "us": us, "space": space_to_json(space)},
-                    separators=(",", ":"),
-                    sort_keys=True,
-                )
-            )
+        if args.json:  # one line per class as it is decided, ahead of the summary
+            print(_line({"class": total, "us": us, "space": space_to_json(space)}))
     summary = {
         "n": args.n,
         "classes": total,
         "us_classes": us_count,
         "obstructed_classes": total - us_count,
     }
-    if args.json:
-        print(json.dumps({"summary": summary}, separators=(",", ":"), sort_keys=True))
-    else:
-        print(f"n={args.n}: {total} classes up to weak similarity")
-        print(f"  star-generated: {us_count}")
-        print(f"  obstructed:     {total - us_count}")
-    return OK
+    return (
+        OK,
+        {"summary": summary},
+        f"n={args.n}: {total} classes up to weak similarity\n"
+        f"  star-generated: {us_count}\n"
+        f"  obstructed:     {total - us_count}",
+    )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outcome:
     if args.theorem == "4.3":
         if args.n is None:
             raise _InputError("verify --theorem 4.3 requires --n")
@@ -297,18 +268,16 @@ def _cmd_verify(args) -> int:
                 for w in rep.five_point_witnesses
             )
         )
-    _emit(args, {"report": rep.to_json()}, human)
-    return OK if rep.ok else FAIL
+    return OK if rep.ok else FAIL, {"report": rep.to_json()}, human
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> Outcome:
     space = _read(args.space, _json(space_from_json), spaces.SpaceError)
     try:
         rep = center_extension_probe(space)
     except PreconditionFailed as exc:
         raise _InputError(str(exc)) from exc
-    _emit(args, {"probe": rep.to_json()}, "probe succeeded: " + rep.note)
-    return OK
+    return OK, {"probe": rep.to_json()}, "probe succeeded: " + rep.note
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,18 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return USAGE if exc.code not in (0, None) else OK
-    fn: Callable = args.fn
     try:
         # a pool starts all its workers at once: a typo must not fork thousands
         if not 1 <= getattr(args, "jobs", 1) <= (os.cpu_count() or 1):
             raise _InputError(f"--jobs must be between 1 and {os.cpu_count() or 1} (the CPU count), got {args.jobs}")
-        code = fn(args)
+        code, payload, human = args.fn(args)
+        print(_line(payload) if args.json or human is None else human)
         if sys.stdout is not None:  # None when started with stdout closed, and print skips it
             sys.stdout.flush()  # a reader gone early must show here, not at exit
         return code

@@ -225,6 +225,11 @@ def _presentation_json(spec) -> dict:
     return obj
 
 
+def _check_tail(tail) -> None:
+    if not isinstance(tail, TailLaw):
+        raise MalformedPresentation(f"'tail' must be a tail law, got {tail!r}")
+
+
 def _check_skip(skip) -> None:
     if isinstance(skip, bool) or not isinstance(skip, int):
         raise MalformedPresentation(f"'skip' must be a JSON integer, got {skip!r}")
@@ -253,6 +258,7 @@ class StarSpec(_Frozen):
     def __init__(self, center_label: Fraction, exceptional: tuple[Fraction, ...] = (), tail: TailLaw = FiniteTail(),
                  tail_skip: int = 0):
         center_label, exceptional = rat(center_label), tuple(rat(x) for x in exceptional)
+        _check_tail(tail)
         _check_skip(tail_skip)
         vars(self).update(center_label=center_label, exceptional=exceptional, tail=tail, tail_skip=tail_skip)
         if center_label < 0:
@@ -329,7 +335,8 @@ class RaySpec(_Frozen):
     non-increasing and positive, which unlocks the closed-form distance
     label(min(m, n)).  Non-monotone presentations stay legal; distances
     then fall back to the path maximum over the index range.  The
-    constructor checks ``decreasing`` and ``tail_skip`` as ``from_json`` does.
+    constructor makes every check, ``decreasing``'s and ``tail_skip``'s
+    as ``from_json`` does.
     """
 
     _fields = ("prefix", "tail", "tail_skip", "decreasing")
@@ -338,6 +345,7 @@ class RaySpec(_Frozen):
                  decreasing: bool = False):
         _check_decreasing(decreasing)
         prefix = tuple(rat(x) for x in prefix)
+        _check_tail(tail)
         _check_skip(tail_skip)
         vars(self).update(prefix=prefix, tail=tail, tail_skip=tail_skip, decreasing=decreasing)
         if any(x < 0 for x in prefix):

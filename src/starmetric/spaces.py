@@ -151,7 +151,7 @@ class FiniteSemimetricSpace(_Frozen):
     and hand them over through ``_trusted``; ``dist``, the matrix of
     ``Fraction`` values, is built from them the first time a caller reads
     it.  Spaces are equal when their points, spectra and ranks are, and
-    hash over their points and distances.  Attributes cannot be assigned.
+    hash over those three.  Attributes cannot be assigned.
     """
 
     _fields = ("points", "dist")
@@ -183,7 +183,8 @@ class FiniteSemimetricSpace(_Frozen):
             return NotImplemented
         return self.points == other.points and self.spectrum == other.spectrum and self.ranks == other.ranks
 
-    __hash__ = _Frozen.__hash__
+    def __hash__(self) -> int:
+        return hash((self.points, self.spectrum, self.ranks))
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -63,6 +63,9 @@ class LabeledTree(_Frozen):
         n = len(names)
         if not names:
             raise NotATree("a tree needs at least one vertex")
+        for name in names:
+            if not isinstance(name, str) or not name:
+                raise NotATree(f"vertex names must be nonempty strings, got {name!r}")
         if len(set(names)) != n:
             raise NotATree(f"duplicate vertex names in {names!r}")
         if len(labels) != n:

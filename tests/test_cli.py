@@ -9,7 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from starmetric import GeometricTail, HarmonicTail, RaySpec, harness, space_to_json, x4_space
+from starmetric import (
+    GeometricTail,
+    HarmonicTail,
+    MalformedMatrix,
+    MalformedPresentation,
+    NegativeInput,
+    RaySpec,
+    StarSpec,
+    harness,
+    space_from_json,
+    space_to_json,
+    x4_space,
+)
 from starmetric.cli import run
 from starmetric.infinite import MAX_LABEL_DIGITS, MAX_TAIL_INDEX, MAX_TRUNCATION
 
@@ -79,6 +91,18 @@ def test_witness_x4(x4_file, capsys):
 def test_us_x4_fails(x4_file, capsys):
     assert run(["us", x4_file]) == 1
     assert "not star-generated" in capsys.readouterr().out
+
+
+def test_us_reports_the_triple_of_a_space_that_is_not_ultrametric(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    path.write_text(
+        json.dumps({"points": ["a", "b", "c"], "dist": [["0", "3", "4"], ["3", "0", "5"], ["4", "5", "0"]]})
+    )
+    assert run(["us", str(path)]) == 1
+    assert capsys.readouterr() == ("not ultrametric: d(b,c) = 5 > 4\n", "")
+    assert run(["us", "--json", str(path)]) == 1
+    witness = {"x": "b", "y": "c", "z": "a", "lhs": "5", "rhs": "4"}
+    assert json.loads(capsys.readouterr().out) == {"in_us": False, "ultrametric": False, "witness": witness}
 
 
 def test_gen_then_us_pipeline(star_tree_file, tmp_path, capsys):
@@ -362,36 +386,93 @@ def test_ultrametric_only_verbs_reject_other_spaces(tmp_path, capsys):
 
 
 HARMONIC = {"kind": "harmonic", "c": "1"}
+# each shape with the error its reader raises
 BAD_SPACES = [
-    {"points": 5, "dist": [["0"]]},
-    {"points": "ab", "dist": [["0", "1"], ["1", "0"]]},
-    {"points": ["a"], "dist": 5},
-    {"points": ["a", "b"], "dist": [1, 2]},
-    {"points": ["a", "b"], "dist": ["01", "10"]},
+    ({"points": 5, "dist": [["0"]]}, MalformedMatrix("'points' must be a JSON array, got int")),
+    ({"points": "ab", "dist": [["0", "1"], ["1", "0"]]}, MalformedMatrix("'points' must be a JSON array, got str")),
+    ({"points": ["a"], "dist": 5}, MalformedMatrix("'dist' must be a JSON array of rows, got int")),
+    ({"points": ["a", "b"], "dist": [1, 2]}, MalformedMatrix("row 0 must be a JSON array, got int")),
+    ({"points": ["a", "b"], "dist": ["01", "10"]}, MalformedMatrix("row 0 must be a JSON array, got str")),
 ]
 BAD_PRESENTATIONS = [
-    ("compact", {"center_label": "0", "exceptional": 5, "tail": HARMONIC}),
-    ("ray", {"center_label": "0", "exceptional": "12", "tail": HARMONIC}),
-    ("compact", {"center_label": "0", "tail": {"kind": "geometric", "a": "1"}}),
-    ("compact", {"center_label": 0.5, "tail": HARMONIC}),
-    ("compact", {"center_label": "0", "exceptional": [None], "tail": HARMONIC}),
-    ("compact", {"center_label": "0", "tail": {"kind": "harmonic", "c": 0.5}}),
-    ("complete", {"prefix": "21", "tail": HARMONIC, "decreasing": True}),
-    ("complete", {"prefix": 5, "tail": HARMONIC, "decreasing": True}),
+    (
+        "compact",
+        {"center_label": "0", "exceptional": 5, "tail": HARMONIC},
+        MalformedPresentation("'exceptional' must be a JSON array, got int"),
+    ),
+    (
+        "ray",
+        {"center_label": "0", "exceptional": "12", "tail": HARMONIC},
+        MalformedPresentation("'exceptional' must be a JSON array, got str"),
+    ),
+    (
+        "compact",
+        {"center_label": "0", "tail": {"kind": "geometric", "a": "1"}},
+        MalformedPresentation("geometric tail JSON is missing the 'r' key"),
+    ),
+    (
+        "compact",
+        {"center_label": 0.5, "tail": HARMONIC},
+        MalformedPresentation("'center_label': exact rational required, got float: 0.5"),
+    ),
+    (
+        "compact",
+        {"center_label": "0", "exceptional": [None], "tail": HARMONIC},
+        MalformedPresentation("'exceptional': exact rational required, got NoneType: None"),
+    ),
+    (
+        "compact",
+        {"center_label": "0", "tail": {"kind": "harmonic", "c": 0.5}},
+        MalformedPresentation("'c': exact rational required, got float: 0.5"),
+    ),
+    (
+        "complete",
+        {"prefix": "21", "tail": HARMONIC, "decreasing": True},
+        MalformedPresentation("'prefix' must be a JSON array, got str"),
+    ),
+    (
+        "complete",
+        {"prefix": 5, "tail": HARMONIC, "decreasing": True},
+        MalformedPresentation("'prefix' must be a JSON array, got int"),
+    ),
+    ("compact", {"center_label": "0"}, MalformedPresentation("star JSON needs 'center_label' and 'tail' keys")),
+    ("ray", {"center_label": "0"}, MalformedPresentation("star JSON needs 'center_label' and 'tail' keys")),
+    ("compact", {"center_label": "0", "tail": {"c": "1"}}, MalformedPresentation("tail JSON needs a 'kind' key")),
+    (
+        "compact",
+        {"center_label": "0", "exceptional": ["-1"], "tail": HARMONIC},
+        NegativeInput("leaf labels must be nonnegative"),
+    ),
+    (
+        "compact",
+        {"center_label": "0", "tail": {"kind": "geometric", "a": "0", "r": "1/2"}},
+        MalformedPresentation("geometric scale must be positive, got 0"),
+    ),
+    ("complete", {"prefix": ["1"]}, MalformedPresentation("ray JSON needs a 'tail' key")),
+    ("complete", {"prefix": ["-1"], "tail": HARMONIC}, NegativeInput("ray labels must be nonnegative")),
+    (
+        "complete",
+        {"tail": {"kind": "constant", "q": "0"}, "decreasing": True},
+        MalformedPresentation("a decreasing ray needs strictly positive labels"),
+    ),
 ]
+JSON_READERS = {"us": space_from_json, "compact": StarSpec.from_json, "ray": StarSpec.from_json, "complete": RaySpec.from_json}
 
 
-@pytest.mark.parametrize("argv, obj", [(["us"], s) for s in BAD_SPACES] + [([v], p) for v, p in BAD_PRESENTATIONS])
-def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, obj):
+@pytest.mark.parametrize(
+    "argv, obj, fault", [(["us"], s, f) for s, f in BAD_SPACES] + [([v], p, f) for v, p, f in BAD_PRESENTATIONS]
+)
+def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, obj, fault):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     assert run(argv + [str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: ") and len(captured.err.splitlines()) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {fault}\n")
+    with pytest.raises(Exception) as info:
+        JSON_READERS[argv[0]](obj)
+    assert (type(info.value), str(info.value)) == (type(fault), str(fault))
 
 
-@pytest.mark.parametrize("obj", BAD_SPACES)
+@pytest.mark.parametrize("obj", [s for s, _ in BAD_SPACES])
 def test_check_reports_malformed_shapes_as_invalid(tmp_path, capsys, obj):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))

@@ -369,6 +369,10 @@ def test_ray_to_completion_errors():
         ray_to_completion(RaySpec(prefix=(F(2), F(1)), decreasing=True))  # finite
     with pytest.raises(NotDecreasingToZero):
         ray_to_completion(RaySpec(tail=ConstantTail(F(1)), decreasing=True))  # limit 1
+    model = ray_to_completion(RaySpec(tail=HarmonicTail(F(1)), decreasing=True))
+    with pytest.raises(IndexOutOfRange) as info:
+        model.distance(-1, 1)
+    assert str(info.value) == "indices start at 0 for the added point"
 
 
 def test_completion_round_trip_streams():
@@ -468,6 +472,14 @@ def test_presentation_json_skip_must_be_an_integer(skip):
     assert star == _raised(lambda: StarSpec(0, (), HarmonicTail(1), tail_skip=skip))
     assert star == _raised(lambda: RaySpec.from_json({"tail": tail, "skip": skip, "decreasing": True}))
     assert star == _raised(lambda: RaySpec((), HarmonicTail(1), tail_skip=skip, decreasing=True))
+
+
+@pytest.mark.parametrize("tail", ["x", None, {"kind": "finite"}, HarmonicTail])
+def test_presentation_tail_must_be_a_tail_law(tail):
+    # the readers build laws with tail_from_json; only the constructors can be handed something else
+    expected = (MalformedPresentation, f"'tail' must be a tail law, got {tail!r}")
+    assert _raised(lambda: StarSpec(0, (), tail)) == expected
+    assert _raised(lambda: RaySpec((F(1),), tail)) == expected
 
 
 def test_ray_json_reports_decreasing_before_a_bad_prefix():

@@ -2,8 +2,9 @@
 
 The pure records are ``NamedTuple``s; the types that validate, coerce or
 cache are plain classes on one frozen guard.  Both keep the dataclass
-``repr`` text, equality and hash.  No CLI verb loads ``dataclasses`` or
-``inspect``.  Catalogue hierarchies arrive with the gaps the generator
+``repr`` text, equality and hash, except that a space hashes over its
+points, spectrum and ranks, which its equality compares.  No CLI verb
+loads ``dataclasses`` or ``inspect``.  Catalogue hierarchies arrive with the gaps the generator
 recorded, and their spaces share point names and levels per size.
 ``space_to_json`` and the completion truncation work on ranks and are
 pinned to the earlier forms kept in ``helpers``.
@@ -119,7 +120,10 @@ def test_former_dataclasses_keep_repr_equality_hash_and_frozenness(factory, fiel
     assert a is not b
     assert repr(a) == repr(twin) == f"{type(a).__name__}(" + ", ".join(f"{f}={getattr(a, f)!r}" for f in fields) + ")"
     assert a == b and not a != b
-    assert hash(a) == hash(b) == hash(twin)
+    if isinstance(a, FiniteSemimetricSpace):  # hashed over what == compares, so the Fraction matrix is never built
+        assert hash(a) == hash(b) == hash((a.points, a.spectrum, a.ranks))
+    else:
+        assert hash(a) == hash(b) == hash(twin)
     for name in fields or ("extra",):
         with pytest.raises(AttributeError):
             setattr(a, name, None)

@@ -86,6 +86,7 @@ def test_lists_and_tuples_give_one_space_from_both_entry_points(cells):
     ]
     for s in spaces:
         assert s == spaces[0] and hash(s) == hash(spaces[0])
+        assert "dist" not in vars(s)  # equality and hash compare points, spectrum and ranks
         assert s.points == ("a", "b") and s.dist == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
 

@@ -30,16 +30,32 @@ from helpers import random_star, random_tree
 
 
 def test_tree_construction_errors():
-    with pytest.raises(NotATree):
-        LabeledTree.of([("a", 1), ("b", 1)], [])  # disconnected
-    with pytest.raises(NotATree):
-        LabeledTree.of([("a", 1), ("b", 1), ("c", 1)], [("a", "b"), ("b", "c"), ("c", "a")])
-    with pytest.raises(NotATree):
-        LabeledTree.of([("a", 1), ("b", 1)], [("a", "b"), ("b", "a")])  # duplicate edge
-    with pytest.raises(UnknownVertex):
-        LabeledTree.of([("a", 1)], [("a", "zz")])
-    with pytest.raises(NegativeLabel):
-        LabeledTree.of([("a", "-1")], [])
+    cases = [
+        (lambda: LabeledTree.of([], []), NotATree, "a tree needs at least one vertex"),
+        (lambda: LabeledTree(("a", "b"), (("a", "b"),), (1,)), NotATree, "one label per vertex required"),
+        (lambda: LabeledTree.of([("a", 1), ("b", 1)], []), NotATree, "2 vertices need 1 edges, got 0"),
+        (
+            lambda: LabeledTree.of([("a", 1), ("b", 1), ("c", 1)], [("a", "b"), ("b", "c"), ("c", "a")]),
+            NotATree,
+            "3 vertices need 2 edges, got 3",
+        ),
+        # as many edges as a tree needs, with a cycle and one vertex left out
+        (
+            lambda: LabeledTree.of([("a", 1), ("b", 1), ("c", 1), ("d", 1)], [("a", "b"), ("b", "c"), ("a", "c")]),
+            NotATree,
+            "edge set is not connected",
+        ),
+        (lambda: LabeledTree.of([("a", 1), ("b", 1)], [("a", "b"), ("b", "a")]), NotATree, "duplicate edge ('a', 'b')"),
+        (lambda: LabeledTree.of([("a", 1), ("b", 1)], [("a", "a")]), NotATree, "self-loop at 'a'"),
+        (lambda: LabeledTree.of([("a", 1)], [("a", "zz")]), UnknownVertex, "edge endpoint 'zz' is not a vertex"),
+        (lambda: LabeledTree.of([("a", 1)], [("zz", "a")]), UnknownVertex, "edge endpoint 'zz' is not a vertex"),
+        (lambda: LabeledTree.of([("a", "-1")], []), NegativeLabel, "label of 'a' is -1 < 0"),
+        (lambda: parse_tree_text("a x"), TreeFormatError, "not an exact rational: 'x'"),
+    ]
+    for make, exc, message in cases:
+        with pytest.raises(exc) as info:
+            make()
+        assert str(info.value) == message
 
 
 def test_edges_normalized_for_stable_output():
@@ -246,3 +262,18 @@ def test_every_tree_entry_refuses_bool_and_float_labels(bad):
         with pytest.raises(TypeError) as info:
             make()
         assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [1, "", None, True])
+def test_every_tree_entry_refuses_names_that_are_not_nonempty_strings(bad):
+    # the wording of FiniteSemimetricSpace's check on point names
+    makers = (
+        lambda: LabeledTree((bad, "u"), ((bad, "u"),), (1, 1)),
+        lambda: LabeledStarGraph(("c", bad), (("c", bad),), (1, 1)),
+        lambda: LabeledTree.of([("c", 1), (bad, 1)], [("c", bad)]),
+        lambda: LabeledStarGraph.of(bad, 1, [("u", 1)]),
+    )
+    for make in makers:
+        with pytest.raises(NotATree) as info:
+            make()
+        assert str(info.value) == f"vertex names must be nonempty strings, got {bad!r}"

@@ -25,7 +25,10 @@ are not similar and a 48-point ultrametric against a reordered copy),
 ``ray`` with and without ``--truncate 16`` and ``--truncate 64`` on
 seeded star presentations (harmonic and geometric tails with
 exceptional labels, one non-compact constant tail, and one star with
-``skip`` 2), ``complete`` on seeded ray presentations (decreasing,
+``skip`` 2, and a geometric star with ``skip`` 7712 whose ray is built
+but whose eighth label would pass the digit bound, so ``ray`` exits 2
+with and without ``--json``), ``ray --truncate 1025`` (past the bound,
+exit 2), ``complete`` on seeded ray presentations (decreasing,
 unflagged and finite), all four of those verbs on malformed
 presentations (tail kinds that are a list, an object, a number or an
 unknown name; each missing tail key; a float and a null value; ``skip``
@@ -47,8 +50,15 @@ string, so the fault reported first is pinned), ``compact`` and ``ray``
 on a star file with 100,000 nested arrays among its exceptional labels,
 plus ``enumerate`` at n = 6, 8 and 7
 with ``--jobs 2`` and both ``verify`` sweeps (theorem 4.3 at n = 6 and
-8), once under each tree, each with and without ``--json``.  Exit code, stdout and
-stderr must match exactly; the first differences are printed and the
+8), and what ``cli.run`` does around the verbs: ``--help`` at the top
+level and for each verb; the usage errors of no verb, an unknown verb
+and ``check`` without its file; ``verify --theorem 4.3`` without
+``--n``; ``--jobs 0`` on ``enumerate`` and ``verify``, refused before
+any worker starts; ``star --center`` at a point the space does not
+have; and ``star --dot`` into a directory that does not exist.  Every
+command runs once under each tree, with and without ``--json``.  Exit
+code, stdout and stderr must match exactly; the first differences are
+printed and the
 exit status is 1 if there are any.  Commands that raised out of
 ``cli.run`` under OLD_SRC (a crash with a traceback) are counted apart,
 since giving them a proper exit code is a change of behaviour.
@@ -71,6 +81,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # sorted row profiles alone decides in a tenth of a second: other seeds
 # cost it seconds to minutes, which a tree without refinement would pay
 CUBIC_SEED = 3
+VERBS = ("check", "us", "witness", "star", "gen", "ray", "complete", "compact", "weaksim", "enumerate", "verify", "probe")
 
 # Runs inside each tree's interpreter: every argv line through cli.run.
 # A ``--dot`` file is removed first and its bytes (as latin-1) recorded after.
@@ -204,6 +215,8 @@ def _write_presentations(folder: Path, seed: int) -> tuple[list[str], list[str]]
         rays.append({"prefix": decreasing, "tail": star["tail"], "decreasing": True, "skip": rng.randint(0, 3)})
         rays.append({"prefix": star["exceptional"], "tail": star["tail"]})
     stars.append({"center_label": "0", "exceptional": ["1/2"], "tail": {"kind": "harmonic", "c": "1"}, "skip": 2})
+    # compact, and its ray passes star_to_ray, but the ray's eighth label would pass the digit bound
+    stars.append({"center_label": "0", "tail": {"kind": "geometric", "a": "1", "r": "1/3"}, "skip": 7712})
     # a star and a ray in one object, each field broken in turn; both verbs read it
     both = {"center_label": "0", "exceptional": ["1/2"], "prefix": ["2"], "decreasing": True}
     tails = [{"kind": kind, "c": "1"} for kind in (["harmonic"], {}, 7, "nope")]
@@ -327,7 +340,14 @@ def _commands(
         ["verify", "--theorem", "4.3", "--n", "8"],
         ["verify", "--theorem", "4.6"],
     ]
+    # what cli.run does before and around any verb: help, usage errors and the --jobs bound (no worker starts)
+    cmds += [["--help"]] + [[verb, "--help"] for verb in VERBS]
+    cmds += [[], ["nope"], ["check"], ["verify", "--theorem", "4.3"]]
+    cmds += [["enumerate", "--n", "6", "--jobs", "0"], ["verify", "--theorem", "4.3", "--n", "6", "--jobs", "0"]]
     paths, centers = corpus
+    first = next(path for path, found in centers.items() if found)
+    missing = str(Path(first).parent / "missing" / "star.dot")
+    cmds += [["star", first, "--center", "no-such-point"], ["star", first, "--dot", missing]]
     for i in range(0, len(paths), 2):
         path, twin = paths[i], paths[i + 1]
         cmds += [[verb, path] for verb in ("check", "us", "witness", "star", "probe")]
@@ -338,6 +358,7 @@ def _commands(
     stars, rays = presentations
     for star in stars:
         cmds += [["compact", star], ["ray", star], ["ray", star, "--truncate", "16"], ["ray", star, "--truncate", "64"]]
+    cmds.append(["ray", stars[0], "--truncate", "1025"])
     cmds += [["complete", ray] for ray in rays]
     cmds += [["gen", path] for path in trees]
     bad_spaces, bad_files = malformed
