@@ -70,12 +70,14 @@ class RankedHierarchy(_Frozen):
     validates every node in preorder and keeps the level between each
     pair of adjacent leaves, so the hierarchy may be of any depth.  The
     catalogue, which builds its encodings canonical and records their
-    gaps as it goes, hands both over through ``_trusted`` instead.
+    gaps as it goes, hands both over through ``_trusted`` instead.  Any
+    other node, a bool level included, raises ``ValueError`` naming it.
     """
 
     _fields = ("root",)
 
     def __init__(self, root: tuple):
+        _check_nodes(root)
         gaps: list[int] = []
         stack: list[tuple] = [(root, None, False)]
         while stack:
@@ -118,6 +120,19 @@ class RankedHierarchy(_Frozen):
         spectrum = _levels(max(self._gaps, default=0) + 1)
         chain = (tuple(range(n)), (0, *self._gaps))  # each leaf joins at the gap before it
         return FiniteSemimetricSpace._trusted(points=_point_names(n), spectrum=spectrum, ranks=ranks, hierarchy=chain)
+
+
+def _check_nodes(root) -> None:
+    # every node is () or (int level, tuple of children), in preorder, before
+    # any level or sibling is compared: a bool is no level, and only tuples hash
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node == LEAF:
+            continue
+        if type(node) is not tuple or len(node) != 2 or type(node[0]) is not int or type(node[1]) is not tuple:
+            raise ValueError(f"a node must be () or (int level, tuple of children), got {node!r}")
+        stack += node[1][::-1]
 
 
 @lru_cache(maxsize=16)

@@ -239,6 +239,12 @@ def _check_skip(skip) -> None:
         raise IndexOutOfRange(f"'skip' {skip} exceeds {MAX_TAIL_INDEX}")
 
 
+def _check_labels(key: str, labels) -> None:
+    # a str is a sequence of its characters, never of labels
+    if isinstance(labels, str):
+        raise MalformedPresentation(f"{key!r} must be a JSON array, got str")
+
+
 def _check_decreasing(decreasing) -> None:
     if not isinstance(decreasing, bool):
         raise MalformedPresentation(f"'decreasing' must be a JSON boolean, got {decreasing!r}")
@@ -257,7 +263,9 @@ class StarSpec(_Frozen):
 
     def __init__(self, center_label: Fraction, exceptional: tuple[Fraction, ...] = (), tail: TailLaw = FiniteTail(),
                  tail_skip: int = 0):
-        center_label, exceptional = rat(center_label), tuple(rat(x) for x in exceptional)
+        center_label = rat(center_label)
+        _check_labels("exceptional", exceptional)
+        exceptional = tuple(rat(x) for x in exceptional)
         _check_tail(tail)
         _check_skip(tail_skip)
         vars(self).update(center_label=center_label, exceptional=exceptional, tail=tail, tail_skip=tail_skip)
@@ -344,6 +352,7 @@ class RaySpec(_Frozen):
     def __init__(self, prefix: tuple[Fraction, ...] = (), tail: TailLaw = FiniteTail(), tail_skip: int = 0,
                  decreasing: bool = False):
         _check_decreasing(decreasing)
+        _check_labels("prefix", prefix)
         prefix = tuple(rat(x) for x in prefix)
         _check_tail(tail)
         _check_skip(tail_skip)

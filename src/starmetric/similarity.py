@@ -252,14 +252,10 @@ def canonical_form(s: FiniteSemimetricSpace) -> CanonicalForm:
     exponential on inputs that refinement cannot split (Cai, Fürer &
     Immerman 1992), and no node budget bounds it yet.
     """
-    return _chain_form(s) if s.hierarchy is not None else _search_form(s)
+    return _form(s.ranks, _chain_tree(s)[1]) if s.hierarchy is not None else _search_form(s)
 
 
-def _chain_form(s: FiniteSemimetricSpace) -> CanonicalForm:
-    return _form(s.ranks, _chain_tree(s, {})[1])
-
-
-def _chain_tree(s: FiniteSemimetricSpace, table: dict) -> tuple:
+def _chain_tree(s: FiniteSemimetricSpace) -> tuple:
     # One pass over the Prim chain builds the hierarchy bottom-up, from an
     # explicit stack of open nodes whose ranks fall toward the top: a node
     # closes once a larger join rank (or the chain's end) follows it, and
@@ -268,15 +264,18 @@ def _chain_tree(s: FiniteSemimetricSpace, table: dict) -> tuple:
     # len(spectrum), above every rank), that leaf order, its name and its
     # children.  Sorting children by key makes a leaf or any shorter key
     # sort after its extensions, so the first row climbs as slowly as it
-    # can.  ``table`` numbers the keys, so one table for two walks gives
-    # equal names exactly to isomorphic subtrees (Aho, Hopcroft & Ullman
-    # 1974).
+    # can.  ``table`` numbers the keys, so equal names mean isomorphic
+    # subtrees (Aho, Hopcroft & Ullman 1974); the space keeps the tree but
+    # not the table, whose keys hold O(n^2) ints for a caterpillar.
+    if "_chain_tree" in vars(s):
+        return vars(s)["_chain_tree"]
     (order, join), top = s.hierarchy, len(s.spectrum)
-    leaf, by_key = table.setdefault((top,), len(table)), itemgetter(0)
+    table, leaf, by_key = {(top,): 0}, 0, itemgetter(0)
 
     def close(rank: int, children: list, last: tuple) -> tuple:
         # last: the subtree that ends the node.  The first child's lists
-        # grow in place; naming copies the key once, O(n^2) in all at worst
+        # grow in place, so only the root's key stays whole; naming copies
+        # each key once, O(n^2) in all at worst
         children.append(last)
         children.sort(key=by_key)
         key, leaves = children[0][:2]
@@ -299,31 +298,30 @@ def _chain_tree(s: FiniteSemimetricSpace, table: dict) -> tuple:
         last = ([top], [v], leaf, ())
     while open_nodes:
         last = close(*open_nodes.pop(), last)
-    return last
+    return vars(s).setdefault("_chain_tree", last)
 
 
 def _chain_search(a: FiniteSemimetricSpace, b: FiniteSemimetricSpace) -> Optional[list[int]]:
-    """The first bijection from the ultrametric ``a`` to ``b``, off one ``_chain_tree`` walk each, or None.
+    """The first bijection from the ultrametric ``a`` to ``b``, off each space's named hierarchy, or None.
 
-    With ``b`` ultrametric and equal root names, the two minimal leaf
-    orders pair up into an isomorphism ψ, and a point's type is the names
-    of its ancestors.  Each row i of ``a`` in input order takes the first
-    unused row of ``b`` of the type of ψ(i) whose ranks to the rows placed
-    are its own; the last row left of a type goes untested.  That never
-    backtracks: let an isomorphism φ extend the rows placed, with φ(i) = j'
-    for the candidate j.  Below their least common ancestor, j and j' lie
-    in children with equal names, as their types agree, and neither holds
-    a placed image, which would be at two ranks from j and j'.  Swap the
-    two children, then map j' to j inside the child of j (by induction on
-    depth: same type): that extends the rows placed and maps i to j, so the
-    map is the row search's first.  A row tests at most n candidates
+    With ``b`` ultrametric and equal root keys, the two minimal leaf orders
+    pair up into an isomorphism ψ, and a point's type is the names of its
+    ancestors in ``b``'s tree.  Each row i of ``a`` in input order takes the
+    first unused row of ``b`` of the type of ψ(i) whose ranks to the rows
+    placed are its own; the last row left of a type goes untested.  That
+    never backtracks: let an isomorphism φ extend the rows placed, with
+    φ(i) = j' for the candidate j.  Below their least common ancestor, j and
+    j' lie in children with equal names, as their types agree, and neither
+    holds a placed image, which would be at two ranks from j and j'.  Swap
+    the two children, then map j' to j inside the child of j (by induction
+    on depth: same type): that extends the rows placed and maps i to j, so
+    the map is the row search's first.  A row tests at most n candidates
     against at most n placed rows: O(n^2) per row.
     """
     if b.hierarchy is None:
         return None
-    table: dict = {}
-    root_a, root_b = _chain_tree(a, table), _chain_tree(b, table)
-    if root_a[2] != root_b[2]:
+    root_a, root_b = _chain_tree(a), _chain_tree(b)
+    if root_a[0] != root_b[0]:  # equal exactly for isomorphic hierarchies: the caller matched the sentinels
         return None
     types, stack = [()] * len(b.ranks), [((), root_b)]
     while stack:  # down from the root, handing each child its ancestors' names

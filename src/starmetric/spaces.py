@@ -157,6 +157,15 @@ class FiniteSemimetricSpace(_Frozen):
     _fields = ("points", "dist")
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence]) -> None:
+        # a str is a sequence of its characters, never of names or cells;
+        # one check per row, as space_from_json makes before any other
+        if isinstance(points, str):
+            raise MalformedMatrix("'points' must be a JSON array, got str")
+        if isinstance(dist, str):
+            raise MalformedMatrix("'dist' must be a JSON array of rows, got str")
+        for i, row in enumerate(dist):
+            if isinstance(row, str):
+                raise MalformedMatrix(f"row {i} must be a JSON array, got str")
         names = tuple(points)
         if not names:
             raise MalformedMatrix("a space needs at least one point")
@@ -237,9 +246,11 @@ class FiniteSemimetricSpace(_Frozen):
 def validate_semimetric(points: Sequence[str], rows: Sequence[Sequence]) -> FiniteSemimetricSpace:
     """Check the semimetric axioms and return the validated space: ``FiniteSemimetricSpace(points, rows)``.
 
-    Point names are checked first, then the rows in order, each for its
-    length and then cell by cell, and then the axioms; the first violation
-    is raised, which keeps error output deterministic for golden tests.
+    A str where the points, the matrix or a row belongs is refused first,
+    as ``space_from_json`` refuses it; then point names are checked, then
+    the rows in order, each for its length and then cell by cell, and
+    then the axioms; the first violation is raised, which keeps error
+    output deterministic for golden tests.
     The ordered scan of rows and cells runs only when ``_rank_matrix``
     fails (or to coerce cells of subclasses of its types), and the
     row-major scan of pairs only when the axioms fail on the ranks.

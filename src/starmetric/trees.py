@@ -49,15 +49,20 @@ class LabeledTree(_Frozen):
 
     The constructor stores vertices and labels as tuples, each label
     coerced through ``rat``, so it refuses floats and bools as every
-    reader does; ``of`` only pairs labels with vertices.  Edges are
-    normalized at construction (endpoints ordered by vertex index, edges
-    sorted) so text and DOT output are stable.  The same pass keeps each
-    vertex's neighbour indices for every walk over the tree.
+    reader does, and a str where a sequence belongs; ``of`` only pairs
+    labels with vertices.  Edges are normalized at construction
+    (endpoints ordered by vertex index, edges sorted) so text and DOT
+    output are stable.  The same pass keeps each vertex's neighbour
+    indices for every walk over the tree.
     """
 
     _fields = ("vertices", "edges", "labels")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]], labels: Iterable):
+        # a str is a sequence of its characters, never of names, edges or labels
+        for what, items in (("vertices", vertices), ("edges", edges), ("labels", labels)):
+            if isinstance(items, str):
+                raise NotATree(f"{what} must be a sequence, got str")
         names, labels = tuple(vertices), tuple([rat(lab) for lab in labels])
         vars(self).update(vertices=names, labels=labels)
         n = len(names)
@@ -76,7 +81,10 @@ class LabeledTree(_Frozen):
         index = {v: i for i, v in enumerate(names)}
         seen = set()
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for edge in edges:
+            if isinstance(edge, str):
+                raise NotATree(f"an edge must be a pair of vertex names, got {edge!r}")
+            u, v = edge
             if u not in index:
                 raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
             if v not in index:

@@ -2,7 +2,7 @@
 
 ``FiniteSemimetricSpace.hierarchy`` keeps what the O(n^2) ultrametric
 check walks: the Prim visit order and each point's join rank, or None
-when the check fails.  ``similarity._chain_form`` builds the minimal
+when the check fails.  ``similarity.canonical_form`` builds the minimal
 row-major rank matrix from that chain with no search; the ordered
 partition search, ``similarity._search_form``, still serves every other
 semimetric.  These tests pin the chain route to that search, called
@@ -28,7 +28,7 @@ from starmetric import (
     validate_semimetric,
 )
 from starmetric import spaces
-from starmetric.similarity import _chain_form, _search_form
+from starmetric.similarity import _search_form
 from starmetric.spaces import _path_maxima
 from helpers import (
     caterpillar_blocks,
@@ -53,9 +53,9 @@ def test_chain_route_equals_the_search_on_every_class(n):
     rng = Random(100 + n)
     for s in enumerate_classes(n):
         q = permuted_copy(rng, monotone_transform(rng, s))
-        form = _chain_form(q)
+        form = canonical_form(q)
         assert form == _search_form(q) == canonical_form(q)
-        assert _chain_form(s) == form
+        assert canonical_form(s) == form
         if n <= 6:  # the recursive DFS takes seconds on the 2,910 classes of n = 8
             assert form == dfs_canonical_form(q)
 
@@ -68,9 +68,9 @@ def test_chain_route_equals_the_search_on_star_and_merge_spaces():
             s = random_ultrametric(rng, n)
         else:
             s = permuted_copy(rng, generate_ultrametric(random_star(rng, max_leaves=n - 1)))
-        assert _chain_form(s) == _search_form(s)
+        assert canonical_form(s) == _search_form(s)
         if len(s) <= 7:
-            assert _chain_form(s) == dfs_canonical_form(s)
+            assert canonical_form(s) == dfs_canonical_form(s)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -91,7 +91,7 @@ def _born_with_chain(s) -> None:
     assert "hierarchy" in vars(s) and "ultrametric_witness" not in vars(s)
     assert s.ultrametric_witness is None
     assert _chain_maxima(s) == s.ranks
-    assert _chain_form(s) == _search_form(s)  # as built, without relabeling
+    assert canonical_form(s) == _search_form(s)  # as built, without relabeling
     # with the Prim pass patched out, these can only read the chain handed over
     canonical_form(s)
     is_us(s)

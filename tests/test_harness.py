@@ -46,6 +46,22 @@ def test_hierarchy_encoding_validation():
         RankedHierarchy((1, ((), (1, ((), ())))))  # child level not below parent
     with pytest.raises(ValueError):
         RankedHierarchy((2, ((1, ((), ())), ())))  # children not sorted
+    # a node is () or (int level, tuple of children), named when it is not
+    for root, node in [
+        ((True, ((), ())), (True, ((), ()))),  # a bool is no level
+        ((1, [(), ()]), (1, [(), ()])),  # a list of children would not hash
+        ((1.0, ((), ())), (1.0, ((), ()))),
+        (((),), ((),)),
+        (None, None),
+        ([], []),
+        ((1, ((), 5)), 5),
+        ((2, ((), (1, ((), "x")))), "x"),
+        ((2, ((1, ((), 5)), (1, ((), "x")))), 5),
+        ((1, ((), ()), 0), (1, ((), ()), 0)),
+    ]:
+        with pytest.raises(ValueError) as info:
+            RankedHierarchy(root)
+        assert str(info.value) == f"a node must be () or (int level, tuple of children), got {node!r}"
 
 
 def test_hierarchy_rank_matrix():

@@ -482,6 +482,15 @@ def test_presentation_tail_must_be_a_tail_law(tail):
     assert _raised(lambda: RaySpec((F(1),), tail)) == expected
 
 
+@pytest.mark.parametrize("labels", ["12", "", "1/2"])
+def test_presentation_labels_must_not_be_a_string(labels):
+    # a str would read as its characters: "12" as the labels 1 and 2
+    star = _raised(lambda: StarSpec.from_json({"center_label": "0", "exceptional": labels, "tail": {"kind": "finite"}}))
+    assert star == _raised(lambda: StarSpec(0, labels)) == (MalformedPresentation, "'exceptional' must be a JSON array, got str")
+    ray = _raised(lambda: RaySpec.from_json({"prefix": labels, "tail": {"kind": "finite"}, "decreasing": True}))
+    assert ray == _raised(lambda: RaySpec(labels, decreasing=True)) == (MalformedPresentation, "'prefix' must be a JSON array, got str")
+
+
 def test_ray_json_reports_decreasing_before_a_bad_prefix():
     obj = {"prefix": "x", "tail": {"kind": "finite"}, "decreasing": "yes"}
     assert _raised(lambda: RaySpec.from_json(obj)) == (MalformedPresentation, "'decreasing' must be a JSON boolean, got 'yes'")

@@ -6,9 +6,12 @@ the search before routing, dict for dict; ``isometry_bijection`` must
 equal it wherever the spectra agree.  The route tests patch a route to
 raise, or count its calls, instead of timing it: the ultrametric route
 (``_chain_search``) by its walks and the candidates it tests, the
-refinement search by its refinements.
+refinement search by its refinements.  An ultrametric's named hierarchy
+(``_chain_tree``) is walked once and kept on the space, so weak
+similarity, isometry and the canonical form share one walk per space.
 """
 
+import json
 from random import Random
 
 import pytest
@@ -20,6 +23,8 @@ from starmetric import (
     generate_ultrametric,
     isometry_bijection,
     similarity,
+    space_from_json,
+    space_to_json,
     validate_semimetric,
     weak_similarity_bijection,
 )
@@ -232,6 +237,32 @@ def test_an_ultrametric_pair_never_enters_the_cell_route(monkeypatch, partner):
     monkeypatch.setattr(similarity, "_cell_search", _raises)
     similar = sum(_assert_pinned(s, t) is not None for s, t in pairs)
     assert similar == len(pairs) if partner != "fresh" else 0 < similar < len(pairs) // 2
+
+
+def test_an_ultrametric_is_walked_once_for_every_reading(monkeypatch):
+    # a walk is a call of _chain_tree on a space that does not keep its tree yet
+    rng = Random(373)
+    s = random_ultrametric(rng, 12)
+    texts = [json.dumps(space_to_json(t)) for t in (s, permuted_copy(rng, s))]
+    a, b = (space_from_json(json.loads(text)) for text in texts)
+    assert a.spectrum == b.spectrum and a.hierarchy is not None
+    walks, tree = [], similarity._chain_tree
+
+    def counted(space):
+        if "_chain_tree" not in vars(space):
+            walks.append(space)
+        return tree(space)
+
+    monkeypatch.setattr(similarity, "_chain_tree", counted)
+    phi = weak_similarity_bijection(a, b)
+    assert phi is not None and isometry_bijection(a, b) == phi
+    assert canonical_form(a) == canonical_form(b)
+    assert walks == [a, b] and walks[0] is a and walks[1] is b
+    # the kept tree is no field: a walked space equals, and hashes as, a fresh parse
+    for space, text in zip((a, b), texts):
+        fresh = space_from_json(json.loads(text))
+        assert "_chain_tree" in vars(space) and "_chain_tree" not in vars(fresh)
+        assert space == fresh and hash(space) == hash(fresh)
 
 
 # (t, similar) of helpers.decoy_pair: 8t points, or 16t when similar.  The

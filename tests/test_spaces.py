@@ -63,6 +63,13 @@ def test_x4_fixture_valid_and_ultrametric():
         ([["a"], "b"], [["0", "1"], ["1", "0"]], MalformedMatrix),
         (["a", "b"], [[0, Fraction(-1)], [Fraction(-1), 0]], NegativeDistance),
         (["a", "b"], [[0, Fraction(1)], [Fraction(2), 0]], AsymmetricMatrix),
+        # a str is no sequence of names or cells: "01" is not the row [0, 1]
+        (["a", "b"], ["01", "10"], MalformedMatrix),
+        (("a", "b"), ("01", "10"), MalformedMatrix),
+        ("ab", [["0", "1"], ["1", "0"]], MalformedMatrix),
+        (["a", "b"], [["0", "1"], "10"], MalformedMatrix),
+        (["a", "a"], [["0", "1"], "10"], MalformedMatrix),
+        (["a", "b"], "0110", MalformedMatrix),
     ],
 )
 def test_validation_errors(points, rows, exc):
@@ -73,6 +80,11 @@ def test_validation_errors(points, rows, exc):
             enter(points, rows)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
+    # where JSON can say it, the reader raises the same first fault with the same message
+    if isinstance(points, (str, list)) and isinstance(rows, (str, list)) and all(isinstance(r, (str, list)) for r in rows):
+        with pytest.raises(exc) as info:
+            space_from_json({"points": points, "dist": rows})
+        assert (type(info.value), str(info.value)) == raised[0]
 
 
 @pytest.mark.parametrize("cells", [("0", "1/2"), (0, Fraction(1, 2)), (Fraction(0), Fraction(1, 2))])

@@ -51,6 +51,14 @@ def test_tree_construction_errors():
         (lambda: LabeledTree.of([("a", 1)], [("zz", "a")]), UnknownVertex, "edge endpoint 'zz' is not a vertex"),
         (lambda: LabeledTree.of([("a", "-1")], []), NegativeLabel, "label of 'a' is -1 < 0"),
         (lambda: parse_tree_text("a x"), TreeFormatError, "not an exact rational: 'x'"),
+        # a str is no sequence of names, edges or labels: "ab" is not the vertices a and b
+        (lambda: LabeledTree("ab", [("a", "b")], [1, 1]), NotATree, "vertices must be a sequence, got str"),
+        (lambda: LabeledTree(["a", "b"], "ab", [1, 1]), NotATree, "edges must be a sequence, got str"),
+        (lambda: LabeledTree(["a", "b"], [("a", "b")], "11"), NotATree, "labels must be a sequence, got str"),
+        (lambda: LabeledTree("ab", ["ab"], "11"), NotATree, "vertices must be a sequence, got str"),
+        (lambda: LabeledTree(["a", "b"], ["ab"], [1, 1]), NotATree, "an edge must be a pair of vertex names, got 'ab'"),
+        (lambda: LabeledStarGraph(["c", "u"], ["cu"], [1, 1]), NotATree, "an edge must be a pair of vertex names, got 'cu'"),
+        (lambda: LabeledTree.of([("a", 1), ("b", 1)], ["ab"]), NotATree, "an edge must be a pair of vertex names, got 'ab'"),
     ]
     for make, exc, message in cases:
         with pytest.raises(exc) as info:
